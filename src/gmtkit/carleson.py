@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from math import gamma, log, pi, sqrt
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from gmtkit.errors import InvalidInputError
 
@@ -49,6 +47,10 @@ def sphere_points(dim: int, count: int) -> np.ndarray:
         golden = pi * (3.0 - sqrt(5.0))
         theta = golden * i
         return np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1)
+    # scipy.stats takes about a second to import; only this branch needs it
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     sob = qmc.Sobol(d=dim, scramble=False)
     # indices 0 and 1 are all-zeros and all-halves; both collapse to the
     # origin under the Gaussian map, so start the stream at index 2

@@ -16,11 +16,12 @@ covers the shallowest one is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+
+import numpy as np
 
 from gmtkit.errors import InvalidInputError
 from gmtkit.gauge import Gauge
-from gmtkit.lattice import CellSet, DyadicCube, index_ancestor
+from gmtkit.lattice import CellSet, DyadicCube, Pyramid, level_diameter
 
 
 @dataclass(frozen=True)
@@ -33,54 +34,38 @@ class CoverSolution:
         return float(sum(h(c.diameter()) for c in self.cover))
 
 
+def _cover_dp(pyramid: Pyramid, h: Gauge) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per level, each occupied cube's optimal cover cost with no size cap, and
+    whether covering it by itself attains that cost."""
+    n, m = pyramid.n, pyramid.depth
+    cost = [np.full(len(pyramid.cubes[m]), h(level_diameter(n, m)))]
+    here = [np.ones(len(pyramid.cubes[m]), dtype=bool)]
+    for level in range(m - 1, -1, -1):  # the lists grow at the front, from the bottom up
+        below = pyramid.sum_up(level + 1, cost[0])
+        price = h(level_diameter(n, level))
+        here.insert(0, price <= below)
+        cost.insert(0, np.where(here[0], price, below))
+    return cost, here
+
+
+def _summed_to_root(pyramid: Pyramid, values: np.ndarray, level: int) -> float:
+    """Total of level-`level` cube values, summed one level at a time."""
+    for up in range(level, 0, -1):
+        values = pyramid.sum_up(up, values)
+    return float(values.sum())
+
+
 def dyadic_cover_cost(cells: CellSet, h: Gauge, min_level: int = 0) -> CoverSolution:
     """Exact optimal cover cost of `cells` with cover cubes at levels >= min_level."""
     if min_level < 0 or min_level > cells.depth:
         raise InvalidInputError(f"min_level {min_level} must lie in [0, depth={cells.depth}]")
-    if not cells.cells:
-        return CoverSolution(0.0, (), min_level)
+    pyramid = cells.pyramid()
+    cost, here = _cover_dp(pyramid, h)
 
-    n, m = cells.n, cells.depth
-    occupied: list[set[tuple[int, ...]]] = [set() for _ in range(m + 1)]
-    occupied[m] = set(cells.cells)
-    for level in range(m - 1, -1, -1):
-        occupied[level] = {index_ancestor(idx, 1) for idx in occupied[level + 1]}
-
-    diam = [sqrt(n) * 2.0 ** (-level) for level in range(m + 1)]
-    cost: dict[tuple[int, ...], float] = {idx: h(diam[m]) for idx in occupied[m]}
-    cover_here: list[dict[tuple[int, ...], bool]] = [dict() for _ in range(m + 1)]
-    cover_here[m] = {idx: True for idx in occupied[m]}
-
-    for level in range(m - 1, -1, -1):
-        child_sum: dict[tuple[int, ...], float] = {}
-        for idx in sorted(occupied[level + 1]):
-            key = index_ancestor(idx, 1)
-            child_sum[key] = child_sum.get(key, 0.0) + cost[idx]
-        here = h(diam[level])
-        nxt: dict[tuple[int, ...], float] = {}
-        for idx in sorted(occupied[level]):
-            if level >= min_level and here <= child_sum[idx]:
-                nxt[idx] = here
-                cover_here[level][idx] = True
-            else:
-                nxt[idx] = child_sum[idx]
-                cover_here[level][idx] = False
-        cost = nxt
-
-    chosen: list[DyadicCube] = []
-    stack = [(0, idx) for idx in sorted(occupied[0])]
-    while stack:
-        level, idx = stack.pop()
-        if cover_here[level][idx]:
-            chosen.append(DyadicCube(n, level, idx))
-            continue
-        for child in sorted(occupied[level + 1]):
-            if index_ancestor(child, 1) == idx:
-                stack.append((level + 1, child))
-    chosen.sort(key=lambda c: (c.level, c.index))
-
-    total = float(sum(cost[idx] for idx in sorted(occupied[0])))
-    return CoverSolution(total, tuple(chosen), min_level)
+    # the cover: the first cube on each branch, from min_level down, covered by itself
+    chosen = sorted(pyramid.topmost([here[level] & (level >= min_level) for level in range(cells.depth + 1)]))
+    cover = tuple(DyadicCube(cells.n, level, idx) for level, idx in chosen)
+    return CoverSolution(_summed_to_root(pyramid, cost[min_level], min_level), cover, min_level)
 
 
 def content(cells: CellSet, h: Gauge) -> float:
@@ -90,5 +75,7 @@ def content(cells: CellSet, h: Gauge) -> float:
 
 def measure_profile(cells: CellSet, h: Gauge) -> list[float]:
     """Cover costs for min_level = 0..depth; nondecreasing since shrinking the
-    admissible cube sizes only removes covers."""
-    return [dyadic_cover_cost(cells, h, lvl).cost for lvl in range(cells.depth + 1)]
+    admissible cube sizes only removes covers.  One DP serves every entry."""
+    pyramid = cells.pyramid()
+    cost, _ = _cover_dp(pyramid, h)
+    return [_summed_to_root(pyramid, cost[level], level) for level in range(cells.depth + 1)]

@@ -21,21 +21,17 @@ on that identity as the keystone cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from math import sqrt
 
 import numpy as np
 
 from gmtkit.errors import InvalidInputError, VerificationError
 from gmtkit.gauge import Gauge
-from gmtkit.lattice import CellSet, DyadicCube, index_ancestor
+from gmtkit.lattice import CellSet, DyadicCube, Pyramid, level_diameter
 from gmtkit.utils import load_json, write_canonical
 
 CAP_TOLERANCE = 1e-9
-
-
-def _level_diameter(n: int, level: int) -> float:
-    return sqrt(n) * 2.0 ** (-level)
 
 
 @dataclass(frozen=True)
@@ -90,12 +86,13 @@ class CellMeasure:
         """Aggregated masses of all occupied level-`level` cubes (level <= cell_level)."""
         if level > self.cell_level:
             raise InvalidInputError(f"level {level} is below the explicit cell level {self.cell_level}")
-        shift = self.cell_level - level
-        agg: dict[tuple[int, ...], float] = {}
-        for idx in sorted(self.masses):
-            key = index_ancestor(idx, shift)
-            agg[key] = agg.get(key, 0.0) + self.masses[idx]
-        return agg
+        return dict(self._level_masses[level])
+
+    @cached_property
+    def _level_masses(self) -> list[dict[tuple[int, ...], float]]:
+        """Per level up to cell_level, every occupied cube's mass; built on first use."""
+        pyramid, sums = _rolled_up(self)
+        return [dict(zip(map(tuple, c.tolist()), s.tolist())) for c, s in zip(pyramid.cubes, sums)]
 
     def cube_mass(self, cube: DyadicCube) -> float:
         """Exact mass of a dyadic cube at any level <= depth."""
@@ -104,14 +101,10 @@ class CellMeasure:
         if cube.level > self.depth:
             raise InvalidInputError(f"cube level {cube.level} deeper than declared depth {self.depth}")
         if cube.level <= self.cell_level:
-            shift = self.cell_level - cube.level
-            return float(
-                sum(self.masses[idx] for idx in sorted(self.masses) if index_ancestor(idx, shift) == cube.index)
-            )
+            return self._level_masses[cube.level].get(cube.index, 0.0)
         # below the explicit cells, mass splits uniformly
         shift = cube.level - self.cell_level
-        parent = index_ancestor(cube.index, shift)
-        return self.masses.get(parent, 0.0) * 2.0 ** (-self.n * shift)
+        return self.masses.get(cube.ancestor(self.cell_level).index, 0.0) * 2.0 ** (-self.n * shift)
 
     def centers_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Cell centers with their masses, for moment computations."""
@@ -161,8 +154,10 @@ class CellMeasure:
         return CellMeasure.from_json_obj(load_json(path))
 
 
-def cube_mass(measure: CellMeasure, cube: DyadicCube) -> float:
-    return measure.cube_mass(cube)
+def _rolled_up(measure: CellMeasure) -> tuple[Pyramid, list[np.ndarray]]:
+    """The cube tree over the measure's cells and, per level, every cube's mass."""
+    pyramid = Pyramid(measure.n, measure.cell_level, measure.masses)
+    return pyramid, pyramid.rollup(list(measure.masses.values()))
 
 
 def build_frostman(cells: CellSet, h: Gauge) -> CellMeasure:
@@ -170,42 +165,31 @@ def build_frostman(cells: CellSet, h: Gauge) -> CellMeasure:
 
     Each occupied bottom cell starts with total mass h(diam cell); the upward
     sweep rescales over-cap subtrees.  Scaling is tracked as one lazy factor
-    per capped cube and flattened in a single pass, so no level-by-level
+    per cube and flattened in a single downward pass, so no level-by-level
     rescan of the cells is needed.
     """
     if not cells.cells:
         raise InvalidInputError("cannot build a measure on an empty cell set")
     n, m = cells.n, cells.depth
-    init = h(_level_diameter(n, m))
+    init = h(level_diameter(n, m))
     if init <= 0:
         raise InvalidInputError(f"gauge {h.label} prices bottom cells at {init}; need a positive value")
 
-    agg = {idx: init for idx in cells.sorted_cells()}
-    factors: list[dict[tuple[int, ...], float]] = []
+    pyramid = cells.pyramid()
+    agg = np.full(len(pyramid.cubes[m]), init)
+    factors: list[np.ndarray] = [np.empty(0)] * m  # factors[l]: capping factor of each level-l cube
     for level in range(m - 1, -1, -1):
-        cap = h(_level_diameter(n, level))
-        parent_agg: dict[tuple[int, ...], float] = {}
-        for idx in sorted(agg):
-            key = index_ancestor(idx, 1)
-            parent_agg[key] = parent_agg.get(key, 0.0) + agg[idx]
-        level_factors: dict[tuple[int, ...], float] = {}
-        for key in sorted(parent_agg):
-            if parent_agg[key] > cap:
-                level_factors[key] = cap / parent_agg[key]
-                parent_agg[key] = cap
-        factors.append(level_factors)
-        agg = parent_agg
-    factors.reverse()  # factors[l] now holds the capping factors applied at level l
+        cap = h(level_diameter(n, level))
+        agg = pyramid.sum_up(level + 1, agg)
+        over = agg > cap
+        factors[level] = np.where(over, cap / agg, 1.0)
+        agg = np.where(over, cap, agg)
 
-    masses: dict[tuple[int, ...], float] = {}
-    for idx in cells.sorted_cells():
-        mass = init
-        for level in range(m):
-            f = factors[level].get(index_ancestor(idx, m - level))
-            if f is not None:
-                mass *= f
-        masses[idx] = mass
-    return CellMeasure(n, m, masses)
+    # each cell's mass is init times its ancestors' factors, root first
+    mass = np.full(len(pyramid.cubes[0]), init)
+    for level in range(m):
+        mass = (mass * factors[level])[pyramid.parents[level + 1]]
+    return CellMeasure(n, m, dict(zip(map(tuple, pyramid.cubes[m].tolist()), mass.tolist())))
 
 
 @dataclass(frozen=True)
@@ -228,26 +212,22 @@ def verify_frostman(measure: CellMeasure, h: Gauge) -> FrostmanReport:
     """
     n = measure.n
     max_ratio, worst = 0.0, None
-    saturated: list[tuple[int, tuple[int, ...], float]] = []
-
-    per_level: dict[int, dict[tuple[int, ...], float]] = {}
-    for level in range(measure.cell_level + 1):
-        agg = measure.level_masses(level)
-        per_level[level] = agg
-        cap = h(_level_diameter(n, level))
-        if cap <= 0:
-            if agg:
-                raise VerificationError(f"gauge {h.label} vanishes at level {level} but mass is present")
+    pyramid, mass = _rolled_up(measure)
+    caps = [h(level_diameter(n, level)) for level in range(measure.cell_level + 1)]
+    for level, cap in enumerate(caps):
+        if not len(mass[level]):
             continue
-        for idx in sorted(agg):
-            ratio = agg[idx] / cap
-            if ratio > max_ratio:
-                max_ratio, worst = ratio, (level, idx)
+        if cap <= 0:
+            raise VerificationError(f"gauge {h.label} vanishes at level {level} but mass is present")
+        ratios = mass[level] / cap
+        top = int(np.argmax(ratios))  # the first cube attaining the maximum
+        if ratios[top] > max_ratio:
+            max_ratio, worst = float(ratios[top]), (level, tuple(pyramid.cubes[level][top].tolist()))
 
     if measure.cell_level < measure.depth and measure.masses:
         peak = max(measure.masses.values())
         for level in range(measure.cell_level + 1, measure.depth + 1):
-            cap = h(_level_diameter(n, level))
+            cap = h(level_diameter(n, level))
             ratio = peak * 2.0 ** (-n * (level - measure.cell_level)) / cap
             if ratio > max_ratio:
                 # locate one cell attaining the per-level maximum
@@ -255,26 +235,9 @@ def verify_frostman(measure: CellMeasure, h: Gauge) -> FrostmanReport:
                 deep = tuple(i << (level - measure.cell_level) for i in idx)
                 max_ratio, worst = ratio, (level, deep)
 
-    # maximal saturated cubes: walk down, stop at the first saturated cube per branch
-    def walk(level: int, idx: tuple[int, ...]):
-        agg = per_level[level]
-        cap = h(_level_diameter(n, level))
-        if agg[idx] >= cap * (1.0 - CAP_TOLERANCE):
-            saturated.append((level, idx, agg[idx]))
-            return
-        if level == measure.cell_level:
-            return
-        nxt = per_level[level + 1]
-        for child in sorted(nxt):
-            if index_ancestor(child, 1) == idx:
-                walk(level + 1, child)
-
-    if measure.masses:
-        root_agg = per_level[0]
-        for idx in sorted(root_agg):
-            walk(0, idx)
-
-    cost = float(sum(h(_level_diameter(n, lvl)) for lvl, _, _ in saturated))
+    # maximal saturated cubes, added up in the order a walk from the root meets them
+    saturated = pyramid.topmost([m >= cap * (1.0 - CAP_TOLERANCE) for m, cap in zip(mass, caps)])
+    cost = float(sum(caps[level] for level, _ in saturated))
     return FrostmanReport(
         gauge_label=h.label,
         max_ratio=max_ratio,
@@ -312,24 +275,12 @@ def ball_frostman_check(measure: CellMeasure, k: int, samples: int = 256, seed: 
     for i in range(min(len(support), samples - len(pts))):
         pts.append((np.array(support[i], dtype=float) + 0.5) * side)
 
-    level_cache: dict[int, dict[tuple[int, ...], float]] = {}
-
-    def level_mass(level: int, idx: tuple[int, ...]) -> float:
-        if level <= measure.cell_level:
-            if level not in level_cache:
-                level_cache[level] = measure.level_masses(level)
-            return level_cache[level].get(idx, 0.0)
-        shift = level - measure.cell_level
-        return measure.masses.get(index_ancestor(idx, shift), 0.0) * 2.0 ** (-n * shift)
-
-    root_n = sqrt(n)
-    radii = tuple(root_n * 2.0 ** (-j) for j in range(measure.depth + 1))
+    level_masses = measure._level_masses
+    radii = tuple(level_diameter(n, j) for j in range(measure.depth + 1))
     best, worst = 0.0, None
     for x in pts:
-        for j, r in enumerate(radii):
-            level = min(j, measure.depth)
-            while _level_diameter(n, level) > r and level < measure.depth:
-                level += 1
+        for level, r in enumerate(radii):
+            shift = max(0, level - measure.cell_level)  # below the explicit cells, mass splits uniformly
             scale = 1 << level
             lo = np.maximum(np.floor((x - r) * scale).astype(int), 0)
             hi = np.minimum(np.floor((x + r) * scale).astype(int), scale - 1)
@@ -340,7 +291,7 @@ def ball_frostman_check(measure: CellMeasure, k: int, samples: int = 256, seed: 
                 lo_c = np.array(idx, dtype=float) * cube_side
                 gap = np.maximum(np.maximum(lo_c - x, x - (lo_c + cube_side)), 0.0)
                 if float(np.dot(gap, gap)) <= r * r:
-                    total += level_mass(level, tuple(idx))
+                    total += level_masses[level - shift].get(tuple(i >> shift for i in idx), 0.0) * 2.0 ** (-n * shift)
             ratio = total / r ** k
             if ratio > best:
                 best, worst = ratio, (tuple(float(c) for c in x), r, ratio)

@@ -15,10 +15,11 @@ diameter r at h(r).  Shipped families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gamma, log, pi, sqrt
+from math import gamma, log, pi
 from typing import Callable
 
 from gmtkit.errors import InvalidInputError
+from gmtkit.lattice import level_diameter
 from gmtkit.utils import ipow
 
 
@@ -77,19 +78,22 @@ def power_exp_gauge(k: int, s: float) -> Gauge:
     def h(r: float) -> float:
         return r ** expo
 
-    return Gauge(h, f"powerexp:{k}:{s:g}", k)
+    return Gauge(h, f"powerexp:{k}:{s:.17g}", k)
 
 
 def scaled_gauge(g: Gauge, c: float) -> Gauge:
-    if c <= 0:
-        raise InvalidInputError(f"scaling constant must be positive, got {c}")
-    return Gauge(lambda r: c * g.evaluate(r), f"{c:g}*{g.label}", g.k_ref)
+    if not 0.0 < c < float("inf"):
+        raise InvalidInputError(f"scaling constant must be positive and finite, got {c}")
+    return Gauge(lambda r: c * g.evaluate(r), f"{c:.17g}*{g.label}", g.k_ref)
 
 
 def parse_gauge(label: str) -> Gauge:
-    """Parse a gauge label: power:k | vanish:k | powerexp:k:s."""
+    """Parse a gauge label: power:k | vanish:k | powerexp:k:s | c*label."""
     parts = label.strip().split(":")
     try:
+        if "*" in label:
+            factor, inner = label.strip().split("*", 1)
+            return scaled_gauge(parse_gauge(inner), float(factor))
         if parts[0] == "power" and len(parts) == 2:
             return power_gauge(int(parts[1]))
         if parts[0] == "vanish" and len(parts) == 2:
@@ -98,7 +102,7 @@ def parse_gauge(label: str) -> Gauge:
             return power_exp_gauge(int(parts[1]), float(parts[2]))
     except ValueError as exc:
         raise InvalidInputError(f"bad gauge label {label!r}: {exc}") from exc
-    raise InvalidInputError(f"unknown gauge label {label!r} (use power:k, vanish:k, powerexp:k:s)")
+    raise InvalidInputError(f"unknown gauge label {label!r} (use power:k, vanish:k, powerexp:k:s, c*label)")
 
 
 @dataclass(frozen=True)
@@ -113,12 +117,7 @@ class RatioReport:
 
 
 def gauge_ratios(h: Gauge, k: int, levels: int, n: int = 1) -> list[tuple[float, float]]:
-    out = []
-    root = sqrt(n)
-    for j in range(levels + 1):
-        r = root * 2.0 ** (-j)
-        out.append((r, h(r) / ipow(r, k)))
-    return out
+    return [(r, h(r) / ipow(r, k)) for r in (level_diameter(n, j) for j in range(levels + 1))]
 
 
 def ratio_vanishes(h: Gauge, k: int, levels: int = 40, eps: float = 0.05, n: int = 1) -> RatioReport:
@@ -143,10 +142,9 @@ def grid_monotone(h: Gauge, levels: int = 40, n: int = 1) -> bool:
     """h must be nondecreasing on the dyadic diameter grid and vanish at 0."""
     if h(0.0) != 0.0:
         return False
-    root = sqrt(n)
     prev = 0.0
     for j in range(levels, -1, -1):
-        cur = h(root * 2.0 ** (-j))
+        cur = h(level_diameter(n, j))
         if cur < prev:
             return False
         prev = cur

@@ -17,7 +17,7 @@ discrete stand-in for a compact subset of [0,1]^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import floor, sqrt
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from gmtkit.errors import InvalidInputError
 from gmtkit.utils import load_json, write_canonical
 
-MAX_LEVEL = 60
+MAX_LEVEL = 50
 
 
 def _check_level(level: int) -> None:
@@ -58,8 +58,7 @@ class DyadicCube:
         return 2.0 ** (-self.level)
 
     def diameter(self) -> float:
-        # sqrt(n) * 2^-level, exact scaling since 2^-level is a power of two
-        return sqrt(self.n) * 2.0 ** (-self.level)
+        return level_diameter(self.n, self.level)
 
     def lower(self) -> np.ndarray:
         s = self.side()
@@ -88,6 +87,14 @@ class DyadicCube:
             raise InvalidInputError(f"ancestor level {level} not in [0, {self.level}]")
         shift = self.level - level
         return DyadicCube(self.n, level, tuple(i >> shift for i in self.index))
+
+
+def level_diameter(n: int, level: int) -> float:
+    """Diameter of a level-`level` cube in [0,1]^n: sqrt(n) * 2^-level.
+
+    Scaling by a power of two is exact, so every caller gets the same bits.
+    """
+    return sqrt(n) * 2.0 ** (-level)
 
 
 def cube_at(point, level: int, n: int | None = None) -> DyadicCube:
@@ -156,6 +163,82 @@ def dist_point_to_box(point: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> floa
     return float(np.sqrt(np.dot(gap, gap)))
 
 
+class Pyramid:
+    """The occupied dyadic cubes above an antichain of nodes, level by level.
+
+    Built once from nodes given as index tuples, at `depth` or at the matching
+    entry of `levels` (a ``CellSet`` is the case where every node sits at one
+    level).  For each level l in [0, depth], ``cubes[l]`` holds the occupied
+    level-l cube indices as an (m_l, n) int64 array in lexicographic order,
+    and ``parents[l]`` the position of each one's parent in ``cubes[l - 1]``.
+
+    Sums up the tree are ``np.bincount`` over parent positions, which adds in
+    array order: in the order a loop over the sorted tuples adds.  Values go
+    down the tree by gathering through ``parents``.
+    """
+
+    def __init__(self, n: int, depth: int, indices, levels=None):
+        rows = np.fromiter(chain.from_iterable(indices), dtype=np.int64).reshape(-1, n)
+        node_level = np.full(len(rows), depth) if levels is None else np.fromiter(levels, dtype=np.int64)
+        self.n, self.depth = n, depth
+        self.cubes: list[np.ndarray] = [np.empty((0, n), dtype=np.int64)] * (depth + 1)
+        self.parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * (depth + 1)
+        node_pos = np.empty(len(rows), dtype=np.int64)
+        above = np.empty((0, n), dtype=np.int64)  # parents of the level below
+        for level in range(depth, -1, -1):
+            here = np.flatnonzero(node_level == level)
+            self.cubes[level], position = np.unique(np.concatenate([rows[here], above]), axis=0, return_inverse=True)
+            node_pos[here] = position[: len(here)]
+            if level < depth:
+                self.parents[level + 1] = position[len(here) :]
+            above = self.cubes[level] >> 1
+        # nodes in (level, index) order, the order in which sums take them
+        self._order = np.lexsort((node_pos, node_level))
+        self._node_level = node_level[self._order]
+        self._node_pos = node_pos[self._order]
+
+    def sum_up(self, level: int, values: np.ndarray) -> np.ndarray:
+        """Per level-(`level` - 1) cube, the sum of its children's `values`."""
+        return np.bincount(self.parents[level], weights=values, minlength=len(self.cubes[level - 1]))
+
+    def rollup(self, values) -> list[np.ndarray]:
+        """Per level, each cube's sum of the values of the nodes inside it.
+
+        `values` follows the order in which the nodes were given.  Each node
+        is added straight into every ancestor, nodes in (level, index) order.
+        """
+        values = np.asarray(values, dtype=float)[self._order]
+        pos = self._node_pos.copy()
+        sums = []
+        for level in range(self.depth, -1, -1):
+            inside = self._node_level >= level  # these nodes now sit at `level`
+            sums.append(np.bincount(pos[inside], weights=values[inside], minlength=len(self.cubes[level])))
+            if level:
+                pos[inside] = self.parents[level][pos[inside]]
+        return sums[::-1]
+
+    def topmost(self, flags: list[np.ndarray]) -> list[tuple[int, tuple[int, ...]]]:
+        """(level, index) of each flagged cube below no flagged cube, in the order
+        a depth-first walk from the root meets them, children in lexicographic
+        order.  `flags` holds one boolean array per level."""
+        size = [np.ones(len(c), dtype=np.int64) for c in self.cubes]  # cubes in each subtree
+        for level in range(self.depth, 0, -1):
+            size[level - 1] += self.sum_up(level, size[level]).astype(np.int64)
+        rank = np.zeros(len(self.cubes[0]), dtype=np.int64)  # cubes the walk meets earlier
+        found, clear = [], np.ones(len(self.cubes[0]), dtype=bool)  # clear: no flagged ancestor
+        for level, flag in enumerate(flags):
+            if level:  # a child follows its parent and the subtrees of its earlier siblings
+                order = np.argsort(self.parents[level], kind="stable")
+                parent, span = self.parents[level][order], size[level][order]
+                before = np.cumsum(span) - span
+                rank, above = np.empty_like(span), rank
+                rank[order] = above[parent] + 1 + before - before[np.searchsorted(parent, parent)]
+                clear = (clear & ~flags[level - 1])[self.parents[level]]
+            hit = np.flatnonzero(clear & flag)
+            found += zip(rank[hit].tolist(), [level] * len(hit), map(tuple, self.cubes[level][hit].tolist()))
+        return [(level, idx) for _, level, idx in sorted(found)]
+
+
 @dataclass(frozen=True)
 class CellSet:
     """A finite set of depth-m cells representing a subset of [0,1]^n."""
@@ -193,8 +276,11 @@ class CellSet:
         """Indices of level-`level` cubes meeting the set (level <= depth)."""
         if level > self.depth:
             raise InvalidInputError(f"level {level} deeper than cell depth {self.depth}")
-        shift = self.depth - level
-        return {index_ancestor(c, shift) for c in self.cells}
+        return set(map(tuple, self.pyramid().cubes[level].tolist()))
+
+    def pyramid(self) -> "Pyramid":
+        """The occupied cube tree above the cells."""
+        return Pyramid(self.n, self.depth, self.cells)
 
     def refined(self, depth: int) -> "CellSet":
         """The same set expressed with cells at a deeper uniform depth."""

@@ -41,10 +41,12 @@ from gmtkit.gauge import Gauge, unit_ball_volume
 from gmtkit.lattice import (
     CellSet,
     DyadicCube,
+    Pyramid,
     cube_bounds,
     dist_point_to_box,
     index_ancestor,
     index_first_descendant,
+    level_diameter,
 )
 from gmtkit.utils import load_json, thread_count, write_canonical
 
@@ -241,6 +243,14 @@ def check_sparse(cells: CellSet, cert: SparsityCertificate) -> bool:
 # lazily represented measures
 
 
+def _windowed(windows: tuple[tuple[int, int], ...], t: int, l: int) -> bool:
+    """Is level `l` inside a window opened at or below node level `t`?"""
+    for a, e in windows:  # a loop, not any(): this runs for every level of every hole probe
+        if t <= a < l <= a + e:
+            return True
+    return False
+
+
 def _interior_factor(
     n: int,
     node_level: int,
@@ -256,17 +266,10 @@ def _interior_factor(
     """
     free = 0
     for l in range(node_level + 1, level + 1):
-        inside = None
-        for a, e in windows:
-            if a >= node_level and a < l <= a + e:
-                inside = (a, e)
-                break
-        if inside is None:
+        if not _windowed(windows, node_level, l):
             free += 1
-        else:
-            shift = level - l
-            if any((c >> shift) & 1 for c in idx):
-                return 0.0
+        elif any((c >> (level - l)) & 1 for c in idx):
+            return 0.0
     return 2.0 ** (-n * free)
 
 
@@ -360,53 +363,38 @@ class SparseMeasure:
         masses = {idx: m for (lvl, idx), m in self.nodes.items()}
         return CellMeasure(self.n, self.depth, masses, level)
 
-    def support_sample_cells(self, level: int, count: int, rng: np.random.Generator) -> CellSet:
-        """Distinct support cells at `level`, drawn mass-weighted (deduplicated).
+    def _support_cells(self, rng: np.random.Generator, count: int, level: int):
+        """Mass-weighted support cells at `level`, one per draw: a node, then
+        uniform digits below it outside windows and zeros inside.  A generator,
+        so draws the caller makes between cells keep their place in the random
+        stream.  Integer coordinates throughout: a float round trip at deep
+        levels can round a point across a cell boundary, off the support."""
+        keys = self._keys
+        if not keys:
+            raise InvalidInputError("cannot sample from the zero measure")
+        w = np.array([self.nodes[k] for k in keys], dtype=float)
+        for pick in rng.choice(len(keys), size=count, p=w / w.sum()):
+            t, idx = keys[pick]
+            coords = index_ancestor(idx, max(0, t - level))
+            for l in range(t + 1, level + 1):
+                bits = (0,) * self.n if _windowed(self.windows, t, l) else tuple(rng.integers(0, 2, size=self.n))
+                coords = tuple(2 * c + b for c, b in zip(coords, bits))
+            yield coords
 
-        The descent stays in integer coordinates: a float round trip at deep
-        levels can round a point across a cell boundary and off the support.
-        """
+    def support_sample_cells(self, level: int, count: int, rng: np.random.Generator) -> CellSet:
+        """Distinct support cells at `level`, drawn mass-weighted (deduplicated)."""
         if not 0 <= level <= self.depth:
             raise InvalidInputError(f"level must lie in [0, {self.depth}], got {level}")
-        keys = self._keys
-        if not keys:
-            raise InvalidInputError("cannot sample from the zero measure")
-        w = np.array([self.nodes[k] for k in keys], dtype=float)
-        picks = rng.choice(len(keys), size=count, p=w / w.sum())
-        cells = set()
-        for pick in picks:
-            t, idx = keys[pick]
-            if t >= level:
-                cells.add(index_ancestor(idx, t - level))
-                continue
-            coords = list(idx)
-            for l in range(t + 1, level + 1):
-                windowed = any(a >= t and a < l <= a + e for a, e in self.windows)
-                bits = (0,) * self.n if windowed else tuple(rng.integers(0, 2, size=self.n))
-                coords = [2 * c + b for c, b in zip(coords, bits)]
-            cells.add(tuple(coords))
-        return CellSet(self.n, level, frozenset(cells))
+        return CellSet(self.n, level, frozenset(self._support_cells(rng, count, level)))
 
     def sample_support_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Mass-weighted points of the support: pick a node, then descend with
-        uniform digits outside windows and forced zeros inside them."""
-        keys = self._keys
-        if not keys:
-            raise InvalidInputError("cannot sample from the zero measure")
-        w = np.array([self.nodes[k] for k in keys], dtype=float)
-        picks = rng.choice(len(keys), size=count, p=w / w.sum())
+        """Mass-weighted points of the support: a support cell at the declared
+        depth, then a uniform point inside it."""
         out = np.empty((count, self.n), dtype=float)
-        for row, pick in enumerate(picks):
-            t, idx = keys[pick]
-            coords = list(idx)
-            for l in range(t + 1, self.depth + 1):
-                windowed = any(a >= t and a < l <= a + e for a, e in self.windows)
-                bits = (0,) * self.n if windowed else tuple(rng.integers(0, 2, size=self.n))
-                coords = [2 * c + b for c, b in zip(coords, bits)]
-            frac = rng.random(self.n)
-            side = 2.0 ** (-self.depth)
+        side = 2.0 ** (-self.depth)
+        for row, coords in enumerate(self._support_cells(rng, count, self.depth)):
             base = np.array(coords, dtype=float) * side
-            pt = base + frac * side
+            pt = base + rng.random(self.n) * side
             # rounding at deep levels can push the sum onto the next cell's
             # boundary; pull such points back inside the half-open cell
             hi = base + side
@@ -417,13 +405,13 @@ class SparseMeasure:
 
     def ancestor_rollup(self, max_level: int) -> dict[tuple[int, tuple[int, ...]], float]:
         """Aggregated masses of every cube at level <= max_level containing a node."""
-        agg: dict[tuple[int, tuple[int, ...]], float] = {}
-        for (t, idx) in self._keys:
-            w = self.nodes[(t, idx)]
-            for level in range(0, min(t, max_level) + 1):
-                key = (level, index_ancestor(idx, t - level))
-                agg[key] = agg.get(key, 0.0) + w
-        return agg
+        pyramid = Pyramid(self.n, self.depth, (idx for _, idx in self._keys), (t for t, _ in self._keys))
+        sums = pyramid.rollup([self.nodes[key] for key in self._keys])
+        return {
+            (level, idx): mass
+            for level in range(min(max_level, self.depth) + 1)
+            for idx, mass in zip(map(tuple, pyramid.cubes[level].tolist()), sums[level].tolist())
+        }
 
     def to_json_obj(self) -> dict:
         return {
@@ -479,19 +467,18 @@ class SparseConstruction:
         return out.to_cell_measure() if out.is_explicit() else out
 
 
+def _power_ratios(h: Gauge, k: int, n: int, depth: int) -> list[float]:
+    """h(diam)/diam^k on the cube diameters of levels 0..depth."""
+    return [h(d) / d**k for d in (level_diameter(n, l) for l in range(depth + 1))]
+
+
 def certified_scales(h: Gauge, k: int, n: int, ell: int, depth: int) -> list[int]:
     """Levels passing the scale rule h(diam)/diam^k <= 2^(-n*j*ell), spaced >= ell.
 
     The rule must hold at every level from the chosen one down to `depth`,
     so the suffix maximum of the ratio sequence is what gets compared.
     """
-    root = sqrt(n)
-    ratios = []
-    for l in range(depth + 1):
-        d = root * 2.0 ** (-l)
-        dk = d ** k
-        ratios.append(h(d) / dk)
-    suffix = list(ratios)
+    suffix = _power_ratios(h, k, n, depth)
     for l in range(depth - 1, -1, -1):
         suffix[l] = max(suffix[l], suffix[l + 1])
 
@@ -656,15 +643,6 @@ class SparseReport:
     certificate_ok: bool
 
 
-def _gauge_power_constant(h: Gauge, k: int, n: int, depth: int) -> float:
-    root = sqrt(n)
-    best = 1.0
-    for l in range(depth + 1):
-        d = root * 2.0 ** (-l)
-        best = max(best, h(d) / d ** k)
-    return best
-
-
 def verify_sparse_construction(cons: SparseConstruction, h: Gauge, sample_cells: int = 256, seed: int = 0) -> SparseReport:
     """Check preservation, caps, selection bounds, and certificate consistency.
 
@@ -678,9 +656,8 @@ def verify_sparse_construction(cons: SparseConstruction, h: Gauge, sample_cells:
     depth = cons.base.depth
     ell = cons.ell
     cert = cons.certificate
-    c0_side = _gauge_power_constant(h, cons.k, n, depth)
+    c0_side = max([1.0, *_power_ratios(h, cons.k, n, depth)])
     B = cons.norm_constant
-    root = sqrt(n)
 
     # coarse-mass preservation at levels <= l_j, stage against previous stage
     drift = 0.0
@@ -703,19 +680,15 @@ def verify_sparse_construction(cons: SparseConstruction, h: Gauge, sample_cells:
         amp = 2.0 ** (n * ell * j)
         roll = sm.ancestor_rollup(depth)
         for (lvl, _idx), mass in sorted(roll.items()):
-            d = root * 2.0 ** (-lvl)
+            d = level_diameter(n, lvl)
             ratio_h = max(ratio_h, mass / (B * amp * h(d)))
             ratio_k = max(ratio_k, mass / (B * c0_side * d ** cons.k))
         for (t, idx) in sorted(sm.nodes):
-            w = sm.nodes[(t, idx)]
-            value = w
-            free_chain = idx
+            value = sm.nodes[(t, idx)]
             for lvl in range(t + 1, depth + 1):
-                windowed = any(a >= t and a < lvl <= a + e for a, e in sm.windows)
-                free_chain = tuple(2 * c for c in free_chain)
-                if not windowed:
+                if not _windowed(sm.windows, t, lvl):
                     value *= 2.0 ** (-n)
-                d = root * 2.0 ** (-lvl)
+                d = level_diameter(n, lvl)
                 ratio_h = max(ratio_h, value / (B * amp * h(d)))
                 ratio_k = max(ratio_k, value / (B * c0_side * d ** cons.k))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -92,6 +93,7 @@ def thread_count() -> int:
     try:
         value = int(raw)
     except ValueError:
+        print(f"gmtkit: GMT_THREADS={raw!r} is not an integer; running serially", file=sys.stderr)
         return 1
     return max(1, value)
 

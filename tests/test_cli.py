@@ -260,16 +260,21 @@ def run_declared_entry_point(argv, cwd):
     assert scripts.get("gmtkit") == "gmtkit.cli:main"
     module, func = scripts["gmtkit"].split(":")
     code = f"import sys; from {module} import {func}; sys.exit({func}())"
-    src = str(Path(gmtkit.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=env,
+        env=imported_package_env(),
     )
+
+
+def imported_package_env() -> dict:
+    """The environment with PYTHONPATH led by the directory holding the gmtkit
+    package this suite imported."""
+    src = str(Path(gmtkit.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
 
 
 def test_console_script_smoke(tmp_path):
@@ -282,3 +287,14 @@ def test_console_script_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert "wrote 16 cells" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats costs about a second of start-up; only the epsilon command
+    # in four or more dimensions needs it
+    code = "import sys, gmtkit.cli; print(sorted({'scipy.stats', 'scipy.special'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=imported_package_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -35,6 +35,9 @@ def test_segment_costs_root_diameter_at_every_floor():
     for min_level in range(5):
         sol = dyadic_cover_cost(cells, BARE, min_level)
         assert sol.cost == pytest.approx(math.sqrt(2), rel=1e-12)
+        # every cover ties; the shallowest admissible one wins
+        assert [c.index for c in sol.cover] == [(i, 0) for i in range(2**min_level)]
+        assert all(c.level == min_level for c in sol.cover)
 
 
 def test_single_cell_forced_at_bottom():
@@ -134,6 +137,22 @@ def test_profile_is_nondecreasing(cells):
     assert len(prof) == cells.depth + 1
     for a, b in zip(prof, prof[1:]):
         assert b >= a - 1e-12
+
+
+@given(
+    st.one_of(tiny_sets, st.just(CellSet(2, 2, frozenset()))),
+    st.sampled_from([BARE, power_gauge(2), vanishing_gauge(1)]),
+)
+def test_profile_equals_each_capped_cover_cost(cells, h):
+    want = [dyadic_cover_cost(cells, h, lvl).cost for lvl in range(cells.depth + 1)]
+    assert measure_profile(cells, h) == want
+
+
+def test_profile_equals_each_capped_cover_cost_on_cantor():
+    cells = generate(GeneratorSpec(kind="four-corner-cantor", n=2, depth=8))
+    for h in (BARE, power_gauge(1), vanishing_gauge(1)):
+        want = [dyadic_cover_cost(cells, h, lvl).cost for lvl in range(cells.depth + 1)]
+        assert measure_profile(cells, h) == want
 
 
 def test_min_level_beyond_depth_rejected():

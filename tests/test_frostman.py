@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gmtkit.content import dyadic_cover_cost
@@ -12,13 +12,12 @@ from gmtkit.frostman import (
     CellMeasure,
     ball_frostman_check,
     build_frostman,
-    cube_mass,
     verify_frostman,
 )
 from gmtkit.gauge import power_exp_gauge, power_gauge, scaled_gauge, vanishing_gauge
-from gmtkit.lattice import CellSet, DyadicCube
+from gmtkit.lattice import CellSet, DyadicCube, children, level_diameter, union
 
-from helpers import brute_frostman_max_ratio
+from helpers import brute_cube_mass, brute_frostman_max_ratio
 
 BARE = power_exp_gauge(1, 0.0)  # h(r) = r
 
@@ -82,6 +81,12 @@ def test_verify_fails_on_doubled_measure():
     assert rep.max_ratio == pytest.approx(2.0, rel=1e-9)
 
 
+def test_worst_cube_is_the_first_of_tied_cubes():
+    rep = verify_frostman(CellMeasure(2, 2, {(0, 0): 1.0, (3, 3): 1.0}), BARE)
+    assert rep.worst_cube == (2, (0, 0))
+    assert rep.max_ratio == pytest.approx(4 / math.sqrt(2), rel=1e-12)
+
+
 def test_verify_zero_measure_passes_with_zero_ratio():
     mu = CellMeasure(2, 2, {})
     rep = verify_frostman(mu, BARE)
@@ -91,12 +96,12 @@ def test_verify_zero_measure_passes_with_zero_ratio():
 
 def test_cube_mass_aggregation():
     mu = build_frostman(full_square(2), BARE)
-    assert cube_mass(mu, DyadicCube(2, 0, (0, 0))) == pytest.approx(mu.total, rel=1e-12)
+    assert mu.cube_mass(DyadicCube(2, 0, (0, 0))) == pytest.approx(mu.total, rel=1e-12)
     single = CellMeasure(2, 2, {(0, 0): 1.0})
-    assert cube_mass(single, DyadicCube(2, 1, (0, 0))) == 1.0
-    assert cube_mass(single, DyadicCube(2, 1, (1, 1))) == 0.0
+    assert single.cube_mass(DyadicCube(2, 1, (0, 0))) == 1.0
+    assert single.cube_mass(DyadicCube(2, 1, (1, 1))) == 0.0
     with pytest.raises(InvalidInputError):
-        cube_mass(single, DyadicCube(2, 3, (0, 0)))
+        single.cube_mass(DyadicCube(2, 3, (0, 0)))
 
 
 @given(small_sets, gauges)
@@ -113,6 +118,38 @@ def test_construction_respects_cap_brute_force(cells, h):
     assert worst <= 1.0 + 1e-9
     rep = verify_frostman(mu, h)
     assert rep.max_ratio == pytest.approx(worst, rel=1e-9)
+
+
+def brute_saturated_levels(mu: CellMeasure, h) -> list[int]:
+    """Levels of the maximal saturated cubes, in the order a recursive walk
+    from the root meets them, by scanning every cell at every cube."""
+    found = []
+
+    def walk(level, idx):
+        shift = mu.cell_level - level
+        if not any(tuple(c >> shift for c in cell) == idx for cell in mu.masses):
+            return
+        if brute_cube_mass(mu.masses, mu.cell_level, level, idx) >= h(level_diameter(mu.n, level)) * (1 - 1e-9):
+            found.append(level)
+            return
+        if level < mu.cell_level:
+            for child in sorted(c.index for c in children(DyadicCube(mu.n, level, idx))):
+                walk(level + 1, child)
+
+    walk(0, (0,) * mu.n)
+    return found
+
+
+@given(small_sets, gauges, st.sampled_from([1.0, 0.5, 2.0, 0.999]))
+# saturated at levels 2, 2, 1 in walk order, whose cost a level-by-level sum rounds differently
+@example(union([CellSet(2, 2, frozenset({(0, 0), (0, 2)})), CellSet(2, 1, frozenset({(1, 0)}))]).refined(4),
+         vanishing_gauge(1), 1.0)
+def test_saturated_cubes_match_brute_force(cells, h, c):
+    mu = build_frostman(cells, h).scaled(c)
+    levels = brute_saturated_levels(mu, h)
+    rep = verify_frostman(mu, h)
+    assert rep.saturated_count == len(levels)
+    assert rep.saturated_cover_cost == float(sum(h(level_diameter(mu.n, lvl)) for lvl in levels))
 
 
 @given(small_sets, st.tuples(st.integers(0, 7), st.integers(0, 7)))

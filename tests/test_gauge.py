@@ -15,6 +15,7 @@ from gmtkit.gauge import (
     unit_ball_volume,
     vanishing_gauge,
 )
+from gmtkit.lattice import level_diameter
 
 SHIPPED = [
     power_gauge(1),
@@ -97,7 +98,8 @@ def test_parse_gauge_round_trips():
 
 
 def test_parse_gauge_rejects_junk():
-    for bad in ("power", "power:zero", "nope:1", "powerexp:1", "vanish:-2", ""):
+    for bad in ("power", "power:zero", "nope:1", "powerexp:1", "vanish:-2", "", "0*power:1", "-2*power:1",
+                "nan*power:1", "inf*vanish:1", "two*power:1", "2*nope:1", "2*"):
         with pytest.raises(InvalidInputError):
             parse_gauge(bad)
 
@@ -107,3 +109,26 @@ def test_scaled_gauge_scales_pointwise():
     assert g(0.5) == pytest.approx(3.0 * power_gauge(1)(0.5), rel=1e-15)
     with pytest.raises(InvalidInputError):
         scaled_gauge(power_gauge(1), 0.0)
+
+
+families = st.one_of(
+    st.builds(power_gauge, st.integers(min_value=1, max_value=4)),
+    st.builds(vanishing_gauge, st.integers(min_value=1, max_value=4)),
+    st.builds(
+        power_exp_gauge,
+        st.integers(min_value=1, max_value=4),
+        st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+    ),
+)
+
+
+@given(families, st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=1e-3, max_value=1e3))
+def test_labels_parse_back_to_the_same_gauge(g, c, d):
+    for gauge in (g, scaled_gauge(g, c), scaled_gauge(scaled_gauge(g, c), d)):
+        back = parse_gauge(gauge.label)
+        assert back.label == gauge.label
+        assert back.k_ref == gauge.k_ref
+        for n in (1, 2, 3):
+            for j in range(41):
+                r = level_diameter(n, j)
+                assert back(r) == gauge(r)

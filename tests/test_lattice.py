@@ -1,15 +1,21 @@
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gmtkit.errors import InvalidInputError
 from gmtkit.lattice import (
+    MAX_LEVEL,
     CellSet,
     DyadicCube,
+    Pyramid,
     children,
     cube_at,
     descendants,
+    index_ancestor,
+    level_diameter,
     union,
 )
 
@@ -63,6 +69,26 @@ def test_diameter_values():
     assert DyadicCube(2, 0, (0, 0)).diameter() == pytest.approx(np.sqrt(2), rel=1e-15)
     assert DyadicCube(2, 3, (0, 0)).diameter() == pytest.approx(np.sqrt(2) / 8, rel=1e-15)
     assert DyadicCube(4, 1, (0, 0, 0, 0)).diameter() == 1.0
+
+
+def test_level_diameter_is_the_cube_diameter():
+    for n in (1, 2, 3, 4):
+        for level in (0, 1, 7, MAX_LEVEL):
+            assert level_diameter(n, level) == np.sqrt(n) * 2.0 ** (-level)
+            assert DyadicCube(n, level, (0,) * n).diameter() == level_diameter(n, level)
+
+
+@given(st.integers(min_value=1, max_value=3), st.randoms(use_true_random=False))
+def test_geometry_is_exact_at_every_admitted_level(n, rnd):
+    for level in range(MAX_LEVEL + 1):
+        top = (1 << level) - 1
+        for idx in ((0,) * n, (top,) * n, tuple(rnd.randint(0, top) for _ in range(n))):
+            cube = DyadicCube(n, level, idx)
+            assert np.all(cube.lower() < cube.upper())
+            assert cube.contains_point(cube.center())
+            assert cube_at(cube.center(), level) == cube
+    with pytest.raises(InvalidInputError):
+        DyadicCube(n, MAX_LEVEL + 1, (0,) * n)
 
 
 def test_half_open_disjointness_on_boundary():
@@ -149,3 +175,82 @@ def test_sample_points_land_in_cells():
     pts = cs.sample_points(np.random.default_rng(0), 64)
     for p in pts:
         assert tuple(int(c * 8) for c in p) in cs.cells
+
+
+@st.composite
+def antichains(draw):
+    """(n, depth, nodes): dyadic nodes at mixed levels, none inside another."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    depth = draw(st.integers(min_value=0, max_value=4))
+    nodes: list[tuple[int, tuple[int, ...]]] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        level = draw(st.integers(min_value=0, max_value=depth))
+        idx = tuple(draw(st.integers(min_value=0, max_value=(1 << level) - 1)) for _ in range(n))
+        nested = False
+        for t, other in nodes:
+            low, high = min(t, level), max(t, level)
+            deep, shallow = (idx, other) if level >= t else (other, idx)
+            if index_ancestor(deep, high - low) == shallow:
+                nested = True
+        if not nested:
+            nodes.append((level, idx))
+    return n, depth, nodes
+
+
+@given(antichains(), st.randoms(use_true_random=False))
+@example((2, 3, []), random.Random(0))
+@example((1, 0, [(0, (0,))]), random.Random(0))
+@example((1, 3, [(3, (5,)), (1, (0,)), (2, (3,))]), random.Random(0))
+@example((2, 4, [(4, (15, 0)), (1, (0, 1)), (4, (9, 2)), (3, (4, 0)), (2, (3, 3))]), random.Random(0))
+# parents out of order, and sums that round differently in another order
+@example((2, 3, [(3, (x, y)) for x in range(2) for y in range(4)] + [(1, (1, 0)), (2, (0, 3))]), random.Random(0))
+def test_pyramid_matches_plain_ancestor_loops(case, rnd):
+    n, depth, nodes = case
+    values = [rnd.random() for _ in nodes]
+    pyramid = Pyramid(n, depth, [idx for _, idx in nodes], [t for t, _ in nodes])
+    weight = dict(zip(nodes, values))
+    cubes = []
+    for level in range(depth + 1):
+        want = sorted({index_ancestor(idx, t - level) for t, idx in nodes if t >= level})
+        assert [tuple(c) for c in pyramid.cubes[level].tolist()] == want
+        cubes.append(want)
+    for level in range(1, depth + 1):
+        want = [cubes[level - 1].index(index_ancestor(c, 1)) for c in cubes[level]]
+        assert pyramid.parents[level].tolist() == want
+    sums = pyramid.rollup(values)
+    for level in range(depth + 1):
+        agg = dict.fromkeys(cubes[level], 0.0)
+        for t, idx in sorted(nodes):
+            if t >= level:
+                agg[index_ancestor(idx, t - level)] += weight[(t, idx)]
+        assert sums[level].tolist() == [agg[c] for c in cubes[level]]
+    for level in range(1, depth + 1):
+        below = [rnd.random() for _ in cubes[level]]
+        agg = dict.fromkeys(cubes[level - 1], 0.0)
+        for c, v in zip(cubes[level], below):
+            agg[index_ancestor(c, 1)] += v
+        assert pyramid.sum_up(level, np.array(below)).tolist() == [agg[c] for c in cubes[level - 1]]
+
+    flags = [np.array([rnd.random() < 0.3 for _ in cubes[level]], dtype=bool) for level in range(depth + 1)]
+    stops = []  # the flagged cubes a recursive walk from the root stops at
+
+    def visit(level, idx):
+        if flags[level][cubes[level].index(idx)]:
+            stops.append((level, idx))
+        elif level < depth:
+            for child in cubes[level + 1]:
+                if index_ancestor(child, 1) == idx:
+                    visit(level + 1, child)
+
+    for root in cubes[0]:
+        visit(0, root)
+    assert pyramid.topmost(flags) == stops
+
+
+def test_pyramid_of_a_cellset_is_one_level_of_nodes():
+    cs = CellSet(2, 3, frozenset({(0, 7), (5, 2), (4, 3)}))
+    pyramid = cs.pyramid()
+    assert pyramid.cubes[3].tolist() == [[0, 7], [4, 3], [5, 2]]
+    assert pyramid.cubes[1].tolist() == [[0, 1], [1, 0]]
+    assert pyramid.parents[1].tolist() == [0, 0]
+    assert [s.tolist() for s in pyramid.rollup([1.0, 1.0, 1.0])] == [[3.0], [1.0, 2.0], [1.0, 2.0], [1.0, 1.0, 1.0]]

@@ -110,6 +110,8 @@ def test_single_support_is_a_fixed_point():
     assert out.cube_mass(DyadicCube(2, 12, (1000, 2000))) == pytest.approx(1.0, rel=1e-12)
     sample = out.support_sample_cells(24, 64, np.random.default_rng(0))
     assert check_sparse(sample, cons.certificate)
+    # above the nodes, the support cells are their ancestors
+    assert out.support_sample_cells(6, 8, np.random.default_rng(0)).cells == {(1000 >> 6, 2000 >> 6)}
 
 
 def test_check_sparse_rejects_full_square():
