@@ -12,9 +12,8 @@ plane infimum is approximated by a direction grid with local refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from math import log, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -24,8 +23,7 @@ from gmtkit.frostman import CellMeasure
 from gmtkit.gauge import power_exp_gauge
 from gmtkit.lattice import CellSet
 from gmtkit.sparsify import AffinePlane, random_orthonormal_frame
-
-LN2 = log(2.0)
+from gmtkit.utils import ScaleProfile
 
 
 def _points_weights(source) -> tuple[np.ndarray, np.ndarray]:
@@ -106,43 +104,7 @@ def beta2(source, x, r: float, k: int) -> float:
     return sqrt(value * r ** (-(k + 2)))
 
 
-@dataclass(frozen=True)
-class BetaProfile:
-    """Coefficients at dyadic scales r = 2^-j plus the ln2-weighted square sum."""
-
-    center: tuple
-    levels: tuple
-    values: tuple
-    total: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "levels", tuple(int(j) for j in self.levels))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.levels) != len(self.values):
-            raise InvalidInputError("one value per level required")
-        if any(v < 0 for v in self.values):
-            raise InvalidInputError("coefficients must be nonnegative")
-        check = 0.0
-        for v in self.values:
-            check += v * v * LN2
-        if abs(check - self.total) > 1e-12 * max(1.0, abs(check)):
-            raise InvalidInputError("square-function total does not match its terms")
-
-    def pairs(self) -> list[tuple[float, float]]:
-        return [(2.0 ** (-j), v) for j, v in zip(self.levels, self.values)]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "center": list(self.center),
-            "levels": list(self.levels),
-            "values": list(self.values),
-            "square_sum": self.total,
-        }
-
-    def csv_rows(self) -> list[list]:
-        center = list(self.center)
-        return [center + [j, v] for j, v in zip(self.levels, self.values)]
+BetaProfile = ScaleProfile
 
 
 def square_function(source, x, k: int, j_min: int, j_max: int) -> BetaProfile:
@@ -155,14 +117,11 @@ def square_function(source, x, k: int, j_min: int, j_max: int) -> BetaProfile:
         raise InvalidInputError(f"need 1 <= k < n, got k={k}, n={n}")
     x = np.asarray(x, dtype=float)
     values = []
-    total = 0.0
     for j in range(j_min, j_max + 1):
         r = 2.0 ** (-j)
         got = _restricted_moment_value(pts, w, x, r, k)
-        beta = 0.0 if got is None else sqrt(got[2] * r ** (-(k + 2)))
-        values.append(beta)
-        total += beta * beta * LN2
-    return BetaProfile(tuple(float(c) for c in x), tuple(range(j_min, j_max + 1)), tuple(values), total)
+        values.append(0.0 if got is None else sqrt(got[2] * r ** (-(k + 2))))
+    return BetaProfile.of(x, range(j_min, j_max + 1), values)
 
 
 # ---------------------------------------------------------------------------

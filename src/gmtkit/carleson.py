@@ -16,13 +16,12 @@ normal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma, log, pi, sqrt
+from math import gamma, pi, sqrt
 
 import numpy as np
 
 from gmtkit.errors import InvalidInputError
-
-LN2 = log(2.0)
+from gmtkit.utils import ScaleProfile
 
 
 def unit_sphere_area(dim: int) -> float:
@@ -261,37 +260,7 @@ def epsilon_n(
     return epsilon_report(dp, x, r, normals, sphere_samples, rounds, seed).value
 
 
-@dataclass(frozen=True)
-class EpsilonProfile:
-    center: tuple
-    levels: tuple
-    values: tuple
-    total: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "levels", tuple(int(j) for j in self.levels))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        check = 0.0
-        for v in self.values:
-            check += v * v * LN2
-        if abs(check - self.total) > 1e-12 * max(1.0, abs(check)):
-            raise InvalidInputError("square-function total does not match its terms")
-
-    def pairs(self) -> list[tuple[float, float]]:
-        return [(2.0 ** (-j), v) for j, v in zip(self.levels, self.values)]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "center": list(self.center),
-            "levels": list(self.levels),
-            "values": list(self.values),
-            "square_sum": self.total,
-        }
-
-    def csv_rows(self) -> list[list]:
-        center = list(self.center)
-        return [center + [j, v] for j, v in zip(self.levels, self.values)]
+EpsilonProfile = ScaleProfile
 
 
 def epsilon_square_function(
@@ -307,11 +276,5 @@ def epsilon_square_function(
     """Coefficients at r = 2^-j with the ln2-weighted square sum."""
     if j_min < 0 or j_max < j_min:
         raise InvalidInputError(f"need 0 <= j_min <= j_max, got {j_min}, {j_max}")
-    values = []
-    total = 0.0
-    for j in range(j_min, j_max + 1):
-        v = epsilon_n(dp, x, 2.0 ** (-j), normals, sphere_samples, rounds, seed)
-        values.append(v)
-        total += v * v * LN2
-    x = np.asarray(x, dtype=float)
-    return EpsilonProfile(tuple(float(c) for c in x), tuple(range(j_min, j_max + 1)), tuple(values), total)
+    values = [epsilon_n(dp, x, 2.0 ** (-j), normals, sphere_samples, rounds, seed) for j in range(j_min, j_max + 1)]
+    return EpsilonProfile.of(np.asarray(x, dtype=float), range(j_min, j_max + 1), values)

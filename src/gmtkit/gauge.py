@@ -71,8 +71,8 @@ def vanishing_gauge(k: int) -> Gauge:
 def power_exp_gauge(k: int, s: float) -> Gauge:
     """h(r) = r^(k+s); s = 0 is the bare content gauge, s > 0 makes the
     ratio against r^k vanish."""
-    if k < 1 or s < 0:
-        raise InvalidInputError(f"power_exp gauge needs k >= 1 and s >= 0, got k={k}, s={s}")
+    if k < 1 or not 0.0 <= s < float("inf"):
+        raise InvalidInputError(f"power_exp gauge needs k >= 1 and finite s >= 0, got k={k}, s={s}")
     expo = k + s
 
     def h(r: float) -> float:

@@ -151,16 +151,12 @@ def index_first_descendant(index: tuple[int, ...], dlevel: int) -> tuple[int, ..
     return tuple(i << dlevel for i in index)
 
 
-def cube_bounds(level: int, index: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    s = 2.0 ** (-level)
-    lo = np.array([i * s for i in index], dtype=float)
-    return lo, lo + s
-
-
-def dist_point_to_box(point: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Euclidean distance from a point to a closed axis-aligned box."""
-    gap = np.maximum(np.maximum(lo - point, point - hi), 0.0)
-    return float(np.sqrt(np.dot(gap, gap)))
+def box_distances(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Euclidean distances from (m, n) points to (b, n) closed axis-aligned
+    boxes, as an (m, b) array."""
+    p = points[:, None, :]
+    gap = np.maximum(np.maximum(lo - p, p - hi), 0.0)
+    return np.sqrt((gap * gap).sum(axis=-1))
 
 
 class Pyramid:

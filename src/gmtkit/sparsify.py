@@ -42,13 +42,12 @@ from gmtkit.lattice import (
     CellSet,
     DyadicCube,
     Pyramid,
-    cube_bounds,
-    dist_point_to_box,
+    box_distances,
     index_ancestor,
     index_first_descendant,
     level_diameter,
 )
-from gmtkit.utils import load_json, thread_count, write_canonical
+from gmtkit.utils import load_json, write_canonical
 
 PRESERVE_TOL = 1e-12
 CAP_TOL = 1e-9
@@ -782,32 +781,50 @@ def scale_family_view(source, scale_index: int) -> ScaleFamilyView:
     raise InvalidInputError(f"cannot build a family view from {type(source).__name__}")
 
 
-def distance_to_family(view: ScaleFamilyView, y: np.ndarray) -> float:
-    """Exact distance from y to the union of selected subcubes at this scale."""
-    n = view.n
-    level = view.level
+def _section_grid(x: np.ndarray, frame: np.ndarray, rho: float, grid: int) -> np.ndarray:
+    """Points of x + span(frame) on a `grid`-per-axis lattice inside the closed
+    rho-ball around x, ordered lexicographically by plane coordinates."""
+    k = frame.shape[0]
+    axis = np.linspace(-rho, rho, grid)
+    t = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    t = t[(t * t).sum(axis=1) <= rho * rho * (1.0 + 1e-12)]
+    return x + t @ frame
+
+
+def _family_boxes(view: ScaleFamilyView, x: np.ndarray, reach: float, inner: float = -1.0):
+    """Corners (lo, hi) of the selected subcubes of the occupied level-l cubes
+    Q with inner < dist(x, Q) <= reach."""
+    n, level = view.n, view.level
     side = 2.0 ** (-level)
     scale = 1 << level
+    lo = np.maximum(np.floor((x - reach) * scale).astype(np.int64), 0)
+    hi = np.minimum(np.floor((x + reach) * scale).astype(np.int64), scale - 1)
+    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    cubes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    corner = cubes * side
+    gap = box_distances(x[None, :], corner, corner + side)[0]
+    selected = []
+    for q in cubes[(gap > inner) & (gap <= reach)].tolist():
+        sel = view.selected(tuple(q)) if view.occupied(tuple(q)) else None
+        if sel is not None:
+            selected.append(sel)
+    sub = 2.0 ** (-(level + view.ell))
+    lows = np.array(selected, dtype=float).reshape(-1, n) * sub
+    return lows, lows + sub
+
+
+def distance_to_family(view: ScaleFamilyView, y: np.ndarray) -> float:
+    """Exact distance from y to the union of selected subcubes at this scale
+    (infinite when the scale selects none)."""
+    y = np.asarray(y, dtype=float)
+    side = 2.0 ** (-view.level)
     radius = 2.0 * side
-    cap = 4.0 * sqrt(n) + 4.0 * side
+    cap = 4.0 * sqrt(view.n) + 4.0 * side
     best = float("inf")
     seen_radius = -1.0
     while True:
-        lo = np.maximum(np.floor((y - radius) * scale).astype(int), 0)
-        hi = np.minimum(np.floor((y + radius) * scale).astype(int), scale - 1)
-        if np.all(lo <= hi):
-            for idx in product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-                box_lo = np.array(idx, dtype=float) * side
-                gap = dist_point_to_box(y, box_lo, box_lo + side)
-                if gap > radius or gap <= seen_radius:
-                    continue  # outside this sweep, or already examined
-                if not view.occupied(idx):
-                    continue
-                sel = view.selected(idx)
-                if sel is None:
-                    continue
-                s_lo, s_hi = cube_bounds(level + view.ell, sel)
-                best = min(best, dist_point_to_box(y, s_lo, s_hi))
+        lo, hi = _family_boxes(view, y, radius, seen_radius)
+        best = min(best, float(box_distances(y[None, :], lo, hi).min(initial=np.inf)))
         # every unexamined family cube is farther than `radius`
         if best <= radius or radius > cap:
             return best
@@ -834,9 +851,10 @@ def find_hole(
     at distance >= c_target * 2^-l_j from the union of selected subcubes.
 
     The grid covers (x + plane) intersected with the closed ball of radius
-    2^-(l_j + 1) around x, at `grid` points per plane axis.  Returns the best
-    point found when it clears the target, otherwise None.  An empty nearby
-    family makes x itself a witness with infinite clearance.
+    2^-(l_j + 1) around x, at `grid` points per plane axis.  Returns the first
+    grid point of largest clearance when it clears the target, otherwise None.
+    When the scale selects no subcube at all, every clearance is infinite and
+    the first grid point is returned.
     """
     if grid < 8:
         raise InvalidInputError(f"grid must be >= 8, got {grid}")
@@ -845,21 +863,19 @@ def find_hole(
     if x.shape != (view.n,):
         raise InvalidInputError(f"x must have {view.n} coordinates")
     rho = 2.0 ** (-(view.level + 1))
-    k = plane.frame.shape[0]
-    axis = np.linspace(-rho, rho, grid)
-    best_pt, best_clearance = None, -1.0
-    for coeffs in product(axis, repeat=k):
-        t = np.array(coeffs)
-        if float(np.dot(t, t)) > rho * rho * (1.0 + 1e-12):
-            continue
-        y = x + t @ plane.frame
-        d = distance_to_family(view, y)
-        if d > best_clearance:
-            best_clearance, best_pt = d, y
-    threshold = c_target * 2.0 ** (-view.level)
-    if best_pt is None or best_clearance < threshold:
+    points = _section_grid(x, plane.frame, rho, grid)
+    # a grid point y has |y - x| <= rho and d(y) <= d(x) + rho, so the subcube
+    # nearest y lies within d(x) + 2 rho of x; the factor absorbs rounding
+    reach = (distance_to_family(view, x) + 2.0 * rho) * (1.0 + 1e-9)
+    if reach < float("inf"):
+        lo, hi = _family_boxes(view, x, reach)
+    else:
+        lo = hi = np.empty((0, view.n))
+    clearance = box_distances(points, lo, hi).min(axis=1, initial=np.inf)
+    best = int(np.argmax(clearance))
+    if clearance[best] < c_target * 2.0 ** (-view.level):
         return None
-    return HoleWitness(tuple(float(c) for c in best_pt), best_clearance, view.level)
+    return HoleWitness(tuple(float(c) for c in points[best]), float(clearance[best]), view.level)
 
 
 @dataclass(frozen=True)
@@ -876,13 +892,15 @@ class C0Estimate:
 def estimate_c0(ell: int, n: int, k: int, trials: int = 2000, grid: int = 24, seed: int = 0) -> C0Estimate:
     """Empirical clearance constant at unit scale.
 
-    Each trial draws a center x in the unit cube, a Haar k-frame, and one
-    admissible obstacle family: a single level-ell subcube inside each of the
-    3^n unit cubes around x.  Offsets cycle through independent placements,
+    Each trial draws a Haar k-frame and one admissible obstacle family: a
+    single level-ell subcube inside each of the 3^n unit cubes around the
+    unit cube [0, 1)^n.  Offsets cycle through independent placements,
     translation-correlated placements, and the all-zero corner pattern, so the
     lattice-like families emitted by the construction are represented.  The
-    estimate is the worst best-clearance over all trials, achieved on a grid
-    of `grid` points per plane axis inside the radius-1/2 ball.
+    center x is uniform in the central cube's selected subcube, as witness
+    centers are support points, which lie in selected subcubes.  The estimate
+    is the worst best-clearance over all trials, achieved on a grid of `grid`
+    points per plane axis inside the radius-1/2 ball around x.
     """
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
@@ -895,11 +913,11 @@ def estimate_c0(ell: int, n: int, k: int, trials: int = 2000, grid: int = 24, se
     rng = np.random.default_rng(seed)
     below = ell < min_sparsity_parameter(n, k, "ball-bound")
     sub = 2.0 ** (-ell)
-    offsets = list(product((-1.0, 0.0, 1.0), repeat=n))
-    axis = np.linspace(-0.5, 0.5, grid)
+    offsets = np.array(list(product((-1.0, 0.0, 1.0), repeat=n)))
+    centre = len(offsets) // 2  # the all-zero offset
     worst = float("inf")
     for trial in range(trials):
-        x = rng.random(n)
+        u = rng.random(n)
         frame = random_orthonormal_frame(rng, n, k)
         style = trial % 3
         if style == 0:
@@ -908,18 +926,10 @@ def estimate_c0(ell: int, n: int, k: int, trials: int = 2000, grid: int = 24, se
             subs = np.tile(rng.integers(0, 1 << ell, size=n).astype(float), (len(offsets), 1))
         else:
             subs = np.zeros((len(offsets), n))
-        lows = np.array(offsets, dtype=float) + subs * sub
+        lows = offsets + subs * sub
         highs = lows + sub
-        best = -1.0
-        for coeffs in product(axis, repeat=k):
-            t = np.array(coeffs)
-            if float(np.dot(t, t)) > 0.25 * (1.0 + 1e-12):
-                continue
-            y = x + t @ frame
-            gaps = np.maximum(np.maximum(lows - y, y - highs), 0.0)
-            d = float(np.sqrt((gaps * gaps).sum(axis=1)).min())
-            best = max(best, d)
-        worst = min(worst, best)
+        points = _section_grid(lows[centre] + u * sub, frame, 0.5, grid)
+        worst = min(worst, float(box_distances(points, lows, highs).min(axis=1).max()))
     return C0Estimate(worst, trials, grid, ell, n, k, below)
 
 
@@ -973,33 +983,13 @@ def witness_unrectifiability(
         raise InvalidInputError(f"cannot witness on {type(target).__name__}")
 
     rng = np.random.default_rng(seed)
-    jobs = []
-    for i in range(samples):
-        x = draw(rng, 1)[0]
-        frame = random_orthonormal_frame(rng, n, k)
-        jobs.append((i, x, AffinePlane(x, frame)))
-
-    def run(job):
-        i, x, plane = job
-        out = []
-        for s_idx, level in enumerate(cert.scales):
-            witness = find_hole(source, s_idx, x, plane, c0, grid)
-            out.append((level, witness))
-        return i, out
-
-    workers = thread_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
     failures: list[tuple[int, int]] = []
     min_clear: dict[int, float] = {}
-    for i, per_scale in results:
-        for level, witness in per_scale:
+    for i in range(samples):
+        x = draw(rng, 1)[0]
+        plane = AffinePlane(x, random_orthonormal_frame(rng, n, k))
+        for s_idx, level in enumerate(cert.scales):
+            witness = find_hole(source, s_idx, x, plane, c0, grid)
             if witness is None:
                 failures.append((i, level))
                 continue

@@ -4,14 +4,17 @@ Every artifact file written by this package goes through ``write_canonical``
 so that reruns with identical inputs produce byte-identical output: keys are
 sorted, floats carry 17 significant digits (enough to round-trip a double),
 and no timestamps or environment data leak into the files.
+
+``ScaleProfile`` holds coefficients across dyadic scales with their
+ln2-weighted square sum; it is both ``beta.BetaProfile`` and
+``carleson.EpsilonProfile``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -87,15 +90,58 @@ def load_json(path: str | Path) -> Any:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def thread_count() -> int:
-    """Worker cap taken from GMT_THREADS; defaults to serial execution."""
-    raw = os.environ.get("GMT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        print(f"gmtkit: GMT_THREADS={raw!r} is not an integer; running serially", file=sys.stderr)
-        return 1
-    return max(1, value)
+LN2 = math.log(2.0)
+
+
+def ln2_square_sum(values) -> float:
+    """sum of v^2 ln 2 over the values, added in order."""
+    total = 0.0
+    for v in values:
+        total += v * v * LN2
+    return total
+
+
+@dataclass(frozen=True)
+class ScaleProfile:
+    """Coefficients at dyadic scales r = 2^-j plus the ln2-weighted square sum."""
+
+    center: tuple
+    levels: tuple
+    values: tuple
+    total: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "levels", tuple(int(j) for j in self.levels))
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if len(self.levels) != len(self.values):
+            raise InvalidInputError("one value per level required")
+        if any(v < 0 for v in self.values):
+            raise InvalidInputError("coefficients must be nonnegative")
+        check = ln2_square_sum(self.values)
+        if abs(check - self.total) > 1e-12 * max(1.0, abs(check)):
+            raise InvalidInputError("square-function total does not match its terms")
+
+    @classmethod
+    def of(cls, center, levels, values) -> "ScaleProfile":
+        """The profile of `values`, with its square sum computed here."""
+        values = tuple(float(v) for v in values)
+        return cls(center, levels, values, ln2_square_sum(values))
+
+    def pairs(self) -> list[tuple[float, float]]:
+        return [(2.0 ** (-j), v) for j, v in zip(self.levels, self.values)]
+
+    def to_json_obj(self) -> dict:
+        return {
+            "center": list(self.center),
+            "levels": list(self.levels),
+            "values": list(self.values),
+            "square_sum": self.total,
+        }
+
+    def csv_rows(self) -> list[list]:
+        center = list(self.center)
+        return [center + [j, v] for j, v in zip(self.levels, self.values)]
 
 
 def ipow(base: float, k: int) -> float:

@@ -1,5 +1,3 @@
-import os
-
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -9,6 +7,3 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
-
-# deterministic reductions regardless of the host machine
-os.environ.setdefault("GMT_THREADS", "1")

@@ -112,3 +112,18 @@ def brute_line_fit(points: np.ndarray, weights: np.ndarray, x, r: float, angles:
         if val < best_val:
             best_val, best_ang = val, ang
     return best_val, best_ang
+
+
+def brute_family_distance(cert, scale_index: int, y) -> float:
+    """Distance from y to the nearest selected subcube of an explicit
+    certificate's scale, by a scan over every selected subcube."""
+    fam = cert.families[scale_index]
+    side = 2.0 ** (-(fam.level + fam.ell))
+    best = math.inf
+    for sel in fam.pairs.values():
+        squared = 0.0
+        for c, i in zip(y, sel):
+            gap = max(i * side - c, c - (i + 1) * side, 0.0)
+            squared += gap * gap
+        best = min(best, math.sqrt(squared))
+    return best

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from gmtkit.beta import BetaProfile
 from gmtkit.carleson import (
+    EpsilonProfile,
     ball_pair,
     empty_pair,
     epsilon_n,
@@ -118,6 +120,13 @@ def test_empty_profile_is_flat_and_total_additive():
     assert all(v == TWO_PI for v in prof.values)
     assert prof.total == pytest.approx(5 * TWO_PI**2 * math.log(2), rel=1e-12)
     assert prof.pairs()[0] == (0.25, TWO_PI)
+
+
+def test_epsilon_and_beta_profiles_are_one_class():
+    assert EpsilonProfile is BetaProfile
+    prof = epsilon_square_function(empty_pair(2), [0.5, 0.5], 2, 4, sphere_samples=512, rounds=1)
+    assert isinstance(prof, BetaProfile)
+    assert EpsilonProfile(prof.center, prof.levels, prof.values, prof.total) == prof
 
 
 def test_halfspace_profile_sums_to_nothing():

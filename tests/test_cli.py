@@ -217,6 +217,8 @@ def test_exit_code_invalid_input(tmp_path, capsys):
     assert run(["frostman", "--cells", str(tmp_path / "missing.json"), "--out", str(tmp_path / "y.json")]) == 3
     cells = write_square(tmp_path)
     assert run(["frostman", "--cells", str(cells), "--gauge", "power:oops", "--out", str(tmp_path / "z.json")]) == 3
+    for label in ("powerexp:1:nan", "powerexp:1:inf"):
+        assert run(["frostman", "--cells", str(cells), "--gauge", label, "--out", str(tmp_path / "z.json")]) == 3
     err = capsys.readouterr().err
     assert "invalid input" in err
 

@@ -99,7 +99,8 @@ def test_parse_gauge_round_trips():
 
 def test_parse_gauge_rejects_junk():
     for bad in ("power", "power:zero", "nope:1", "powerexp:1", "vanish:-2", "", "0*power:1", "-2*power:1",
-                "nan*power:1", "inf*vanish:1", "two*power:1", "2*nope:1", "2*"):
+                "nan*power:1", "inf*vanish:1", "two*power:1", "2*nope:1", "2*", "powerexp:1:nan",
+                "powerexp:1:inf"):
         with pytest.raises(InvalidInputError):
             parse_gauge(bad)
 

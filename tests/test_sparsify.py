@@ -1,8 +1,9 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gmtkit.corpus import GeneratorSpec, generate, random_sparse_with_certificate
@@ -28,6 +29,8 @@ from gmtkit.sparsify import (
     verify_sparse_construction,
     witness_unrectifiability,
 )
+
+from helpers import brute_family_distance
 
 H32 = power_exp_gauge(1, 0.5)  # h(r) = r^(3/2)
 
@@ -319,6 +322,11 @@ def test_estimate_c0_positive_at_threshold():
     assert est.trials == 60
 
 
+def test_estimate_c0_stays_within_the_support_bound():
+    # centers lie in a selected subcube, so no section point clears more than 1/2
+    assert estimate_c0(4, 3, 2, trials=64, grid=12, seed=0).value <= 0.5
+
+
 def test_estimate_c0_flags_small_ell():
     est = estimate_c0(1, 2, 1, trials=10, grid=8, seed=0)
     assert est.below_threshold
@@ -331,6 +339,46 @@ def test_estimate_c0_validates():
         estimate_c0(4, 2, 1, grid=4)
     with pytest.raises(InvalidInputError):
         estimate_c0(4, 2, 2)
+
+
+@st.composite
+def explicit_hole_cases(draw):
+    """A one-scale explicit certificate, a center anywhere in the unit cube and a frame."""
+    n, k = draw(st.sampled_from([(2, 1), (3, 1), (3, 2)]))
+    level, ell = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    cube = st.tuples(*[st.integers(0, (1 << level) - 1)] * n)
+    cubes = draw(st.lists(cube, min_size=1, max_size=6, unique=True))
+    pairs = {q: tuple(draw(st.integers(i << ell, ((i + 1) << ell) - 1)) for i in q) for q in cubes}
+    cert = SparsityCertificate(n, ell, (level,), (ScaleFamily(level, ell, pairs),))
+    x = np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * n)))
+    frame = random_orthonormal_frame(np.random.default_rng(draw(st.integers(0, 2**16))), n, k)
+    return cert, x, frame
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+@given(explicit_hole_cases(), st.integers(8, 12))
+# the only selected subcube lies across the unit cube from x
+@example((SparsityCertificate(2, 2, (2,), (ScaleFamily(2, 2, {(0, 0): (0, 0)}),)),
+          np.array([0.97, 0.97]), np.array([[0.6, 0.8]])), 8)
+# the best grid point's nearest subcube is farther from x than x's own nearest
+@example((SparsityCertificate(2, 2, (1,), (ScaleFamily(1, 2, {(0, 1): (0, 7), (1, 1): (4, 7)}),)),
+          np.array([0.3, 0.9]), np.array([[1.0, 0.0]])), 8)
+def test_hole_search_matches_brute_force_oracle(case, grid):
+    cert, x, frame = case
+    assert _close(distance_to_family(scale_family_view(cert, 0), x), brute_family_distance(cert, 0, x))
+    witness = find_hole(cert, 0, x, AffinePlane(x, frame), 0.0, grid)
+    assert _close(witness.clearance, brute_family_distance(cert, 0, witness.point))
+    rho = 2.0 ** -(cert.scales[0] + 1)
+    axis = np.linspace(-rho, rho, grid)
+    best = max(
+        brute_family_distance(cert, 0, x + np.array(t) @ frame)
+        for t in product(axis, repeat=frame.shape[0])
+        if sum(c * c for c in t) <= rho * rho * (1.0 + 1e-12)
+    )
+    assert _close(witness.clearance, best)
 
 
 def test_witness_passes_on_square(square_construction):
