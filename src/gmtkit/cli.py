@@ -534,8 +534,9 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_sparsify)
 
     p = sub.add_parser("beta", help="flatness square-function profile")
-    p.add_argument("--measure", default=None)
-    p.add_argument("--cells", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--measure", default=None)
+    source.add_argument("--cells", default=None)
     p.add_argument("--center", default=None)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--scales", default="0:12")

@@ -70,7 +70,8 @@ def dyadic_cover_cost(cells: CellSet, h: Gauge, min_level: int = 0) -> CoverSolu
 
 def content(cells: CellSet, h: Gauge) -> float:
     """h-content: unconstrained optimal dyadic cover cost (min_level = 0)."""
-    return dyadic_cover_cost(cells, h, 0).cost
+    pyramid = cells.pyramid()
+    return _summed_to_root(pyramid, _cover_dp(pyramid, h)[0][0], 0)
 
 
 def measure_profile(cells: CellSet, h: Gauge) -> list[float]:

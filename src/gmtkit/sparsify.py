@@ -29,9 +29,10 @@ an ordinary :class:`~gmtkit.frostman.CellMeasure`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from gmtkit.errors import DepthBudgetError, InvalidInputError, VerificationError
 from gmtkit.frostman import CellMeasure
 from gmtkit.gauge import Gauge, unit_ball_volume
 from gmtkit.lattice import (
+    MAX_LEVEL,
     CellSet,
     DyadicCube,
     Pyramid,
@@ -228,12 +230,16 @@ def check_sparse(cells: CellSet, cert: SparsityCertificate) -> bool:
         raise InvalidInputError(
             f"certificate reaches level {cert.scales[-1] + cert.ell} below cell depth {cells.depth}"
         )
+    return all(_follows(cert, cells.depth, cell) for cell in cells.cells)
+
+
+def _follows(cert: SparsityCertificate, level: int, idx: tuple[int, ...]) -> bool:
+    """Does the level-`level` cube `idx` sit inside the selected subcube at every
+    certified scale whose selection level is at most `level`?"""
     for fam in cert.families:
-        up_q = cells.depth - fam.level
-        up_s = cells.depth - (fam.level + fam.ell)
-        for cell in cells.sorted_cells():
-            sel = fam.selected(index_ancestor(cell, up_q))
-            if sel is None or index_ancestor(cell, up_s) != sel:
+        if fam.level + fam.ell <= level:
+            sel = fam.selected(index_ancestor(idx, level - fam.level))
+            if sel is None or index_ancestor(idx, level - fam.level - fam.ell) != sel:
                 return False
     return True
 
@@ -242,12 +248,16 @@ def check_sparse(cells: CellSet, cert: SparsityCertificate) -> bool:
 # lazily represented measures
 
 
-def _windowed(windows: tuple[tuple[int, int], ...], t: int, l: int) -> bool:
-    """Is level `l` inside a window opened at or below node level `t`?"""
-    for a, e in windows:  # a loop, not any(): this runs for every level of every hole probe
-        if t <= a < l <= a + e:
-            return True
-    return False
+def _forced(windows: tuple[tuple[int, int], ...], t: int, level: int) -> int:
+    """Bitmask of the level-`level` index digits forced to zero inside a node at
+    level `t`: the digit of level l (bit level - l of every coordinate) is
+    forced when some window (a, e) has t <= a < l <= a + e."""
+    mask = 0
+    for a, e in windows:
+        if t <= a < level:
+            end = min(a + e, level)
+            mask |= ((1 << (end - a)) - 1) << (level - end)
+    return mask
 
 
 def _interior_factor(
@@ -263,13 +273,10 @@ def _interior_factor(
     the zero-digit branch keeps the whole mass and every other branch drops
     to zero.
     """
-    free = 0
-    for l in range(node_level + 1, level + 1):
-        if not _windowed(windows, node_level, l):
-            free += 1
-        elif any((c >> (level - l)) & 1 for c in idx):
-            return 0.0
-    return 2.0 ** (-n * free)
+    forced = _forced(windows, node_level, level)
+    if any(c & forced for c in idx):
+        return 0.0
+    return 2.0 ** (-n * (level - node_level - forced.bit_count()))
 
 
 def _occupancy(sm: "SparseMeasure", level: int):
@@ -286,8 +293,6 @@ def _occupancy(sm: "SparseMeasure", level: int):
             anc.add(index_ancestor(idx, t - level))
         else:
             coarse.setdefault(t, set()).add(idx)
-    wins = sm.windows
-    n = sm.n
 
     def occupied(q) -> bool:
         q = tuple(q)
@@ -295,7 +300,7 @@ def _occupancy(sm: "SparseMeasure", level: int):
             return True
         for t, idxs in coarse.items():
             if index_ancestor(q, level - t) in idxs:
-                return _interior_factor(n, t, level, q, wins) > 0.0
+                return _interior_factor(sm.n, t, level, q, sm.windows) > 0.0
         return False
 
     return occupied
@@ -311,13 +316,20 @@ class SparseMeasure:
     windows: tuple = ()
 
     def __post_init__(self):
+        if not 0 <= self.depth <= MAX_LEVEL:  # cells are int64 and points exact floats down to MAX_LEVEL
+            raise InvalidInputError(f"depth must lie in [0, {MAX_LEVEL}], got {self.depth}")
         clean = {}
         for (lvl, idx), mass in self.nodes.items():
             key = (int(lvl), tuple(int(i) for i in idx))
             if key[0] < 0 or key[0] > self.depth:
                 raise InvalidInputError(f"node level {key[0]} outside [0, depth={self.depth}]")
-            if float(mass) > 0.0:
-                clean[key] = float(mass)
+            if len(key[1]) != self.n or any(i < 0 or i >= 1 << key[0] for i in key[1]):
+                raise InvalidInputError(f"node index {key[1]} invalid at level {key[0]}")
+            m = float(mass)
+            if m < 0 or not isfinite(m):
+                raise InvalidInputError(f"node {key} carries invalid mass {mass}")
+            if m > 0.0:
+                clean[key] = m
         object.__setattr__(self, "nodes", clean)
         object.__setattr__(self, "_keys", tuple(sorted(clean)))
         wins = tuple((int(a), int(e)) for a, e in self.windows)
@@ -362,50 +374,52 @@ class SparseMeasure:
         masses = {idx: m for (lvl, idx), m in self.nodes.items()}
         return CellMeasure(self.n, self.depth, masses, level)
 
-    def _support_cells(self, rng: np.random.Generator, count: int, level: int):
-        """Mass-weighted support cells at `level`, one per draw: a node, then
-        uniform digits below it outside windows and zeros inside.  A generator,
-        so draws the caller makes between cells keep their place in the random
-        stream.  Integer coordinates throughout: a float round trip at deep
-        levels can round a point across a cell boundary, off the support."""
+    def _support_cells(self, rng: np.random.Generator, count: int, level: int) -> np.ndarray:
+        """Mass-weighted support cells at `level`, a (count, n) int64 array: one
+        choice of nodes, then per level one draw of digits for the rows free
+        there (zeros inside windows), so a single draw takes its digits in the
+        order a per-row descent would.  Integer coordinates: a float round trip
+        at deep levels can round a point across a cell boundary, off the support."""
         keys = self._keys
         if not keys:
             raise InvalidInputError("cannot sample from the zero measure")
         w = np.array([self.nodes[k] for k in keys], dtype=float)
-        for pick in rng.choice(len(keys), size=count, p=w / w.sum()):
-            t, idx = keys[pick]
-            coords = index_ancestor(idx, max(0, t - level))
-            for l in range(t + 1, level + 1):
-                bits = (0,) * self.n if _windowed(self.windows, t, l) else tuple(rng.integers(0, 2, size=self.n))
-                coords = tuple(2 * c + b for c, b in zip(coords, bits))
-            yield coords
+        rows = [keys[pick] for pick in rng.choice(len(keys), size=count, p=w / w.sum()).tolist()]
+        t = np.array([lvl for lvl, _ in rows], dtype=np.int64)
+        forced = np.array([_forced(self.windows, lvl, level) for lvl, _ in rows], dtype=np.int64)
+        idx = np.array([i for _, i in rows], dtype=np.int64).reshape(-1, self.n)
+        cells = idx >> np.maximum(t - level, 0)[:, None] << np.maximum(level - t, 0)[:, None]
+        for l in range(int(t.min(initial=level)) + 1, level + 1):
+            free = np.flatnonzero((t < l) & (((forced >> (level - l)) & 1) == 0))
+            cells[free] |= rng.integers(0, 2, size=(len(free), self.n)) << (level - l)
+        return cells
 
     def support_sample_cells(self, level: int, count: int, rng: np.random.Generator) -> CellSet:
         """Distinct support cells at `level`, drawn mass-weighted (deduplicated)."""
         if not 0 <= level <= self.depth:
             raise InvalidInputError(f"level must lie in [0, {self.depth}], got {level}")
-        return CellSet(self.n, level, frozenset(self._support_cells(rng, count, level)))
+        return CellSet(self.n, level, frozenset(map(tuple, self._support_cells(rng, count, level).tolist())))
 
     def sample_support_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Mass-weighted points of the support: a support cell at the declared
         depth, then a uniform point inside it."""
-        out = np.empty((count, self.n), dtype=float)
         side = 2.0 ** (-self.depth)
-        for row, coords in enumerate(self._support_cells(rng, count, self.depth)):
-            base = np.array(coords, dtype=float) * side
-            pt = base + rng.random(self.n) * side
-            # rounding at deep levels can push the sum onto the next cell's
-            # boundary; pull such points back inside the half-open cell
-            hi = base + side
-            over = pt >= hi
-            pt[over] = np.nextafter(hi[over], base[over])
-            out[row] = pt
-        return out
+        base = self._support_cells(rng, count, self.depth) * side
+        pt = base + rng.random((count, self.n)) * side
+        # rounding at deep levels can push the sum onto the next cell's
+        # boundary; pull such points back inside the half-open cell
+        hi = base + side
+        return np.where(pt >= hi, np.nextafter(hi, base), pt)
+
+    @cached_property
+    def _level_sums(self) -> tuple[Pyramid, list[np.ndarray]]:
+        """The pyramid above the nodes, and per level the mass of each of its cubes."""
+        pyramid = Pyramid(self.n, self.depth, (idx for _, idx in self._keys), (t for t, _ in self._keys))
+        return pyramid, pyramid.rollup([self.nodes[key] for key in self._keys])
 
     def ancestor_rollup(self, max_level: int) -> dict[tuple[int, tuple[int, ...]], float]:
         """Aggregated masses of every cube at level <= max_level containing a node."""
-        pyramid = Pyramid(self.n, self.depth, (idx for _, idx in self._keys), (t for t, _ in self._keys))
-        sums = pyramid.rollup([self.nodes[key] for key in self._keys])
+        pyramid, sums = self._level_sums
         return {
             (level, idx): mass
             for level in range(min(max_level, self.depth) + 1)
@@ -464,6 +478,15 @@ class SparseConstruction:
         """CellMeasure when the run stayed fully explicit, else the lazy form."""
         out = self.result
         return out.to_cell_measure() if out.is_explicit() else out
+
+    @cached_property
+    def _views(self) -> tuple["ScaleFamilyView", ...]:
+        """Occupancy plus selection per certified scale, built on first use."""
+        cert = self.certificate
+        return tuple(
+            ScaleFamilyView(self.base.n, level, cert.ell, _occupancy(stage, level), fam.selected)
+            for level, stage, fam in zip(cert.scales, self.stages, cert.families)
+        )
 
 
 def _power_ratios(h: Gauge, k: int, n: int, depth: int) -> list[float]:
@@ -645,11 +668,12 @@ class SparseReport:
 def verify_sparse_construction(cons: SparseConstruction, h: Gauge, sample_cells: int = 256, seed: int = 0) -> SparseReport:
     """Check preservation, caps, selection bounds, and certificate consistency.
 
-    Cubes containing antichain nodes are checked through exact rollups; cubes
-    strictly inside a uniform node are covered in closed form, per node and
-    level, because all surviving same-level cubes inside one node carry the
-    same mass (the maximal chain value).  Together that covers every dyadic
-    cube down to the declared depth.
+    Both cap ratios at a level are set by its heaviest cube.  Cubes containing
+    antichain nodes are read from exact rollups.  A surviving level-l cube
+    strictly inside a level-t node of mass w holds w * 2^(-n * free levels)
+    exactly, which rises with w, so the heaviest level-t node stands for every
+    node of its level.  Together that covers every dyadic cube down to the
+    declared depth.
     """
     n = cons.base.n
     depth = cons.base.depth
@@ -675,49 +699,34 @@ def verify_sparse_construction(cons: SparseConstruction, h: Gauge, sample_cells:
     # caps: mass(Q) <= B * min(2^(j n ell) h(diam Q), C0 diam^k) for stage j
     ratio_h = 0.0
     ratio_k = 0.0
+    h_at = [h(level_diameter(n, lvl)) for lvl in range(depth + 1)]
     for j, sm in enumerate(cons.stages):
         amp = 2.0 ** (n * ell * j)
-        roll = sm.ancestor_rollup(depth)
-        for (lvl, _idx), mass in sorted(roll.items()):
+        _, sums = sm._level_sums
+        heaviest: dict[int, float] = {}
+        for (t, _idx), mass in sm.nodes.items():
+            heaviest[t] = max(heaviest.get(t, 0.0), mass)
+        for lvl in range(depth + 1):
+            # inside a node, the zero-digit cube is one of the heaviest: windows keep it
+            inside = [w * _interior_factor(n, t, lvl, (0,) * n, sm.windows) for t, w in heaviest.items() if t < lvl]
+            top = max([float(sums[lvl].max(initial=0.0)), *inside])
             d = level_diameter(n, lvl)
-            ratio_h = max(ratio_h, mass / (B * amp * h(d)))
-            ratio_k = max(ratio_k, mass / (B * c0_side * d ** cons.k))
-        for (t, idx) in sorted(sm.nodes):
-            value = sm.nodes[(t, idx)]
-            for lvl in range(t + 1, depth + 1):
-                if not _windowed(sm.windows, t, lvl):
-                    value *= 2.0 ** (-n)
-                d = level_diameter(n, lvl)
-                ratio_h = max(ratio_h, value / (B * amp * h(d)))
-                ratio_k = max(ratio_k, value / (B * c0_side * d ** cons.k))
+            ratio_h = max(ratio_h, top / (B * amp * h_at[lvl]))
+            ratio_k = max(ratio_k, top / (B * c0_side * d ** cons.k))
 
     # support nesting: every node of stage j sits inside stage j-1's support
     nested = True
-    for j in range(1, len(cons.stages)):
-        prev = cons.stages[j - 1]
-        by_level: dict[int, list[tuple[int, ...]]] = {}
-        for (t, idx) in cons.stages[j].nodes:
-            by_level.setdefault(t, []).append(idx)
-        for t in sorted(by_level):
-            occ = _occupancy(prev, t)
-            for idx in sorted(by_level[t]):
-                if not occ(idx):
-                    nested = False
+    for prev, cur in zip(cons.stages, cons.stages[1:]):
+        for t in sorted({t for t, _ in cur.nodes}):
+            occupied = _occupancy(prev, t)
+            nested = nested and all(occupied(idx) for s, idx in cur.nodes if s == t)
 
     # certificate consistency: nodes follow their recorded selections, and a
     # sampled set of support cells passes the public check
-    cert_ok = True
-    for (t, idx) in sorted(cons.result.nodes):
-        for fam in cert.families:
-            if fam.level + ell <= t:
-                q = index_ancestor(idx, t - fam.level)
-                sel = fam.selected(q)
-                if sel is None or index_ancestor(idx, t - (fam.level + ell)) != sel:
-                    cert_ok = False
+    cert_ok = all(_follows(cert, t, idx) for t, idx in cons.result.nodes)
     deepest = cert.scales[-1] + ell
     if deepest <= depth and sample_cells > 0:
-        rng = np.random.default_rng(seed)
-        sampled = cons.result.support_sample_cells(deepest, sample_cells, rng)
+        sampled = cons.result.support_sample_cells(deepest, sample_cells, np.random.default_rng(seed))
         if not check_sparse(sampled, cert):
             cert_ok = False
 
@@ -766,11 +775,7 @@ def scale_family_view(source, scale_index: int) -> ScaleFamilyView:
     """Build the view for scale `scale_index` (0-based) from a construction or
     from an explicit certificate (whose pairs enumerate the occupied cubes)."""
     if isinstance(source, SparseConstruction):
-        cert = source.certificate
-        level = cert.scales[scale_index]
-        prev = source.stages[scale_index]
-        fam = cert.families[scale_index]
-        return ScaleFamilyView(source.base.n, level, cert.ell, _occupancy(prev, level), fam.selected)
+        return source._views[scale_index]
     if isinstance(source, SparsityCertificate):
         fam = source.families[scale_index]
         if fam.pattern:
@@ -797,7 +802,8 @@ def _family_boxes(view: ScaleFamilyView, x: np.ndarray, reach: float, inner: flo
     n, level = view.n, view.level
     side = 2.0 ** (-level)
     scale = 1 << level
-    lo = np.maximum(np.floor((x - reach) * scale).astype(np.int64), 0)
+    # a cube whose upper face lies exactly at x - reach is at distance reach
+    lo = np.maximum(np.ceil((x - reach) * scale).astype(np.int64) - 1, 0)
     hi = np.minimum(np.floor((x + reach) * scale).astype(np.int64), scale - 1)
     axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
     cubes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
@@ -964,10 +970,7 @@ def witness_unrectifiability(
         source = target
         n = target.base.n
         k = target.k
-
-        def draw(rng, count):
-            return target.result.sample_support_points(rng, count)
-
+        draw = target.result.sample_support_points
     elif isinstance(target, (CellSet, CellMeasure)):
         if cert is None:
             raise InvalidInputError("an explicit certificate is required with a cell target")
@@ -975,10 +978,7 @@ def witness_unrectifiability(
         n = target.n
         # explicit-cell callers probe with lines; higher k needs a construction
         k = 1
-
-        def draw(rng, count):
-            return target.sample_points(rng, count)
-
+        draw = target.sample_points
     else:
         raise InvalidInputError(f"cannot witness on {type(target).__name__}")
 

@@ -127,3 +127,63 @@ def brute_family_distance(cert, scale_index: int, y) -> float:
             squared += gap * gap
         best = min(best, math.sqrt(squared))
     return best
+
+
+def _in_window(windows, t: int, level: int) -> bool:
+    """Is digit level `level` inside a window (a, e) opened at or below node
+    level `t`, that is t <= a < level <= a + e?"""
+    return any(t <= a < level <= a + e for a, e in windows)
+
+
+def brute_sparse_caps(cons, h: Gauge) -> tuple[float, float]:
+    """(cap_ratio_h, cap_ratio_k) of a sparse construction by a scan of every
+    cube holding nodes (masses added node by node in (level, index) order) and
+    of every level below every node, following the heaviest surviving branch:
+    2^-n per free level, the whole mass inside a window."""
+    n, depth, k = cons.base.n, cons.base.depth, cons.k
+    c0 = max([1.0] + [h(_diam(n, level)) / _diam(n, level) ** k for level in range(depth + 1)])
+    ratio_h = ratio_k = 0.0
+
+    def visit(level: int, mass: float, amp: float) -> None:
+        nonlocal ratio_h, ratio_k
+        d = _diam(n, level)
+        ratio_h = max(ratio_h, mass / (cons.norm_constant * amp * h(d)))
+        ratio_k = max(ratio_k, mass / (cons.norm_constant * c0 * d ** k))
+
+    for j, sm in enumerate(cons.stages):
+        amp = 2.0 ** (n * cons.ell * j)
+        cube_mass = {}
+        for t, idx in sorted(sm.nodes):
+            for level in range(t + 1):
+                key = (level, tuple(i >> (t - level) for i in idx))
+                cube_mass[key] = cube_mass.get(key, 0.0) + sm.nodes[(t, idx)]
+        for (level, _), mass in cube_mass.items():
+            visit(level, mass, amp)
+        for t, idx in sorted(sm.nodes):
+            value = sm.nodes[(t, idx)]
+            for level in range(t + 1, depth + 1):
+                if not _in_window(sm.windows, t, level):
+                    value *= 2.0 ** (-n)
+                visit(level, value, amp)
+    return ratio_h, ratio_k
+
+
+def brute_support_draw(sm, rng: np.random.Generator) -> np.ndarray:
+    """One mass-weighted support point of a SparseMeasure by a per-draw
+    descent: a node, then n uniform digits per level below it (zeros inside a
+    window), then a uniform offset inside the depth-level cell, pulled back
+    inside the half-open cell when rounding lands on its upper face."""
+    keys = sorted(sm.nodes)
+    w = np.array([sm.nodes[key] for key in keys], dtype=float)
+    t, idx = keys[rng.choice(len(keys), size=1, p=w / w.sum())[0]]
+    coords = list(idx)
+    for level in range(t + 1, sm.depth + 1):
+        bits = [0] * sm.n if _in_window(sm.windows, t, level) else rng.integers(0, 2, size=sm.n).tolist()
+        coords = [2 * c + b for c, b in zip(coords, bits)]
+    side = 2.0 ** (-sm.depth)
+    base = np.array(coords, dtype=float) * side
+    point = base + rng.random(sm.n) * side
+    for i in range(sm.n):
+        if point[i] >= base[i] + side:
+            point[i] = np.nextafter(base[i] + side, base[i])
+    return point

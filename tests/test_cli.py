@@ -147,6 +147,15 @@ def test_beta_from_measure_json(tmp_path):
     assert all(v > 0.1 for v in got["values"])  # a full square is nowhere flat
 
 
+def test_beta_needs_exactly_one_source(tmp_path, capsys):
+    cells = write_square(tmp_path)
+    mu_path = tmp_path / "mu.json"
+    assert run(["frostman", "--cells", str(cells), "--out", str(mu_path)]) == 0
+    assert run(["beta", "--k", "1"]) == 3
+    assert run(["beta", "--k", "1", "--cells", str(cells), "--measure", str(mu_path)]) == 3
+    assert capsys.readouterr().err.count("invalid input") == 2
+
+
 def test_epsilon_halfspace(tmp_path):
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps({"kind": "halfspace", "normal": [0.0, 1.0], "point": [0.5, 0.5]}))
@@ -300,3 +309,30 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_spans_the_sparse_layers(tmp_path):
+    # bench/tracer.py wraps gmtkit functions by name from outside the package;
+    # a rename or a removed call would silently drop a layer from the benchmark
+    code = """if True:
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        import gmtkit.cli
+        from tracer import Tracer
+        tracer = Tracer()
+        tracer.install()
+        gmtkit.cli.main(["generate", "--kind", "four-corner-cantor", "--depth", "6", "--out", "cells.json"])
+        code = gmtkit.cli.main(["extract-core", "--cells", "cells.json", "--k", "1", "--witness-samples", "2",
+                                "--beta-centers", "1", "--outdir", "out"])
+        print(json.dumps([code, sorted({span["name"] for span in tracer.span_records()})]))
+    """
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(bench)], capture_output=True, text=True, cwd=tmp_path, env=imported_package_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, names = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    for name in ("find_hole", "distance_to_family", "sample_support_points", "support_sample_cells",
+                 "verify_sparse_construction"):
+        assert name in names

@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from gmtkit.corpus import GeneratorSpec, generate, random_sparse_with_certificate
@@ -30,7 +30,7 @@ from gmtkit.sparsify import (
     witness_unrectifiability,
 )
 
-from helpers import brute_family_distance
+from helpers import brute_family_distance, brute_sparse_caps, brute_support_draw
 
 H32 = power_exp_gauge(1, 0.5)  # h(r) = r^(3/2)
 
@@ -40,6 +40,12 @@ def square_construction():
     cells = CellSet(2, 0, frozenset({(0, 0)})).refined(6)
     mu = build_frostman(cells, H32).with_depth(40)
     return build_sparse_construction(mu, H32, 1, 4)
+
+
+@pytest.fixture(scope="module")
+def cube3_construction():
+    cells = CellSet(3, 0, frozenset({(0, 0, 0)})).refined(2)
+    return build_sparse_construction(build_frostman(cells, H32).with_depth(40), H32, 1, 2)
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +219,75 @@ def test_sparse_measure_window_structure(square_construction):
         assert out.mass_at(40, flipped) == 0.0
 
 
+@pytest.mark.parametrize("node", [
+    [2, [9, 9], 1.0],  # index beyond the level
+    [2, [-1, 0], 1.0],
+    [2, [1, 1, 1], 1.0],  # wrong dimension
+    [2, [1], 1.0],
+    [2, [1, 1], float("nan")],
+    [2, [1, 1], -0.5],
+    [2, [1, 1], float("inf")],
+])
+def test_sparse_measure_rejects_bad_nodes(node):
+    with pytest.raises(InvalidInputError):
+        SparseMeasure.from_json_obj({"n": 2, "depth": 4, "nodes": [node], "windows": []})
+
+
+def test_sparse_measure_rejects_depth_beyond_the_lattice():
+    with pytest.raises(InvalidInputError):
+        SparseMeasure(2, 64, {(10, (1023, 1023)): 1.0})
+
+
+def test_sparse_measure_drops_zero_nodes():
+    out = SparseMeasure.from_json_obj({"n": 2, "depth": 4, "nodes": [[2, [1, 1], 0.0], [2, [3, 0], 1.0]], "windows": []})
+    assert out.nodes == {(2, (3, 0)): 1.0}
+
+
+H2 = power_exp_gauge(1, 1.0)  # h(r) = r^2: certified scales from level 3 on
+
+
+@st.composite
+def windowed_constructions(draw):
+    """A small construction whose result carries two or more windows.  Cells
+    at or below a scale select explicit pairs; cells just above a window make
+    the cubes inside it the heaviest for their diameter."""
+    h = draw(st.sampled_from([H32, H2]))
+    n, ell = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]))
+    cell_depth = draw(st.integers(1, 8 if n == 2 else 4))
+    cell = st.tuples(*[st.integers(0, (1 << cell_depth) - 1)] * n)
+    cells = CellSet(n, cell_depth, frozenset(draw(st.lists(cell, min_size=1, max_size=6, unique=True))))
+    cons = build_sparse_construction(build_frostman(cells, h).with_depth(draw(st.integers(16, 20))), h, 1, ell)
+    assume(len(cons.result.windows) >= 2)
+    return cons, h
+
+
+@given(windowed_constructions())
+def test_cap_ratios_match_brute_force_oracle(case):
+    cons, h = case
+    rep = verify_sparse_construction(cons, h, sample_cells=0)
+    assert (rep.cap_ratio_h, rep.cap_ratio_k) == brute_sparse_caps(cons, h)
+
+
+@given(windowed_constructions(), st.data())
+def test_support_sample_cells_carry_mass(case, data):
+    cons, _ = case
+    out, cert = cons.result, cons.certificate
+    level = data.draw(st.integers(0, out.depth))
+    sample = out.support_sample_cells(level, 16, np.random.default_rng(data.draw(st.integers(0, 2**16))))
+    assert all(out.mass_at(level, cell) > 0.0 for cell in sample.cells)
+    if level >= cert.scales[-1] + cert.ell:
+        assert check_sparse(sample, cert)
+
+
+@pytest.mark.parametrize("name", ["square_construction", "cube3_construction"])
+def test_single_support_draws_keep_the_random_stream(name, request):
+    out = request.getfixturevalue(name).result
+    ours, oracle = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(20):
+        assert out.sample_support_points(ours, 1)[0].tobytes() == brute_support_draw(out, oracle).tobytes()
+        assert ours.bit_generator.state == oracle.bit_generator.state
+
+
 def test_sparse_measure_rollup_and_roundtrip(square_construction, tmp_path):
     out = square_construction.result
     roll = out.ancestor_rollup(2)
@@ -366,6 +441,11 @@ def _close(a: float, b: float) -> bool:
 # the best grid point's nearest subcube is farther from x than x's own nearest
 @example((SparsityCertificate(2, 2, (1,), (ScaleFamily(1, 2, {(0, 1): (0, 7), (1, 1): (4, 7)}),)),
           np.array([0.3, 0.9]), np.array([[1.0, 0.0]])), 8)
+# the nearest cube's upper face lies exactly at a sweep radius from x
+@example((SparsityCertificate(2, 1, (3,), (ScaleFamily(3, 1, {(0, 0): (0, 0), (0, 2): (0, 5)}),)),
+          np.array([0.0, 0.875]), np.array([[1.0, 0.0]])), 8)
+@example((SparsityCertificate(3, 1, (3,), (ScaleFamily(3, 1, {(0, 0, 0): (0, 0, 0), (0, 0, 3): (0, 0, 6)}),)),
+          np.array([0.0, 0.0, 1.0]), np.array([[1.0, 0.0, 0.0]])), 8)
 def test_hole_search_matches_brute_force_oracle(case, grid):
     cert, x, frame = case
     assert _close(distance_to_family(scale_family_view(cert, 0), x), brute_family_distance(cert, 0, x))
