@@ -12,7 +12,7 @@ plane infimum is approximated by a direction grid with local refinement.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 from math import sqrt
 
 import numpy as np
@@ -171,41 +171,24 @@ def content_beta(
         raise InvalidInputError(f"need 1 <= k < n, got k={k}, n={n}")
     x = np.asarray(x, dtype=float)
     idx_list = cells.sorted_cells()
-    if not idx_list:
-        return 0.0
-    side = 2.0 ** (-cells.depth)
-    centers = (np.array(idx_list, dtype=float) + 0.5) * side
+    centers = (np.array(idx_list, dtype=float).reshape(-1, n) + 0.5) * 2.0 ** (-cells.depth)
     mask = ((centers - x) ** 2).sum(axis=1) <= r * r
     if not np.any(mask):
         return 0.0
-    centers = centers[mask]
-    kept = [idx for idx, m in zip(idx_list, mask) if m]
+    # the cells inside the ball; sorted, they are in the order of their centers
+    inside, centers = CellSet(n, cells.depth, compress(idx_list, mask)), centers[mask]
     bary = centers.mean(axis=0)
     gauge = power_exp_gauge(k, 0.0)
     ts = [r * 2.0 ** (-i) for i in range(t_grid + 1)]
-
-    content_cache: dict[frozenset, float] = {}
-
-    def superlevel_content(dists: np.ndarray, t: float) -> float:
-        chosen = frozenset(idx for idx, d in zip(kept, dists) if d > t)
-        if not chosen:
-            return 0.0
-        got = content_cache.get(chosen)
-        if got is None:
-            got = content(CellSet(n, cells.depth, chosen), gauge)
-            content_cache[chosen] = got
-        return got
 
     def plane_value(frame: np.ndarray) -> float:
         dists = _plane_distances(centers, bary, frame)
         acc = 0.0
         top = float(dists.max())
         if top > ts[0]:
-            acc += superlevel_content(dists, ts[0]) * (top * top - ts[0] * ts[0])
+            acc += content(inside, gauge, dists > ts[0]) * (top * top - ts[0] * ts[0])
         for hi, lo in zip(ts, ts[1:]):
-            phi = superlevel_content(dists, lo)
-            if phi:
-                acc += phi * (hi * hi - lo * lo)
+            acc += content(inside, gauge, dists > lo) * (hi * hi - lo * lo)
         return acc * r ** (-(k + 2))
 
     if n == 2 and k == 1:

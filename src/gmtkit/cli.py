@@ -97,7 +97,8 @@ def pipeline_extract_core(
     fr_rep = verify_frostman(mu, h)
     if not fr_rep.passed:
         raise VerificationError(
-            f"capped construction exceeds its gauge (ratio {fr_rep.max_ratio})", stage="frostman"
+            f"capped construction exceeds its gauge (ratio {fr_rep.max_ratio} at (level, index) {fr_rep.worst_cube})",
+            stage="frostman",
         )
 
     if ell is None:
@@ -123,8 +124,10 @@ def pipeline_extract_core(
         cons, None, max(c0, 0.0), samples=witness_samples, seed=seed, grid=witness_grid
     )
     if not wit_rep.passed:
+        (sample, level), count = wit_rep.failures[0], len(wit_rep.failures)
         raise VerificationError(
-            f"{len(wit_rep.failures)} hole witnesses missed the clearance target", stage="witness"
+            f"{count} hole witnesses missed the clearance target c0 = {wit_rep.c0} (first: sample {sample}, scale {level})",
+            stage="witness",
         )
 
     rng = np.random.default_rng(seed)

@@ -34,11 +34,13 @@ class CoverSolution:
         return float(sum(h(c.diameter()) for c in self.cover))
 
 
-def _cover_dp(pyramid: Pyramid, h: Gauge) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _cover_dp(pyramid: Pyramid, h: Gauge, selected=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per level, each occupied cube's optimal cover cost with no size cap, and
-    whether covering it by itself attains that cost."""
+    whether covering it by itself attains that cost.  Leaves outside the boolean
+    mask `selected` cost 0.0; adding 0.0 is exact, so this is the DP on the selected leaves bit for bit."""
     n, m = pyramid.n, pyramid.depth
-    cost = [np.full(len(pyramid.cubes[m]), h(level_diameter(n, m)))]
+    leaf = h(level_diameter(n, m))
+    cost = [np.full(len(pyramid.cubes[m]), leaf) if selected is None else np.where(selected, leaf, 0.0)]
     here = [np.ones(len(pyramid.cubes[m]), dtype=bool)]
     for level in range(m - 1, -1, -1):  # the lists grow at the front, from the bottom up
         below = pyramid.sum_up(level + 1, cost[0])
@@ -68,10 +70,13 @@ def dyadic_cover_cost(cells: CellSet, h: Gauge, min_level: int = 0) -> CoverSolu
     return CoverSolution(_summed_to_root(pyramid, cost[min_level], min_level), cover, min_level)
 
 
-def content(cells: CellSet, h: Gauge) -> float:
-    """h-content: unconstrained optimal dyadic cover cost (min_level = 0)."""
+def content(cells: CellSet, h: Gauge, selected=None) -> float:
+    """h-content: unconstrained optimal dyadic cover cost (min_level = 0) of the cells
+    that the boolean array `selected` marks, in ``sorted_cells()`` order; None marks all."""
+    if selected is not None and (np.asarray(selected).dtype != bool or np.shape(selected) != (len(cells),)):
+        raise InvalidInputError(f"selected must be a boolean array over the {len(cells)} cells")
     pyramid = cells.pyramid()
-    return _summed_to_root(pyramid, _cover_dp(pyramid, h)[0][0], 0)
+    return _summed_to_root(pyramid, _cover_dp(pyramid, h, selected)[0][0], 0)
 
 
 def measure_profile(cells: CellSet, h: Gauge) -> list[float]:

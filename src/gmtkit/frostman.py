@@ -89,9 +89,15 @@ class CellMeasure:
         return dict(self._level_masses[level])
 
     @cached_property
+    def _rollup(self) -> tuple[Pyramid, list[np.ndarray]]:
+        """The cube tree over the cells and, per level, every cube's mass; built on first use."""
+        pyramid = Pyramid(self.n, self.cell_level, self.masses)
+        return pyramid, pyramid.rollup(list(self.masses.values()))
+
+    @cached_property
     def _level_masses(self) -> list[dict[tuple[int, ...], float]]:
-        """Per level up to cell_level, every occupied cube's mass; built on first use."""
-        pyramid, sums = _rolled_up(self)
+        """Per level up to cell_level, every occupied cube's mass, as dicts."""
+        pyramid, sums = self._rollup
         return [dict(zip(map(tuple, c.tolist()), s.tolist())) for c, s in zip(pyramid.cubes, sums)]
 
     def cube_mass(self, cube: DyadicCube) -> float:
@@ -154,12 +160,6 @@ class CellMeasure:
         return CellMeasure.from_json_obj(load_json(path))
 
 
-def _rolled_up(measure: CellMeasure) -> tuple[Pyramid, list[np.ndarray]]:
-    """The cube tree over the measure's cells and, per level, every cube's mass."""
-    pyramid = Pyramid(measure.n, measure.cell_level, measure.masses)
-    return pyramid, pyramid.rollup(list(measure.masses.values()))
-
-
 def build_frostman(cells: CellSet, h: Gauge) -> CellMeasure:
     """Maximal measure with mass(Q) <= h(diam Q) on every dyadic cube over `cells`.
 
@@ -212,7 +212,7 @@ def verify_frostman(measure: CellMeasure, h: Gauge) -> FrostmanReport:
     """
     n = measure.n
     max_ratio, worst = 0.0, None
-    pyramid, mass = _rolled_up(measure)
+    pyramid, mass = measure._rollup
     caps = [h(level_diameter(n, level)) for level in range(measure.cell_level + 1)]
     for level, cap in enumerate(caps):
         if not len(mass[level]):

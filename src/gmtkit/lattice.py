@@ -17,6 +17,7 @@ discrete stand-in for a compact subset of [0,1]^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, product
 from math import floor, sqrt
 
@@ -275,7 +276,11 @@ class CellSet:
         return set(map(tuple, self.pyramid().cubes[level].tolist()))
 
     def pyramid(self) -> "Pyramid":
-        """The occupied cube tree above the cells."""
+        """The occupied cube tree above the cells, built once per set."""
+        return self._pyramid
+
+    @cached_property
+    def _pyramid(self) -> "Pyramid":
         return Pyramid(self.n, self.depth, self.cells)
 
     def refined(self, depth: int) -> "CellSet":

@@ -380,19 +380,23 @@ class SparseMeasure:
         there (zeros inside windows), so a single draw takes its digits in the
         order a per-row descent would.  Integer coordinates: a float round trip
         at deep levels can round a point across a cell boundary, off the support."""
-        keys = self._keys
-        if not keys:
+        if not self._keys:
             raise InvalidInputError("cannot sample from the zero measure")
-        w = np.array([self.nodes[k] for k in keys], dtype=float)
-        rows = [keys[pick] for pick in rng.choice(len(keys), size=count, p=w / w.sum()).tolist()]
-        t = np.array([lvl for lvl, _ in rows], dtype=np.int64)
-        forced = np.array([_forced(self.windows, lvl, level) for lvl, _ in rows], dtype=np.int64)
-        idx = np.array([i for _, i in rows], dtype=np.int64).reshape(-1, self.n)
+        levels, rows, p = self._node_table
+        picks = rng.choice(len(p), size=count, p=p)
+        t, idx = levels[picks], rows[picks]
+        forced = np.array([_forced(self.windows, lvl, level) for lvl in t.tolist()], dtype=np.int64)
         cells = idx >> np.maximum(t - level, 0)[:, None] << np.maximum(level - t, 0)[:, None]
         for l in range(int(t.min(initial=level)) + 1, level + 1):
             free = np.flatnonzero((t < l) & (((forced >> (level - l)) & 1) == 0))
             cells[free] |= rng.integers(0, 2, size=(len(free), self.n)) << (level - l)
         return cells
+
+    @cached_property
+    def _node_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Node levels, index rows and normalized masses, in `_keys` order."""
+        w = np.array([self.nodes[key] for key in self._keys], dtype=float)
+        return np.array([t for t, _ in self._keys]), np.array([idx for _, idx in self._keys]), w / w.sum()
 
     def support_sample_cells(self, level: int, count: int, rng: np.random.Generator) -> CellSet:
         """Distinct support cells at `level`, drawn mass-weighted (deduplicated)."""

@@ -272,3 +272,17 @@ def test_content_beta_validates():
         content_beta(cells, [0.5, 0.5], 0.5, 1, plane_grid=2)
     with pytest.raises(InvalidInputError):
         content_beta(cells, [0.5, 0.5], 0.5, 2)
+
+
+def test_content_beta_builds_one_pyramid_per_call(monkeypatch):
+    from gmtkit.lattice import Pyramid
+
+    built = []
+    init = Pyramid.__init__
+    monkeypatch.setattr(Pyramid, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    square = CellSet(2, 0, frozenset({(0, 0)})).refined(4)
+    assert content_beta(square, [0.5, 0.5], 0.5, 1, plane_grid=12, t_grid=6) > 1.0
+    assert len(built) == 1
+    cube = CellSet(3, 0, frozenset({(0, 0, 0)})).refined(3)
+    assert content_beta(cube, [0.5, 0.5, 0.5], 0.3, 2, plane_grid=8, t_grid=4) > 0.0
+    assert len(built) == 2

@@ -252,6 +252,32 @@ def test_exit_code_verification_with_stage(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("gauge:")
 
 
+def test_failed_stages_name_what_failed(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    import gmtkit.cli
+
+    cells_path = tmp_path / "cantor.json"
+    run(["generate", "--kind", "four-corner-cantor", "--depth", "8", "--out", str(cells_path)])
+    capsys.readouterr()
+    # a clearance target above 1/2 cannot be met: a grid point lies within 2^-(l+1)
+    # of x, and x lies in a selected subcube
+    estimate = gmtkit.cli.estimate_c0
+    monkeypatch.setattr(gmtkit.cli, "estimate_c0", lambda *a, **kw: dataclasses.replace(estimate(*a, **kw), value=0.625))
+    assert run(["extract-core", "--cells", str(cells_path), *EXTRACT_ARGS, "--outdir", str(tmp_path / "w")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("witness: 12 hole witnesses missed the clearance target c0 = 0.625")
+    assert "(first: sample 0, scale 17)" in err
+    assert not (tmp_path / "w").exists()
+
+    verify = gmtkit.cli.verify_frostman
+    monkeypatch.setattr(gmtkit.cli, "verify_frostman", lambda *a: dataclasses.replace(
+        verify(*a), max_ratio=1.5, worst_cube=(3, (2, 5)), passed=False))
+    assert run(["extract-core", "--cells", str(cells_path), *EXTRACT_ARGS, "--outdir", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "frostman: capped construction exceeds its gauge (ratio 1.5 at (level, index) (3, (2, 5)))")
+
+
 def run_declared_entry_point(argv, cwd):
     """Run the `gmtkit` console script as pyproject.toml declares it.
 
@@ -311,7 +337,9 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
-def test_benchmark_tracer_spans_the_sparse_layers(tmp_path):
+def run_traced(tmp_path, generate_args, extract_args):
+    """Run `generate` then `extract-core` under bench/tracer.py in a fresh
+    interpreter; return the exit code, the span names and the layer metrics."""
     # bench/tracer.py wraps gmtkit functions by name from outside the package;
     # a rename or a removed call would silently drop a layer from the benchmark
     code = """if True:
@@ -321,18 +349,37 @@ def test_benchmark_tracer_spans_the_sparse_layers(tmp_path):
         from tracer import Tracer
         tracer = Tracer()
         tracer.install()
-        gmtkit.cli.main(["generate", "--kind", "four-corner-cantor", "--depth", "6", "--out", "cells.json"])
-        code = gmtkit.cli.main(["extract-core", "--cells", "cells.json", "--k", "1", "--witness-samples", "2",
-                                "--beta-centers", "1", "--outdir", "out"])
-        print(json.dumps([code, sorted({span["name"] for span in tracer.span_records()})]))
+        gmtkit.cli.main(["generate", *json.loads(sys.argv[2]), "--out", "cells.json"])
+        code = gmtkit.cli.main(["extract-core", "--cells", "cells.json", *json.loads(sys.argv[3]), "--outdir", "out"])
+        print(json.dumps([code, sorted({span["name"] for span in tracer.span_records()}), tracer.layer_metrics()]))
     """
     bench = Path(__file__).resolve().parent.parent / "bench"
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(bench)], capture_output=True, text=True, cwd=tmp_path, env=imported_package_env()
+        [sys.executable, "-c", code, str(bench), json.dumps(generate_args), json.dumps(extract_args)],
+        capture_output=True, text=True, cwd=tmp_path, env=imported_package_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    code, names = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_benchmark_tracer_spans_the_sparse_layers(tmp_path):
+    code, names, _ = run_traced(
+        tmp_path, ["--kind", "four-corner-cantor", "--depth", "6"],
+        ["--k", "1", "--witness-samples", "2", "--beta-centers", "1"],
+    )
     assert code == 0
     for name in ("find_hole", "distance_to_family", "sample_support_points", "support_sample_cells",
                  "verify_sparse_construction"):
         assert name in names
+
+
+def test_benchmark_tracer_counts_content_calls(tmp_path):
+    # the tracer counts calls of gmtkit.beta.content by that module attribute;
+    # the Cantor input's barycentre ball is empty, so this input has cells there
+    code, names, metrics = run_traced(
+        tmp_path, ["--kind", "random-sparse", "--n", "3", "--depth", "6", "--ell", "4", "--seed", "0"],
+        ["--k", "2", "--witness-samples", "2", "--beta-centers", "1"],
+    )
+    assert code == 0
+    assert "content_beta" in names
+    assert metrics["beta.content_calls"] > 0

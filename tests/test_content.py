@@ -10,7 +10,7 @@ from gmtkit.corpus import GeneratorSpec, generate
 from gmtkit.errors import InvalidInputError
 from gmtkit.frostman import build_frostman
 from gmtkit.gauge import power_exp_gauge, power_gauge, vanishing_gauge
-from gmtkit.lattice import CellSet, index_ancestor
+from gmtkit.lattice import CellSet, Pyramid, index_ancestor
 
 from helpers import enumerate_cover_costs
 
@@ -158,3 +158,54 @@ def test_profile_equals_each_capped_cover_cost_on_cantor():
 def test_min_level_beyond_depth_rejected():
     with pytest.raises(InvalidInputError):
         dyadic_cover_cost(segment_cells(2), BARE, 3)
+
+
+@st.composite
+def masked_sets(draw):
+    """(cells, selected): a small set with n in 1..3, depth up to 4, and a
+    leaf mask over its sorted cells: random, all false or all true."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    depth = draw(st.integers(min_value=0, max_value=4))
+    top = (1 << depth) - 1
+    picks = draw(st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=1, max_size=16))
+    cells = CellSet(n, depth, frozenset(picks))
+    kind = draw(st.sampled_from(["random", "none", "all"]))
+    if kind == "random":
+        selected = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    else:
+        selected = [kind == "all"] * len(cells)
+    return cells, np.array(selected, dtype=bool)
+
+
+@given(masked_sets(), st.sampled_from([power_gauge(1), vanishing_gauge(1), power_exp_gauge(1, 0.0),
+                                       power_exp_gauge(2, 0.0)]))
+@settings(max_examples=150, deadline=None)
+def test_masked_content_is_the_content_of_the_subset(case, h):
+    cells, selected = case
+    subset = CellSet(cells.n, cells.depth, [c for c, s in zip(cells.sorted_cells(), selected) if s])
+    got = content(cells, h, selected)
+    assert got == content(subset, h)  # the same bits, not only the same value
+    if len(subset) <= 12:
+        assert got == pytest.approx(enumerate_cover_costs(subset, h), rel=1e-12, abs=0.0)
+    if not selected.any():
+        assert got == 0.0
+
+
+def test_masked_content_rejects_a_bad_mask():
+    cells = CellSet(2, 2, frozenset({(0, 0), (1, 3), (2, 2)}))
+    for bad in ([True, False], np.ones(4, dtype=bool), np.ones((3, 1), dtype=bool), np.array([1, 0, 1]),
+                np.array([1.0, 0.0, 1.0])):
+        with pytest.raises(InvalidInputError):
+            content(cells, BARE, bad)
+    assert content(cells, BARE, [True, False, True]) == content(CellSet(2, 2, frozenset({(0, 0), (2, 2)})), BARE)
+
+
+def test_frostman_and_cover_on_one_set_group_it_once(monkeypatch):
+    built = []
+    init = Pyramid.__init__
+    monkeypatch.setattr(Pyramid, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    cells = generate(GeneratorSpec(kind="four-corner-cantor", n=2, depth=6))
+    build_frostman(cells, BARE)
+    dyadic_cover_cost(cells, BARE, 2)
+    content(cells, BARE)
+    assert len(built) == 1

@@ -254,3 +254,12 @@ def test_pyramid_of_a_cellset_is_one_level_of_nodes():
     assert pyramid.cubes[1].tolist() == [[0, 1], [1, 0]]
     assert pyramid.parents[1].tolist() == [0, 0]
     assert [s.tolist() for s in pyramid.rollup([1.0, 1.0, 1.0])] == [[3.0], [1.0, 2.0], [1.0, 2.0], [1.0, 1.0, 1.0]]
+
+
+
+@given(antichains())
+def test_cellset_pyramid_is_built_once_with_leaves_in_sorted_order(case):
+    n, depth, nodes = case
+    cs = CellSet(n, depth, frozenset(tuple(i << (depth - t) for i in idx) for t, idx in nodes))
+    assert cs.pyramid() is cs.pyramid()
+    assert [tuple(c) for c in cs.pyramid().cubes[depth].tolist()] == cs.sorted_cells()
