@@ -187,12 +187,18 @@ class EpsilonReport:
 
 
 def _miss_fractions(offsets: np.ndarray, labels: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Miss fraction per candidate normal (columns scored in one pass)."""
+    """Miss fraction per candidate normal (columns scored in one pass).
+
+    A sample above the plane (dot product > 0.0) misses unless its label is
+    +1, one below unless it is -1, so an unlabelled sample always misses.
+    One product over all samples gives every sign.  The misses are counted as
+    integers, exact, and divided once by the sample count: the same float
+    that the mean of the 0/1 miss matrix gives, whose float sum is exact too.
+    """
     upper = offsets @ us.T > 0.0
-    bad_plus = (labels != 1)[:, None]
-    bad_minus = (labels != -1)[:, None]
-    miss = np.where(upper, bad_plus, bad_minus)
-    return miss.mean(axis=0)
+    plus, minus = labels == 1, labels == -1
+    misses = (len(labels) - np.count_nonzero(minus)) - np.count_nonzero(upper[plus], axis=0)
+    return (misses + np.count_nonzero(upper[minus], axis=0)) / len(labels)
 
 
 def epsilon_report(

@@ -332,6 +332,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_frostman(args) -> int:
+    if args.ball_check < 0:
+        raise InvalidInputError(f"--ball-check takes a sample count >= 0 (0: no check), got {args.ball_check}")
     cells = CellSet.load(args.cells)
     h = parse_gauge(args.gauge)
     mu = build_frostman(cells, h)

@@ -32,6 +32,7 @@ from gmtkit.lattice import CellSet, DyadicCube, Pyramid, level_diameter
 from gmtkit.utils import load_json, write_canonical
 
 CAP_TOLERANCE = 1e-9
+BALL_BLOCK = 1 << 16  # (point, cube) pairs per array pass of the ball check
 
 
 @dataclass(frozen=True)
@@ -264,35 +265,50 @@ def ball_frostman_check(measure: CellMeasure, k: int, samples: int = 256, seed: 
     cube diameter drops to r or below, clamped to the explicit cell level).
     A ball of radius r meets boundedly many such cubes, so a pass of the cube
     cap check with h(r) = r^k forces a dimensional-constant bound here.
+
+    Each level is one array pass over all sample points and the cubes of
+    their bounding boxes, exact against a per-cube loop: a cube meets the
+    ball when its squared gap, summed by the ``np.dot`` kernel (the stacked
+    matmul below runs it), is at most r*r, with no square root; the box
+    offsets run in ``itertools.product`` order, and ``np.cumsum`` adds the
+    masses along them one after another, the cubes that miss adding an exact
+    0.0.  The worst ball is the first largest ratio in (point, level) order.
     """
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
-    n = measure.n
+    if samples < 1:
+        raise InvalidInputError(f"samples must be >= 1, got {samples}")
+    n, cl = measure.n, measure.cell_level
+    pyramid, sums = measure._rollup
     rng = np.random.default_rng(seed)
-    pts = list(rng.random((max(1, samples // 2), n)))
-    support = sorted(measure.masses)
-    side = 2.0 ** (-measure.cell_level)
-    for i in range(min(len(support), samples - len(pts))):
-        pts.append((np.array(support[i], dtype=float) + 0.5) * side)
+    drawn = rng.random((max(1, samples // 2), n))
+    pts = np.concatenate([drawn, (pyramid.cubes[cl][: samples - len(drawn)] + 0.5) * 2.0 ** (-cl)])
 
-    level_masses = measure._level_masses
     radii = tuple(level_diameter(n, j) for j in range(measure.depth + 1))
-    best, worst = 0.0, None
-    for x in pts:
-        for level, r in enumerate(radii):
-            shift = max(0, level - measure.cell_level)  # below the explicit cells, mass splits uniformly
-            scale = 1 << level
-            lo = np.maximum(np.floor((x - r) * scale).astype(int), 0)
-            hi = np.minimum(np.floor((x + r) * scale).astype(int), scale - 1)
-            total = 0.0
-            span = [range(a, b + 1) for a, b in zip(lo, hi)]
-            cube_side = 1.0 / scale
-            for idx in product(*span):
-                lo_c = np.array(idx, dtype=float) * cube_side
-                gap = np.maximum(np.maximum(lo_c - x, x - (lo_c + cube_side)), 0.0)
-                if float(np.dot(gap, gap)) <= r * r:
-                    total += level_masses[level - shift].get(tuple(i >> shift for i in idx), 0.0) * 2.0 ** (-n * shift)
-            ratio = total / r ** k
-            if ratio > best:
-                best, worst = ratio, (tuple(float(c) for c in x), r, ratio)
-    return BallCheckReport(best, worst, len(pts), radii)
+    if radii[-1] ** k == 0.0:
+        raise InvalidInputError(f"r^{k} underflows to 0.0 at depth {measure.depth}; no ratio is defined")
+    ratios = np.empty((len(pts), len(radii)))
+    for level, r in enumerate(radii):
+        shift = max(0, level - cl)  # below the explicit cells, mass splits uniformly
+        masses = np.append(sums[level - shift], 0.0)  # position -1: an unoccupied cube
+        scale = 1 << level
+        lo = np.maximum(np.floor((pts - r) * scale).astype(np.int64), 0)
+        hi = np.minimum(np.floor((pts + r) * scale).astype(np.int64), scale - 1)
+        box = np.array(list(product(range(int((hi - lo).max()) + 1), repeat=n)))
+        step = max(1, BALL_BLOCK // len(box))
+        for s in range(0, len(pts), step):
+            x, idx = pts[s : s + step, None, :], lo[s : s + step, None, :] + box
+            low = idx * (1.0 / scale)
+            gap = np.maximum(np.maximum(low - x, x - (low + 1.0 / scale)), 0.0)
+            meets = (gap[..., None, :] @ gap[..., :, None])[..., 0, 0] <= r * r
+            meets &= (idx <= hi[s : s + step, None, :]).all(axis=2)
+            mass = np.zeros(meets.shape)
+            mass[meets] = masses[pyramid.locate(level - shift, idx[meets] >> shift)] * 2.0 ** (-n * shift)
+            ratios[s : s + step, level] = np.cumsum(mass, axis=1)[:, -1] / r**k
+
+    top = int(np.argmax(ratios))
+    best = float(ratios.flat[top])
+    if not best > 0.0:
+        return BallCheckReport(0.0, None, len(pts), radii)
+    point, level = divmod(top, len(radii))
+    return BallCheckReport(best, (tuple(pts[point].tolist()), radii[level], best), len(pts), radii)

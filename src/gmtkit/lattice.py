@@ -214,6 +214,22 @@ class Pyramid:
                 pos[inside] = self.parents[level][pos[inside]]
         return sums[::-1]
 
+    def locate(self, level: int, rows: np.ndarray) -> np.ndarray:
+        """Position in ``cubes[level]`` of each row of level-`level` indices
+        (each in [0, 2^level)), or -1 where that cube is unoccupied.
+
+        Each row packs into one integer key, first index most significant, so
+        keys sort as the rows do; keys wider than 62 bits are Python integers.
+        """
+        dtype = np.int64 if self.n * level <= 62 else object
+        table, keys = np.zeros(len(self.cubes[level]), dtype), np.zeros(len(rows), dtype)
+        for column, query in zip(self.cubes[level].T, rows.T):
+            table, keys = table << level | column.astype(dtype), keys << level | query.astype(dtype)
+        pos = np.searchsorted(table, keys)
+        hit = pos < len(table)
+        hit[hit] = table[pos[hit]] == keys[hit]
+        return np.where(hit, pos, -1)
+
     def topmost(self, flags: list[np.ndarray]) -> list[tuple[int, tuple[int, ...]]]:
         """(level, index) of each flagged cube below no flagged cube, in the order
         a depth-first walk from the root meets them, children in lexicographic

@@ -187,3 +187,58 @@ def brute_support_draw(sm, rng: np.random.Generator) -> np.ndarray:
         if point[i] >= base[i] + side:
             point[i] = np.nextafter(base[i] + side, base[i])
     return point
+
+
+def brute_ball_check(measure, k: int, samples: int, seed: int):
+    """(constant, worst, centers, radii) of the Frostman ball check by a loop
+    over each point, each level and each cube of the ball's bounding box in
+    `product` order: cube masses summed into dicts cell by cell (cells in
+    sorted order), a cube counted when the squared gap `np.dot(gap, gap)` is
+    at most r*r, the worst ball kept under a strict `>` from 0.0."""
+    n, cl = measure.n, measure.cell_level
+    level_masses = [{} for _ in range(cl + 1)]
+    for cell in sorted(measure.masses):
+        for level in range(cl + 1):
+            key = tuple(i >> (cl - level) for i in cell)
+            level_masses[level][key] = level_masses[level].get(key, 0.0) + measure.masses[cell]
+    rng = np.random.default_rng(seed)
+    pts = list(rng.random((max(1, samples // 2), n)))
+    support = sorted(measure.masses)
+    for cell in support[: samples - len(pts)]:
+        pts.append((np.array(cell, dtype=float) + 0.5) * 2.0 ** (-cl))
+    radii = tuple(_diam(n, level) for level in range(measure.depth + 1))
+    best, worst = 0.0, None
+    for x in pts:
+        for level, r in enumerate(radii):
+            shift = max(0, level - cl)
+            scale = 1 << level
+            side = 1.0 / scale
+            span = [
+                range(max(math.floor((c - r) * scale), 0), min(math.floor((c + r) * scale), scale - 1) + 1)
+                for c in x.tolist()
+            ]
+            total = 0.0
+            for idx in product(*span):
+                low = np.array(idx, dtype=float) * side
+                gap = np.maximum(np.maximum(low - x, x - (low + side)), 0.0)
+                if float(np.dot(gap, gap)) <= r * r:
+                    mass = level_masses[level - shift].get(tuple(i >> shift for i in idx), 0.0)
+                    total += mass * 2.0 ** (-n * shift)
+            ratio = total / r**k
+            if ratio > best:
+                best, worst = ratio, (tuple(float(c) for c in x), r, ratio)
+    return best, worst, len(pts), radii
+
+
+def brute_miss_fractions(offsets: np.ndarray, labels: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Per normal u, the share of sphere samples the halfspace pair of u
+    misses: a sample on the side u points to (dot product > 0.0) misses unless
+    its label is +1, one on the other side unless its label is -1."""
+    fractions = []
+    for u in us.tolist():
+        misses = 0
+        for offset, label in zip(offsets.tolist(), labels.tolist()):
+            upper = sum(a * b for a, b in zip(offset, u)) > 0.0
+            misses += label != (1 if upper else -1)
+        fractions.append(misses / len(labels))
+    return np.array(fractions)

@@ -5,6 +5,7 @@ import pytest
 
 from gmtkit.beta import BetaProfile
 from gmtkit.carleson import (
+    _miss_fractions,
     EpsilonProfile,
     ball_pair,
     empty_pair,
@@ -19,6 +20,8 @@ from gmtkit.carleson import (
     unit_sphere_area,
 )
 from gmtkit.errors import InvalidInputError
+
+from helpers import brute_miss_fractions
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,6 +51,20 @@ def test_halfspace_deficiency_vanishes():
     assert rep.value < 1e-3
     assert rep.radius == 0.2
     assert rep.sphere_samples == 100_000
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_miss_fractions_match_per_sample_loop(dim):
+    rng = np.random.default_rng(dim)
+    # the axes are samples and normals too: their products are exact zeros,
+    # which count as below the plane
+    axes = np.concatenate([np.eye(dim), -np.eye(dim)])
+    offsets = np.concatenate([sphere_points(dim, 300), axes])
+    labels = rng.integers(-1, 2, size=len(offsets))
+    normals = np.concatenate([rng.standard_normal((9, dim)), axes])
+    assert set(labels.tolist()) == {-1, 0, 1}
+    got = _miss_fractions(offsets, labels, normals)
+    assert np.array_equal(got, brute_miss_fractions(offsets, labels, normals))
 
 
 def test_round_minima_never_increase():

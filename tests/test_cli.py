@@ -65,6 +65,18 @@ def test_frostman_report_matches_cover_cost(tmp_path, capsys):
     assert "total mass" in capsys.readouterr().out
 
 
+def test_frostman_ball_check_count(tmp_path, capsys):
+    cells = write_square(tmp_path)
+    out, report = tmp_path / "mu.json", tmp_path / "report.json"
+    args = ["frostman", "--cells", str(cells), "--out", str(out), "--report", str(report), "--ball-check"]
+    for bad in ("-5", "-1"):
+        assert run([*args, bad]) == 3
+        assert not out.exists() and not report.exists()
+    assert "--ball-check" in capsys.readouterr().err
+    assert run([*args, "0"]) == 0  # 0 turns the check off
+    assert "ball_constant" not in json.loads(report.read_text())
+
+
 def test_content_cost_and_cover(tmp_path):
     cells = write_square(tmp_path, depth=2)
     out = tmp_path / "content.json"

@@ -17,7 +17,7 @@ from gmtkit.frostman import (
 from gmtkit.gauge import power_exp_gauge, power_gauge, scaled_gauge, vanishing_gauge
 from gmtkit.lattice import CellSet, DyadicCube, children, level_diameter, union
 
-from helpers import brute_cube_mass, brute_frostman_max_ratio
+from helpers import brute_ball_check, brute_cube_mass, brute_frostman_max_ratio
 
 BARE = power_exp_gauge(1, 0.0)  # h(r) = r
 
@@ -178,10 +178,47 @@ def test_gauge_scaling_commutes(cells, c):
 def test_ball_check_single_cell_decreases_in_radius():
     mu = CellMeasure(2, 4, {(5, 9): 1.0})
     rep = ball_frostman_check(mu, 1, samples=64, seed=0)
-    assert rep.constant > 0
-    # for r beyond the cell, mass is constant 1 and the ratio 1/r^k decays
-    ratios = [1.0 / r for r in (math.sqrt(2), math.sqrt(2) / 2)]
-    assert ratios[0] < ratios[1]
+    # every ball that meets the cell holds its whole mass 1, so the ratio
+    # 1/r^k is largest at the smallest radius, the cell's own diameter
+    assert rep.constant == 1.0 / level_diameter(2, 4)
+    assert rep.worst[1] == level_diameter(2, 4)
+
+
+def test_ball_check_rejects_bad_input():
+    mu = CellMeasure(2, 4, {(5, 9): 1.0})
+    for samples in (0, -7):
+        with pytest.raises(InvalidInputError):
+            ball_frostman_check(mu, 1, samples=samples)
+    with pytest.raises(InvalidInputError):
+        ball_frostman_check(mu, 0)
+    # (2^-50)^30 underflows to 0.0, so no ratio mass / r^k is defined
+    with pytest.raises(InvalidInputError):
+        ball_frostman_check(CellMeasure(1, 50, {(5,): 1.0}), 30, samples=2)
+
+
+@st.composite
+def ball_cases(draw):
+    """(measure, k, samples, seed): random masses on a few cells, declared
+    down to the cell level or up to two levels deeper."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    cell_level = draw(st.integers(min_value=0, max_value=3))
+    depth = cell_level + draw(st.integers(min_value=0, max_value=2))
+    cell = st.tuples(*[st.integers(min_value=0, max_value=(1 << cell_level) - 1)] * n)
+    mass = st.floats(min_value=1e-3, max_value=10.0)
+    masses = draw(st.dictionaries(cell, mass, max_size=8))
+    return (CellMeasure(n, depth, masses, cell_level), draw(st.sampled_from([1, 2])),
+            draw(st.integers(min_value=1, max_value=10)), draw(st.integers(min_value=0, max_value=3)))
+
+
+@given(ball_cases())
+@example((CellMeasure(2, 3, {}), 1, 6, 0))
+@example((CellMeasure(3, 4, {(0, 1, 2): 0.1, (0, 1, 3): 0.2, (1, 1, 2): 0.3, (3, 3, 3): 0.7}, 2), 2, 10, 1))
+# 33 levels in n=2: keys past 62 bits
+@example((CellMeasure(2, 33, {((1 << 32) - 1, 5): 1.0, (7, 1 << 31): 0.5}, 32), 1, 3, 2))
+def test_ball_check_matches_per_cube_loop(case):
+    mu, k, samples, seed = case
+    rep = ball_frostman_check(mu, k, samples=samples, seed=seed)
+    assert (rep.constant, rep.worst, rep.centers, rep.radii) == brute_ball_check(mu, k, samples, seed)
 
 
 def test_ball_check_zero_measure():

@@ -247,6 +247,25 @@ def test_pyramid_matches_plain_ancestor_loops(case, rnd):
     assert pyramid.topmost(flags) == stops
 
 
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=MAX_LEVEL), st.randoms(use_true_random=False))
+@example(1, 0, random.Random(0))
+@example(2, 31, random.Random(0))  # 62-bit keys, the widest int64 packing
+@example(3, 21, random.Random(0))  # 63 bits: Python-integer keys
+@example(3, MAX_LEVEL, random.Random(1))
+def test_pyramid_locate_matches_a_sorted_list(n, depth, rnd):
+    def row(level):
+        return tuple(rnd.randrange(1 << level) for _ in range(n))
+
+    cells = {row(depth) for _ in range(rnd.randrange(7))}
+    pyramid = Pyramid(n, depth, cells)
+    for level in range(depth + 1):
+        occupied = sorted({index_ancestor(c, depth - level) for c in cells})
+        top = (1 << level) - 1
+        queries = [row(level) for _ in range(4)] + occupied[::-1] + [(0,) * n, (top,) * n, (top,) + (0,) * (n - 1)]
+        want = [occupied.index(q) if q in occupied else -1 for q in queries]
+        assert pyramid.locate(level, np.array(queries, dtype=np.int64)).tolist() == want
+
+
 def test_pyramid_of_a_cellset_is_one_level_of_nodes():
     cs = CellSet(2, 3, frozenset({(0, 7), (5, 2), (4, 3)}))
     pyramid = cs.pyramid()
