@@ -334,6 +334,8 @@ def cmd_generate(args) -> int:
 def cmd_frostman(args) -> int:
     if args.ball_check < 0:
         raise InvalidInputError(f"--ball-check takes a sample count >= 0 (0: no check), got {args.ball_check}")
+    if args.ball_check and not args.report:
+        raise InvalidInputError("--ball-check needs --report, where the ball constant is written")
     cells = CellSet.load(args.cells)
     h = parse_gauge(args.gauge)
     mu = build_frostman(cells, h)

@@ -28,7 +28,7 @@ import numpy as np
 
 from gmtkit.errors import InvalidInputError, VerificationError
 from gmtkit.gauge import Gauge
-from gmtkit.lattice import CellSet, DyadicCube, Pyramid, level_diameter
+from gmtkit.lattice import CellSet, DyadicCube, Pyramid, level_diameter, locate
 from gmtkit.utils import load_json, write_canonical
 
 CAP_TOLERANCE = 1e-9
@@ -303,7 +303,8 @@ def ball_frostman_check(measure: CellMeasure, k: int, samples: int = 256, seed: 
             meets = (gap[..., None, :] @ gap[..., :, None])[..., 0, 0] <= r * r
             meets &= (idx <= hi[s : s + step, None, :]).all(axis=2)
             mass = np.zeros(meets.shape)
-            mass[meets] = masses[pyramid.locate(level - shift, idx[meets] >> shift)] * 2.0 ** (-n * shift)
+            held = locate(pyramid.cubes[level - shift], level - shift, idx[meets] >> shift)
+            mass[meets] = masses[held] * 2.0 ** (-n * shift)
             ratios[s : s + step, level] = np.cumsum(mass, axis=1)[:, -1] / r**k
 
     top = int(np.argmax(ratios))

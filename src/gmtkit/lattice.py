@@ -160,6 +160,26 @@ def box_distances(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return np.sqrt((gap * gap).sum(axis=-1))
 
 
+def locate(table: np.ndarray, level: int, rows: np.ndarray) -> np.ndarray:
+    """Position in `table`, an (m, n) array of level-`level` cube indices in
+    lexicographic order, of each row of `rows` (indices in [0, 2^level)), or
+    -1 where the row is not in the table.
+
+    Each row packs into one integer key, first index most significant, so
+    keys sort as the rows do; keys wider than 62 bits are Python integers,
+    which an empty table never packs.
+    """
+    if not len(table):
+        return np.full(len(rows), -1, dtype=np.int64)
+    dtype = np.int64 if table.shape[1] * level <= 62 else object
+    keys, queries = np.zeros(len(table), dtype), np.zeros(len(rows), dtype)
+    for column, query in zip(table.T, rows.T):
+        keys = keys << level | column.astype(dtype, copy=False)
+        queries = queries << level | query.astype(dtype, copy=False)
+    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return np.where(keys[pos] == queries, pos, -1)
+
+
 class Pyramid:
     """The occupied dyadic cubes above an antichain of nodes, level by level.
 
@@ -213,22 +233,6 @@ class Pyramid:
             if level:
                 pos[inside] = self.parents[level][pos[inside]]
         return sums[::-1]
-
-    def locate(self, level: int, rows: np.ndarray) -> np.ndarray:
-        """Position in ``cubes[level]`` of each row of level-`level` indices
-        (each in [0, 2^level)), or -1 where that cube is unoccupied.
-
-        Each row packs into one integer key, first index most significant, so
-        keys sort as the rows do; keys wider than 62 bits are Python integers.
-        """
-        dtype = np.int64 if self.n * level <= 62 else object
-        table, keys = np.zeros(len(self.cubes[level]), dtype), np.zeros(len(rows), dtype)
-        for column, query in zip(self.cubes[level].T, rows.T):
-            table, keys = table << level | column.astype(dtype), keys << level | query.astype(dtype)
-        pos = np.searchsorted(table, keys)
-        hit = pos < len(table)
-        hit[hit] = table[pos[hit]] == keys[hit]
-        return np.where(hit, pos, -1)
 
     def topmost(self, flags: list[np.ndarray]) -> list[tuple[int, tuple[int, ...]]]:
         """(level, index) of each flagged cube below no flagged cube, in the order

@@ -48,6 +48,7 @@ from gmtkit.lattice import (
     index_ancestor,
     index_first_descendant,
     level_diameter,
+    locate,
 )
 from gmtkit.utils import load_json, write_canonical
 
@@ -264,46 +265,18 @@ def _interior_factor(
     n: int,
     node_level: int,
     level: int,
-    idx: tuple[int, ...],
     windows: tuple[tuple[int, int], ...],
-) -> float:
-    """Mass fraction of a level-`level` cube strictly inside a uniform node.
+) -> tuple[int, float]:
+    """(forced digit mask, mass fraction) of a level-`level` cube strictly
+    inside a uniform node at `node_level`: the fraction holds where the
+    cube's forced digits vanish, and the cube is empty elsewhere.
 
     Descending one level splits mass by 2^-n outside windows; inside a window
     the zero-digit branch keeps the whole mass and every other branch drops
     to zero.
     """
     forced = _forced(windows, node_level, level)
-    if any(c & forced for c in idx):
-        return 0.0
-    return 2.0 ** (-n * (level - node_level - forced.bit_count()))
-
-
-def _occupancy(sm: "SparseMeasure", level: int):
-    """O(1)-per-query support membership test for level-`level` cubes.
-
-    Cubes holding a whole node are found through an ancestor set; cubes
-    strictly inside a node are positive exactly when their window digits
-    vanish.
-    """
-    anc: set[tuple[int, ...]] = set()
-    coarse: dict[int, set[tuple[int, ...]]] = {}
-    for (t, idx) in sm.nodes:
-        if t >= level:
-            anc.add(index_ancestor(idx, t - level))
-        else:
-            coarse.setdefault(t, set()).add(idx)
-
-    def occupied(q) -> bool:
-        q = tuple(q)
-        if q in anc:
-            return True
-        for t, idxs in coarse.items():
-            if index_ancestor(q, level - t) in idxs:
-                return _interior_factor(sm.n, t, level, q, sm.windows) > 0.0
-        return False
-
-    return occupied
+    return forced, 2.0 ** (-n * (level - node_level - forced.bit_count()))
 
 
 @dataclass(frozen=True)
@@ -343,18 +316,32 @@ class SparseMeasure:
         return float(sum(self.nodes[k] for k in self._keys))
 
     def mass_at(self, level: int, idx: tuple[int, ...]) -> float:
+        cube = DyadicCube(self.n, level, idx)  # rejects a bad level, index length or index range
         if level > self.depth:
             raise InvalidInputError(f"level {level} below declared depth {self.depth}")
-        idx = tuple(idx)
-        total = 0.0
-        for (t, nidx) in self._keys:
-            w = self.nodes[(t, nidx)]
+        return float(self._lookup(level, np.array([cube.index], dtype=np.int64))[1][0])
+
+    def _lookup(self, level: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Support membership and mass of each level-`level` cube of the (m, n)
+        array `rows`.
+
+        A cube holding nodes reads the rollup.  A cube strictly inside a node
+        holds the node's mass times the interior fraction, and lies in the
+        support where that fraction is positive.
+        """
+        pyramid, sums = self._level_sums
+        pos = locate(pyramid.cubes[level], level, rows)
+        occupied, mass = pos >= 0, np.append(sums[level], 0.0)[pos]  # position -1: no node inside
+        for t, table, w in self._node_runs:
             if t >= level:
-                if index_ancestor(nidx, t - level) == idx:
-                    total += w
-            elif index_ancestor(idx, level - t) == nidx:
-                total += w * _interior_factor(self.n, t, level, idx, self.windows)
-        return total
+                break
+            at = locate(table, t, rows >> (level - t))
+            inside = np.flatnonzero(at >= 0)
+            forced, fraction = _interior_factor(self.n, t, level, self.windows)
+            fraction = np.where((rows[inside] & forced).any(axis=1), 0.0, fraction)
+            mass[inside] += w[at[inside]] * fraction
+            occupied[inside] |= fraction > 0.0
+        return occupied, mass
 
     def cube_mass(self, cube: DyadicCube) -> float:
         if cube.n != self.n:
@@ -382,8 +369,8 @@ class SparseMeasure:
         at deep levels can round a point across a cell boundary, off the support."""
         if not self._keys:
             raise InvalidInputError("cannot sample from the zero measure")
-        levels, rows, p = self._node_table
-        picks = rng.choice(len(p), size=count, p=p)
+        levels, rows, w = self._node_table
+        picks = rng.choice(len(w), size=count, p=w / w.sum())
         t, idx = levels[picks], rows[picks]
         forced = np.array([_forced(self.windows, lvl, level) for lvl in t.tolist()], dtype=np.int64)
         cells = idx >> np.maximum(t - level, 0)[:, None] << np.maximum(level - t, 0)[:, None]
@@ -394,9 +381,18 @@ class SparseMeasure:
 
     @cached_property
     def _node_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Node levels, index rows and normalized masses, in `_keys` order."""
-        w = np.array([self.nodes[key] for key in self._keys], dtype=float)
-        return np.array([t for t, _ in self._keys]), np.array([idx for _, idx in self._keys]), w / w.sum()
+        """Node levels, index rows and masses, in `_keys` order."""
+        levels = np.array([t for t, _ in self._keys], dtype=np.int64)
+        rows = np.array([idx for _, idx in self._keys], dtype=np.int64).reshape(-1, self.n)
+        return levels, rows, np.array([self.nodes[key] for key in self._keys], dtype=float)
+
+    @cached_property
+    def _node_runs(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """(level, index rows, masses) of the nodes at each node level, levels
+        ascending.  `_keys` sorts by level, then index, so each run's rows are
+        in lexicographic order."""
+        levels, rows, w = self._node_table
+        return [(t, rows[levels == t], w[levels == t]) for t in sorted(set(levels.tolist()))]
 
     def support_sample_cells(self, level: int, count: int, rng: np.random.Generator) -> CellSet:
         """Distinct support cells at `level`, drawn mass-weighted (deduplicated)."""
@@ -488,7 +484,10 @@ class SparseConstruction:
         """Occupancy plus selection per certified scale, built on first use."""
         cert = self.certificate
         return tuple(
-            ScaleFamilyView(self.base.n, level, cert.ell, _occupancy(stage, level), fam.selected)
+            ScaleFamilyView(
+                self.base.n, level, cert.ell, lambda rows, stage=stage, level=level: stage._lookup(level, rows)[0],
+                fam.selected,
+            )
             for level, stage, fam in zip(cert.scales, self.stages, cert.families)
         )
 
@@ -539,57 +538,46 @@ def certified_scales(h: Gauge, k: int, n: int, ell: int, depth: int) -> list[int
     return scales
 
 
-def _apply_scale(
-    n: int,
-    nodes: dict,
-    level: int,
-    ell: int,
-) -> tuple[dict, bool, dict, float]:
-    """One reduction step; returns (new nodes, window added, pairs, min selection ratio)."""
-    sel_level = level + ell
-    coarse = {key: w for key, w in nodes.items() if key[0] < level}
-    fine = {key: w for key, w in nodes.items() if key[0] >= level}
+def _apply_scale(stage: SparseMeasure, level: int, ell: int) -> tuple[dict, bool, dict, float]:
+    """One reduction step; returns (new nodes, window added, pairs, min selection ratio).
 
-    groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], float]]] = {}
-    for (t, idx) in sorted(fine):
-        q = index_ancestor(idx, t - level)
-        groups.setdefault(q, []).append((t, idx, fine[(t, idx)]))
+    The groups are the level-`level` cubes of the stage's pyramid.  Their
+    candidates are the level-(`level` + ell) cubes of the pyramid and the
+    first subcube of each node between the two levels: all subcubes of such
+    a node tie, so only the lexicographically first can win.  Each group
+    keeps its heaviest candidate, the lexicographically first on a tie.
+    """
+    n, sel_level = stage.n, level + ell
+    pyramid, sums = stage._level_sums
+    levels, rows, w = stage._node_table
+    mid = np.flatnonzero((levels >= level) & (levels < sel_level))
+    drop = sel_level - levels[mid]
+    cands = np.concatenate([pyramid.cubes[sel_level], rows[mid] << drop[:, None]])
+    # counting, unlike a plain np.unique, does not import numpy.ma (about 30 ms per process)
+    if np.unique(cands, axis=0, return_counts=True)[1].max(initial=0) > 1:
+        raise VerificationError("antichain overlap while selecting subcubes", stage="sparsify")
+    mass = np.concatenate([sums[sel_level], w[mid] * 2.0 ** (-n * drop)])
+    group = locate(pyramid.cubes[level], level, cands >> ell)
+    order = np.lexsort((*cands.T[::-1], -mass, group))
+    best = order[np.diff(group[order], prepend=-1) > 0]  # per group, its first candidate in `order`
+    q_mass = sums[level]
 
-    new_nodes = dict(coarse)
-    pairs: dict[tuple[int, ...], tuple[int, ...]] = {}
-    min_ratio = float("inf")
-    for q in sorted(groups):
-        members = groups[q]
-        cands: dict[tuple[int, ...], float] = {}
-        mid_owner: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-        q_mass = 0.0
-        for t, idx, w in members:
-            q_mass += w
-            if t >= sel_level:
-                c = index_ancestor(idx, t - sel_level)
-                cands[c] = cands.get(c, 0.0) + w
-            else:
-                # node coarser than the selection level: all its subcubes tie,
-                # only the lexicographically first can win
-                c = index_first_descendant(idx, sel_level - t)
-                if c in cands:
-                    raise VerificationError("antichain overlap while selecting subcubes", stage="sparsify")
-                cands[c] = w * 2.0 ** (-n * (sel_level - t))
-                mid_owner[c] = (t, idx)
-        best_idx = sorted(cands.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-        best_mass = cands[best_idx]
-        if q_mass > 0:
-            min_ratio = min(min_ratio, best_mass * 2.0 ** (n * ell) / q_mass)
-        factor = q_mass / best_mass
-        pairs[q] = best_idx
-        for t, idx, w in members:
-            if t >= sel_level:
-                if index_ancestor(idx, t - sel_level) == best_idx:
-                    new_nodes[(t, idx)] = w * factor
-            elif mid_owner.get(best_idx) == (t, idx):
-                # uniform on the selected subcube, total mass preserved exactly
-                new_nodes[(sel_level, best_idx)] = q_mass
-    return new_nodes, bool(coarse), pairs, min_ratio
+    keys = stage._keys
+    new_nodes = {keys[i]: stage.nodes[keys[i]] for i in np.flatnonzero(levels < level).tolist()}
+    # nodes inside a winning pyramid cube are scaled up to their group's mass
+    fine = np.flatnonzero(levels >= sel_level)
+    held = locate(pyramid.cubes[sel_level], sel_level, rows[fine] >> (levels[fine] - sel_level)[:, None])
+    kept = best[group[held]] == held
+    scaled = w[fine[kept]] * (q_mass / mass[best])[group[held[kept]]]
+    new_nodes.update(zip([keys[i] for i in fine[kept].tolist()], scaled.tolist()))
+    # a winning node coarser than the selection level becomes uniform on its
+    # first subcube, keeping its group's whole mass
+    grown = np.flatnonzero(best >= len(pyramid.cubes[sel_level]))
+    new_nodes.update(zip([(sel_level, c) for c in map(tuple, cands[best[grown]].tolist())], q_mass[grown].tolist()))
+
+    pairs = dict(zip(map(tuple, pyramid.cubes[level].tolist()), map(tuple, cands[best].tolist())))
+    min_ratio = float((mass[best] * 2.0 ** (n * ell) / q_mass).min(initial=float("inf")))
+    return new_nodes, bool((levels < level).any()), pairs, min_ratio
 
 
 def build_sparse_construction(
@@ -612,18 +600,17 @@ def build_sparse_construction(
     scales = certified_scales(h, k, n, ell, depth)
     # certified_scales raised if not even one scale fits
 
-    nodes = {(base.cell_level, idx): m for idx, m in base.masses.items()}
     windows: list[tuple[int, int]] = []
-    stages = [SparseMeasure(n, depth, dict(nodes), tuple(windows))]
+    stages = [SparseMeasure(n, depth, {(base.cell_level, idx): m for idx, m in base.masses.items()})]
     families: list[ScaleFamily] = []
     sel_ratios: list[float] = []
     for level in scales:
-        nodes, window_added, pairs, min_ratio = _apply_scale(n, nodes, level, ell)
+        nodes, window_added, pairs, min_ratio = _apply_scale(stages[-1], level, ell)
         if window_added:
             windows.append((level, ell))
         families.append(ScaleFamily(level, ell, pairs, pattern=window_added))
         sel_ratios.append(min_ratio if min_ratio != float("inf") else 1.0)
-        stages.append(SparseMeasure(n, depth, dict(nodes), tuple(windows)))
+        stages.append(SparseMeasure(n, depth, nodes, tuple(windows)))
 
     cert = SparsityCertificate(n, ell, tuple(scales), tuple(families))
     return SparseConstruction(
@@ -690,12 +677,15 @@ def verify_sparse_construction(cons: SparseConstruction, h: Gauge, sample_cells:
     drift = 0.0
     for j, level in enumerate(cert.scales, start=1):
         prev, cur = cons.stages[j - 1], cons.stages[j]
-        prev_roll = prev.ancestor_rollup(level)
-        cur_roll = cur.ancestor_rollup(level)
-        for key in sorted(set(prev_roll) | set(cur_roll)):
-            a, b = prev_roll.get(key, 0.0), cur_roll.get(key, 0.0)
-            denom = max(abs(a), abs(b), 1e-300)
-            drift = max(drift, abs(a - b) / denom)
+        (prev_pyr, prev_sums), (cur_pyr, cur_sums) = prev._level_sums, cur._level_sums
+        for l in range(level + 1):
+            if not np.array_equal(prev_pyr.cubes[l], cur_pyr.cubes[l]):
+                # masses are positive, so a cube only one stage holds drifts by |m - 0| / m = 1
+                drift = 1.0
+                continue
+            a, b = prev_sums[l], cur_sums[l]
+            denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+            drift = max(drift, float((np.abs(a - b) / denom).max(initial=0.0)))
         for a, e in cur.windows:
             if a < level and (a, e) not in prev.windows:
                 raise VerificationError("window appeared above the active scale", stage="sparsify")
@@ -707,12 +697,10 @@ def verify_sparse_construction(cons: SparseConstruction, h: Gauge, sample_cells:
     for j, sm in enumerate(cons.stages):
         amp = 2.0 ** (n * ell * j)
         _, sums = sm._level_sums
-        heaviest: dict[int, float] = {}
-        for (t, _idx), mass in sm.nodes.items():
-            heaviest[t] = max(heaviest.get(t, 0.0), mass)
+        heaviest = {t: float(w.max()) for t, _, w in sm._node_runs}
         for lvl in range(depth + 1):
             # inside a node, the zero-digit cube is one of the heaviest: windows keep it
-            inside = [w * _interior_factor(n, t, lvl, (0,) * n, sm.windows) for t, w in heaviest.items() if t < lvl]
+            inside = [w * _interior_factor(n, t, lvl, sm.windows)[1] for t, w in heaviest.items() if t < lvl]
             top = max([float(sums[lvl].max(initial=0.0)), *inside])
             d = level_diameter(n, lvl)
             ratio_h = max(ratio_h, top / (B * amp * h_at[lvl]))
@@ -721,9 +709,8 @@ def verify_sparse_construction(cons: SparseConstruction, h: Gauge, sample_cells:
     # support nesting: every node of stage j sits inside stage j-1's support
     nested = True
     for prev, cur in zip(cons.stages, cons.stages[1:]):
-        for t in sorted({t for t, _ in cur.nodes}):
-            occupied = _occupancy(prev, t)
-            nested = nested and all(occupied(idx) for s, idx in cur.nodes if s == t)
+        for t, rows, _ in cur._node_runs:
+            nested = nested and bool(prev._lookup(t, rows)[0].all())
 
     # certificate consistency: nodes follow their recorded selections, and a
     # sampled set of support cells passes the public check
@@ -771,7 +758,7 @@ class ScaleFamilyView:
     n: int
     level: int
     ell: int
-    occupied: object  # callable: level-index tuple -> bool
+    occupied: object  # callable: (m, n) array of level indices -> boolean array
     selected: object  # callable: level-index tuple -> index tuple | None
 
 
@@ -786,7 +773,10 @@ def scale_family_view(source, scale_index: int) -> ScaleFamilyView:
             raise InvalidInputError(
                 "pattern certificates do not enumerate occupied cubes; pass the construction"
             )
-        return ScaleFamilyView(source.n, fam.level, source.ell, lambda idx: tuple(idx) in fam.pairs, fam.selected)
+        def occupied(rows):
+            return np.array([q in fam.pairs for q in map(tuple, rows.tolist())], dtype=bool)
+
+        return ScaleFamilyView(source.n, fam.level, source.ell, occupied, fam.selected)
     raise InvalidInputError(f"cannot build a family view from {type(source).__name__}")
 
 
@@ -813,11 +803,8 @@ def _family_boxes(view: ScaleFamilyView, x: np.ndarray, reach: float, inner: flo
     cubes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     corner = cubes * side
     gap = box_distances(x[None, :], corner, corner + side)[0]
-    selected = []
-    for q in cubes[(gap > inner) & (gap <= reach)].tolist():
-        sel = view.selected(tuple(q)) if view.occupied(tuple(q)) else None
-        if sel is not None:
-            selected.append(sel)
+    cubes = cubes[(gap > inner) & (gap <= reach)]
+    selected = [sel for q in cubes[view.occupied(cubes)].tolist() if (sel := view.selected(tuple(q))) is not None]
     sub = 2.0 ** (-(level + view.ell))
     lows = np.array(selected, dtype=float).reshape(-1, n) * sub
     return lows, lows + sub

@@ -135,6 +135,66 @@ def _in_window(windows, t: int, level: int) -> bool:
     return any(t <= a < level <= a + e for a, e in windows)
 
 
+def brute_mass_at(sm, level: int, idx: tuple[int, ...]) -> tuple[bool, float]:
+    """(support membership, mass) of one level-`level` cube of a SparseMeasure
+    by a loop over its nodes in (level, index) order: a node inside the cube
+    adds its whole mass; a node containing the cube adds its mass halved n
+    times per free level below it, and the cube lies in the support unless a
+    window digit of its index is nonzero."""
+    occupied, total = False, 0.0
+    for t, nidx in sorted(sm.nodes):
+        w = sm.nodes[(t, nidx)]
+        if t >= level:
+            if tuple(i >> (t - level) for i in nidx) == tuple(idx):
+                occupied, total = True, total + w
+        elif tuple(i >> (level - t) for i in idx) == nidx:
+            fraction = 1.0
+            for l in range(t + 1, level + 1):
+                if not _in_window(sm.windows, t, l):
+                    fraction *= 2.0 ** (-sm.n)
+                elif any((i >> (level - l)) & 1 for i in idx):
+                    fraction = 0.0
+            occupied, total = occupied or fraction > 0.0, total + w * fraction
+    return occupied, total
+
+
+def brute_apply_scale(n: int, nodes: dict, level: int, ell: int) -> tuple[dict, bool, dict, float]:
+    """(new nodes, window added, pairs, min selection ratio) of one reduction
+    step by a loop over the level-`level` cubes holding nodes: each such cube
+    keeps its heaviest level-(level + ell) subcube, the lexicographically
+    first on a tie.  Subcube masses add node by node in (level, index) order;
+    a node coarser than the subcubes offers only its first subcube, with its
+    mass times 2^-n per level between them.  Nodes inside the kept subcube
+    are scaled to the cube's mass; a coarser node whose first subcube wins
+    becomes a node on that subcube carrying the cube's mass."""
+    sel_level = level + ell
+    groups: dict = {}
+    for t, idx in sorted(nodes):
+        if t >= level:
+            groups.setdefault(tuple(i >> (t - level) for i in idx), []).append((t, idx, nodes[(t, idx)]))
+    new_nodes = {key: w for key, w in nodes.items() if key[0] < level}
+    pairs, min_ratio = {}, math.inf
+    for q in sorted(groups):
+        cands: dict = {}
+        q_mass = 0.0
+        for t, idx, w in groups[q]:
+            q_mass += w
+            if t >= sel_level:
+                c = tuple(i >> (t - sel_level) for i in idx)
+                cands[c] = cands.get(c, 0.0) + w
+            else:
+                cands[tuple(i << (sel_level - t) for i in idx)] = w * 2.0 ** (-n * (sel_level - t))
+        best = sorted(cands.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+        min_ratio = min(min_ratio, cands[best] * 2.0 ** (n * ell) / q_mass)
+        pairs[q] = best
+        for t, idx, w in groups[q]:
+            if t >= sel_level and tuple(i >> (t - sel_level) for i in idx) == best:
+                new_nodes[(t, idx)] = w * (q_mass / cands[best])
+            elif t < sel_level and tuple(i << (sel_level - t) for i in idx) == best:
+                new_nodes[(sel_level, best)] = q_mass
+    return new_nodes, any(t < level for t, _ in nodes), pairs, min_ratio
+
+
 def brute_sparse_caps(cons, h: Gauge) -> tuple[float, float]:
     """(cap_ratio_h, cap_ratio_k) of a sparse construction by a scan of every
     cube holding nodes (masses added node by node in (level, index) order) and

@@ -77,6 +77,14 @@ def test_frostman_ball_check_count(tmp_path, capsys):
     assert "ball_constant" not in json.loads(report.read_text())
 
 
+def test_frostman_ball_check_needs_a_report(tmp_path, capsys):
+    cells = write_square(tmp_path)
+    out = tmp_path / "mu.json"
+    assert run(["frostman", "--cells", str(cells), "--out", str(out), "--ball-check", "256"]) == 3
+    assert not out.exists()
+    assert "--ball-check" in capsys.readouterr().err
+
+
 def test_content_cost_and_cover(tmp_path):
     cells = write_square(tmp_path, depth=2)
     out = tmp_path / "content.json"

@@ -16,6 +16,7 @@ from gmtkit.lattice import (
     descendants,
     index_ancestor,
     level_diameter,
+    locate,
     union,
 )
 
@@ -263,7 +264,7 @@ def test_pyramid_locate_matches_a_sorted_list(n, depth, rnd):
         top = (1 << level) - 1
         queries = [row(level) for _ in range(4)] + occupied[::-1] + [(0,) * n, (top,) * n, (top,) + (0,) * (n - 1)]
         want = [occupied.index(q) if q in occupied else -1 for q in queries]
-        assert pyramid.locate(level, np.array(queries, dtype=np.int64)).tolist() == want
+        assert locate(pyramid.cubes[level], level, np.array(queries, dtype=np.int64)).tolist() == want
 
 
 def test_pyramid_of_a_cellset_is_one_level_of_nodes():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 from itertools import product
 
 import numpy as np
@@ -28,9 +30,16 @@ from gmtkit.sparsify import (
     scale_family_view,
     verify_sparse_construction,
     witness_unrectifiability,
+    _apply_scale,
 )
 
-from helpers import brute_family_distance, brute_sparse_caps, brute_support_draw
+from helpers import (
+    brute_apply_scale,
+    brute_family_distance,
+    brute_mass_at,
+    brute_sparse_caps,
+    brute_support_draw,
+)
 
 H32 = power_exp_gauge(1, 0.5)  # h(r) = r^(3/2)
 
@@ -243,6 +252,19 @@ def test_sparse_measure_drops_zero_nodes():
     assert out.nodes == {(2, (3, 0)): 1.0}
 
 
+@pytest.mark.parametrize("level, idx", [
+    (-1, (0, 0)),  # level above the root
+    (7, (0, 0)),  # level below the declared depth
+    (3, (8, 0)),  # index beyond the level
+    (3, (-1, 2)),
+    (3, (1, 1, 1)),  # wrong dimension
+])
+def test_mass_at_rejects_bad_cubes(level, idx):
+    sm = SparseMeasure(2, 6, {(2, (1, 1)): 1.0}, ((2, 2),))
+    with pytest.raises(InvalidInputError):
+        sm.mass_at(level, idx)
+
+
 H2 = power_exp_gauge(1, 1.0)  # h(r) = r^2: certified scales from level 3 on
 
 
@@ -259,6 +281,81 @@ def windowed_constructions(draw):
     cons = build_sparse_construction(build_frostman(cells, h).with_depth(draw(st.integers(16, 20))), h, 1, ell)
     assume(len(cons.result.windows) >= 2)
     return cons, h
+
+
+@st.composite
+def antichain_stages(draw):
+    """(stage, level, ell): a measure on a random antichain of nodes at levels
+    0..depth, with uneven, often tied masses and random windows, and a scale
+    whose gap [level, level + ell) usually holds nodes.  Indices crowd near
+    the origin, so that groups often hold several candidates."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    depth = draw(st.integers(2, 7 if n < 3 else 5))
+
+    def coord(t):
+        return st.one_of(st.integers(0, min(3, (1 << t) - 1)), st.integers(0, (1 << t) - 1))
+
+    cube = st.integers(0, depth).flatmap(lambda t: st.tuples(st.just(t), st.tuples(*[coord(t)] * n)))
+    mass = st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.01, 1.0))
+    nodes = {}
+    for t, idx in draw(st.lists(cube, min_size=1, max_size=12)):
+        # keep the nodes disjoint: two cubes meet when their indices agree at the coarser level
+        if all(tuple(i >> (t - min(t, s)) for i in idx) != tuple(i >> (s - min(t, s)) for i in j) for s, j in nodes):
+            nodes[(t, idx)] = draw(mass)
+    window = st.tuples(st.integers(0, depth - 1), st.integers(1, 3)).filter(lambda w: w[0] + w[1] <= depth)
+    ell = draw(st.integers(1, min(3, depth)))
+    stage = SparseMeasure(n, depth, nodes, tuple(draw(st.lists(window, max_size=2))))
+    return stage, draw(st.integers(0, depth - ell)), ell
+
+
+@given(antichain_stages())
+def test_apply_scale_matches_brute_force_oracle(case):
+    stage, level, ell = case
+    assert _apply_scale(stage, level, ell) == brute_apply_scale(stage.n, stage.nodes, level, ell)
+
+
+def test_apply_scale_rejects_overlapping_nodes():
+    # the level-1 node's first level-3 subcube is the level-3 node itself
+    stage = SparseMeasure(2, 6, {(1, (0, 0)): 1.0, (3, (0, 0)): 1.0})
+    with pytest.raises(VerificationError):
+        _apply_scale(stage, 0, 3)
+
+
+@given(windowed_constructions())
+def test_construction_stages_match_brute_force_oracle(case):
+    cons, _ = case
+    for j, fam in enumerate(cons.certificate.families, start=1):
+        nodes, window_added, pairs, ratio = brute_apply_scale(cons.base.n, cons.stages[j - 1].nodes, fam.level, fam.ell)
+        assert cons.stages[j].nodes == nodes
+        assert (fam.pattern, fam.pairs) == (window_added, pairs)
+        assert cons.selection_ratios[j - 1] == (ratio if ratio != math.inf else 1.0)
+
+
+def _cube_queries(sm, level: int, rnd: random.Random) -> list[tuple[int, ...]]:
+    """Random level-`level` cubes, plus per node the cube holding it or, for a
+    node above `level`, its first and one random cube inside it."""
+    rows = [tuple(rnd.randrange(1 << level) for _ in range(sm.n)) for _ in range(4)]
+    for t, idx in sorted(sm.nodes):
+        if t >= level:
+            rows.append(tuple(i >> (t - level) for i in idx))
+        else:
+            rows.append(tuple(i << (level - t) for i in idx))
+            rows.append(tuple(i << (level - t) | rnd.randrange(1 << (level - t)) for i in idx))
+    return rows
+
+
+@given(
+    st.one_of(windowed_constructions().map(lambda case: case[0].stages), antichain_stages().map(lambda case: case[:1])),
+    st.randoms(use_true_random=False),
+)
+def test_cube_masses_and_occupancy_match_brute_force_oracle(stages, rnd):
+    for sm in stages:
+        level = rnd.randrange(sm.depth + 1)
+        rows = _cube_queries(sm, level, rnd)
+        occupied, mass = sm._lookup(level, np.array(rows, dtype=np.int64).reshape(-1, sm.n))
+        want = [brute_mass_at(sm, level, q) for q in rows]
+        assert list(zip(occupied.tolist(), mass.tolist())) == want
+        assert [sm.mass_at(level, q) for q in rows] == [m for _, m in want]
 
 
 @given(windowed_constructions())
@@ -313,6 +410,50 @@ def test_coarse_masses_preserved_exactly(square_construction):
     for (level, idx), mass in rolled.items():
         want = base.cube_mass(DyadicCube(2, level, idx))
         assert mass == pytest.approx(want, abs=1e-15)
+
+
+@pytest.fixture(scope="module")
+def explicit_construction():
+    """Four cells at level 4 and scales 3, 5, 7, ...: stage 1 keeps the cells
+    as explicit nodes, and from stage 2 on every scale adds a window."""
+    cells = CellSet(2, 4, frozenset({(0, 0), (5, 9), (6, 9), (15, 15)}))
+    return build_sparse_construction(build_frostman(cells, H2).with_depth(20), H2, 1, 1)
+
+
+def _tampered(cons, j, drop, add=None):
+    """`cons` with node `drop` of stage j removed and the nodes `add` put in."""
+    sm = cons.stages[j]
+    nodes = {key: m for key, m in sm.nodes.items() if key != drop} | (add or {})
+    stages = (*cons.stages[:j], SparseMeasure(sm.n, sm.depth, nodes, sm.windows), *cons.stages[j + 1 :])
+    return verify_sparse_construction(dataclasses.replace(cons, stages=stages), H2, sample_cells=0)
+
+
+def test_untampered_explicit_construction_passes(explicit_construction):
+    assert explicit_construction.certificate.families[0].pairs
+    rep = verify_sparse_construction(explicit_construction, H2, sample_cells=0)
+    assert rep.passed and rep.coarse_drift == 0.0 and rep.support_nested
+
+
+@pytest.mark.parametrize("add", [None, {(4, (0, 15)): 0.25}], ids=["dropped", "moved"])
+def test_drift_check_catches_a_lost_node(explicit_construction, add):
+    rep = _tampered(explicit_construction, 1, (4, (0, 0)), add)
+    assert rep.coarse_drift == 1.0
+    assert rep.passed is False
+
+
+def test_drift_check_catches_a_rescaled_node(explicit_construction):
+    mass = explicit_construction.stages[1].nodes[(4, (5, 9))]
+    rep = _tampered(explicit_construction, 1, (4, (5, 9)), {(4, (5, 9)): mass * (1 + 1e-6)})
+    assert 0.0 < rep.coarse_drift < 1e-5
+    assert rep.passed is False
+
+
+@pytest.mark.parametrize("j, add", [
+    (2, {(4, (0, 15)): 0.25}),  # a cube that holds no node of stage 1
+    (3, {(6, (1, 0)): 0.25}),  # inside a stage-2 node, but off its window's zero digit
+], ids=["empty-cube", "window-digit"])
+def test_nesting_check_catches_a_node_outside_the_support(explicit_construction, j, add):
+    assert _tampered(explicit_construction, j, (4, (0, 0)), add).support_nested is False
 
 
 def test_selection_ratios_beat_uniform(square_construction):
