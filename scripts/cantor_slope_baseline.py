@@ -37,7 +37,7 @@ def main() -> int:
     patch = generate(GeneratorSpec(kind="plane-patch", n=2, depth=8, k=1))
 
     for name, cells in (("plane-patch", patch), ("four-corner-cantor", cantor)):
-        pts = (np.array(cells.sorted_cells(), dtype=float) + 0.5) * 2.0 ** (-cells.depth)
+        pts = cells.centers()
         weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
         rng = np.random.default_rng(args.seed)
         centers = cells.sample_points(rng, args.centers)

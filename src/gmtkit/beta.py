@@ -12,7 +12,7 @@ plane infimum is approximated by a direction grid with local refinement.
 
 from __future__ import annotations
 
-from itertools import combinations, compress
+from itertools import combinations
 from math import sqrt
 
 import numpy as np
@@ -170,13 +170,12 @@ def content_beta(
     if not 1 <= k < n:
         raise InvalidInputError(f"need 1 <= k < n, got k={k}, n={n}")
     x = np.asarray(x, dtype=float)
-    idx_list = cells.sorted_cells()
-    centers = (np.array(idx_list, dtype=float).reshape(-1, n) + 0.5) * 2.0 ** (-cells.depth)
+    centers = cells.centers()
     mask = ((centers - x) ** 2).sum(axis=1) <= r * r
     if not np.any(mask):
         return 0.0
-    # the cells inside the ball; sorted, they are in the order of their centers
-    inside, centers = CellSet(n, cells.depth, compress(idx_list, mask)), centers[mask]
+    # the cells inside the ball; their rows stay in the order of their centers
+    inside, centers = CellSet(n, cells.depth, cells.rows[mask]), centers[mask]
     bary = centers.mean(axis=0)
     gauge = power_exp_gauge(k, 0.0)
     ts = [r * 2.0 ** (-i) for i in range(t_grid + 1)]

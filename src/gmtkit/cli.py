@@ -81,7 +81,7 @@ def pipeline_extract_core(
     flat_threshold: float = 0.05,
 ) -> CoreBundle:
     """Run the full extraction on a nonempty cell set; raises tagged stage errors."""
-    if not cells.cells:
+    if not len(cells):
         raise InvalidInputError("the input cell set is empty")
     n = cells.n
     label = gauge_label or f"powerexp:{k}:0.5"
@@ -141,8 +141,7 @@ def pipeline_extract_core(
     flat_value = float("nan")
     flat = False
     if k < n:
-        cell_pts = (np.array(cells.sorted_cells(), dtype=float) + 0.5) * 2.0 ** (-cells.depth)
-        bary = cell_pts.mean(axis=0)
+        bary = cells.centers().mean(axis=0)
         flat_value = content_beta(cells, bary, 0.25, k, plane_grid=24, t_grid=8, seed=seed)
         flat = flat_value < flat_threshold
 
@@ -153,7 +152,7 @@ def pipeline_extract_core(
         "ell": ell,
         "gauge": label,
         "seed": seed,
-        "input_cells": len(cells.cells),
+        "input_cells": len(cells),
         "input_depth": cells.depth,
         "witness_samples": witness_samples,
         "witness_grid": witness_grid,
@@ -327,7 +326,7 @@ def cmd_generate(args) -> int:
     else:
         cells = generate(spec)
     cells.save(args.out)
-    print(f"wrote {len(cells.cells)} cells at depth {cells.depth} to {args.out}")
+    print(f"wrote {len(cells)} cells at depth {cells.depth} to {args.out}")
     return EXIT_OK
 
 
@@ -434,7 +433,7 @@ def cmd_beta(args) -> int:
     else:
         cells = CellSet.load(args.cells)
         n = cells.n
-        pts = (np.array(cells.sorted_cells(), dtype=float) + 0.5) * 2.0 ** (-cells.depth)
+        pts = cells.centers()
         source = (pts, np.ones(pts.shape[0]))
     center = _parse_point(args.center) if args.center else tuple(pts.mean(axis=0))
     if len(center) != n:

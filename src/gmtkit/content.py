@@ -72,7 +72,7 @@ def dyadic_cover_cost(cells: CellSet, h: Gauge, min_level: int = 0) -> CoverSolu
 
 def content(cells: CellSet, h: Gauge, selected=None) -> float:
     """h-content: unconstrained optimal dyadic cover cost (min_level = 0) of the cells
-    that the boolean array `selected` marks, in ``sorted_cells()`` order; None marks all."""
+    that the boolean array `selected` marks, in ``cells.rows`` order; None marks all."""
     if selected is not None and (np.asarray(selected).dtype != bool or np.shape(selected) != (len(cells),)):
         raise InvalidInputError(f"selected must be a boolean array over the {len(cells)} cells")
     pyramid = cells.pyramid()

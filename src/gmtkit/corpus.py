@@ -49,15 +49,27 @@ class GeneratorSpec:
             raise InvalidInputError("keep_probability must lie in (0, 1]")
 
 
+def _grid(n: int, side: int) -> np.ndarray:
+    """Every index row of [0, side)^n, an (side^n, n) array in row-major order."""
+    return np.indices((side,) * n).reshape(n, -1).T
+
+
+def _corner_cantor(n: int, depth: int, a: int) -> CellSet:
+    """The set that keeps, per generation of `a` levels, the 2^n corner subcubes."""
+    picks = _grid(n, 2) * ((1 << a) - 1)
+    cells = np.zeros((1, n), dtype=np.int64)
+    for _ in range(depth // a):
+        cells = ((cells << a)[:, None, :] + picks).reshape(-1, n)
+    return CellSet(n, depth, cells)
+
+
 def _plane_patch(spec: GeneratorSpec) -> CellSet:
     if not 1 <= spec.k < spec.n:
         raise InvalidInputError(f"need 1 <= k < n, got k={spec.k}, n={spec.n}")
     if spec.k * spec.depth > 22:
         raise InvalidInputError("plane patch too large to enumerate")
-    side = 1 << spec.depth
-    zeros = (0,) * (spec.n - spec.k)
-    cells = frozenset(tuple(free) + zeros for free in product(range(side), repeat=spec.k))
-    return CellSet(spec.n, spec.depth, cells)
+    free = _grid(spec.k, 1 << spec.depth)
+    return CellSet(spec.n, spec.depth, np.pad(free, ((0, 0), (0, spec.n - spec.k))))
 
 
 def _four_corner_cantor(spec: GeneratorSpec) -> CellSet:
@@ -65,26 +77,14 @@ def _four_corner_cantor(spec: GeneratorSpec) -> CellSet:
         raise InvalidInputError("the corner Cantor set lives in the plane")
     if spec.depth % 2 != 0:
         raise InvalidInputError("corner Cantor depth must be even (two levels per generation)")
-    corners = ((0, 0), (0, 3), (3, 0), (3, 3))
-    cells = [(0, 0)]
-    for _ in range(spec.depth // 2):
-        cells = [(4 * i + a, 4 * j + b) for i, j in cells for a, b in corners]
-    return CellSet(2, spec.depth, frozenset(cells))
+    return _corner_cantor(2, spec.depth, 2)
 
 
 def _product_cantor(spec: GeneratorSpec) -> CellSet:
     a = spec.levels_per_generation
     if spec.depth % a != 0:
         raise InvalidInputError(f"depth must be a multiple of {a}")
-    lo, hi = 0, (1 << a) - 1
-    cells = [(0,) * spec.n]
-    for _ in range(spec.depth // a):
-        nxt = []
-        for cell in cells:
-            for picks in product((lo, hi), repeat=spec.n):
-                nxt.append(tuple((c << a) + p for c, p in zip(cell, picks)))
-        cells = nxt
-    return CellSet(spec.n, spec.depth, frozenset(cells))
+    return _corner_cantor(spec.n, spec.depth, a)
 
 
 def _random_dense(spec: GeneratorSpec) -> CellSet:
@@ -92,11 +92,9 @@ def _random_dense(spec: GeneratorSpec) -> CellSet:
         raise InvalidInputError("dense set too large to enumerate")
     rng = np.random.default_rng(spec.seed)
     side = 1 << spec.depth
-    keep = rng.random(side ** spec.n) < spec.keep_probability
-    cells = {idx for idx, k in zip(product(range(side), repeat=spec.n), keep) if k}
-    if not cells:
-        cells = {(0,) * spec.n}
-    return CellSet(spec.n, spec.depth, frozenset(cells))
+    keep = rng.random(side ** spec.n) < spec.keep_probability  # one draw per cell, in row-major order
+    cells = _grid(spec.n, side)[keep] if keep.any() else np.zeros((1, spec.n), dtype=np.int64)
+    return CellSet(spec.n, spec.depth, cells)
 
 
 def _branch(frontier: list, n: int, prob: float, rng: np.random.Generator) -> list:
@@ -148,7 +146,7 @@ def random_sparse_with_certificate(spec: GeneratorSpec) -> tuple[CellSet, Sparsi
         frontier = _branch(frontier, spec.n, spec.keep_probability, rng)
         level += 1
     cert = SparsityCertificate(spec.n, ell, tuple(scales), tuple(families))
-    return CellSet(spec.n, spec.depth, frozenset(frontier)), cert
+    return CellSet(spec.n, spec.depth, frontier), cert
 
 
 def generate(spec: GeneratorSpec) -> CellSet:

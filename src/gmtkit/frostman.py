@@ -28,55 +28,74 @@ import numpy as np
 
 from gmtkit.errors import InvalidInputError, VerificationError
 from gmtkit.gauge import Gauge
-from gmtkit.lattice import CellSet, DyadicCube, Pyramid, level_diameter, locate
+from gmtkit.lattice import CellSet, DyadicCube, Pyramid, group_rows, index_rows, level_diameter, locate
 from gmtkit.utils import load_json, write_canonical
 
 CAP_TOLERANCE = 1e-9
 BALL_BLOCK = 1 << 16  # (point, cube) pairs per array pass of the ball check
 
 
-@dataclass(frozen=True)
 class CellMeasure:
-    """Nonnegative masses on level-`cell_level` cells, declared down to `depth`."""
+    """Nonnegative masses on level-`cell_level` cells, declared down to `depth`.
 
-    n: int
-    depth: int
-    masses: dict
-    cell_level: int | None = None
-    total: float = 0.0
+    ``rows`` holds the cells of positive mass as a read-only (N, n) int64
+    array in lexicographic order and ``weights`` their masses in the same
+    order; ``masses``, the same measure as a dict, is built on first use.
+    """
 
-    def __post_init__(self):
-        cl = self.depth if self.cell_level is None else self.cell_level
-        if cl < 0 or cl > self.depth:
-            raise InvalidInputError(f"cell level {cl} must lie in [0, depth={self.depth}]")
-        object.__setattr__(self, "cell_level", cl)
-        clean: dict[tuple[int, ...], float] = {}
-        top = 1 << cl
-        for idx, mass in self.masses.items():
-            key = tuple(int(i) for i in idx)
-            if len(key) != self.n or any(i < 0 or i >= top for i in key):
-                raise InvalidInputError(f"cell index {key} invalid at level {cl}")
-            m = float(mass)
-            if m < 0 or not np.isfinite(m):
-                raise InvalidInputError(f"cell {key} carries invalid mass {mass}")
-            if m > 0.0:
-                clean[key] = m
-        object.__setattr__(self, "masses", clean)
-        object.__setattr__(self, "total", float(sum(clean[k] for k in sorted(clean))))
+    def __init__(self, n: int, depth: int, masses, cell_level: int | None = None):
+        """`masses`: a dict from index tuples to masses, or a pair of an (N, n)
+        integer array of cells and their N masses.  Zero masses are dropped."""
+        cl = depth if cell_level is None else cell_level
+        if cl < 0 or cl > depth:
+            raise InvalidInputError(f"cell level {cl} must lie in [0, depth={depth}]")
+        cells, given = (list(masses), list(masses.values())) if isinstance(masses, dict) else masses
+        rows, inverse = group_rows(index_rows(cells, n, cl))
+        if len(rows) < len(inverse):
+            raise InvalidInputError(f"cell {rows[np.bincount(inverse).argmax()].tolist()} has more than one mass")
+        try:
+            given = np.asarray(given, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"malformed cell masses: {exc}") from exc
+        if given.shape != inverse.shape:
+            raise InvalidInputError(f"{given.size} masses for {len(inverse)} cells")
+        bad = given[~(np.isfinite(given) & (given >= 0.0))]
+        if len(bad):
+            raise InvalidInputError(f"masses must be finite and nonnegative, got {bad[0]}")
+        weights = np.empty(len(rows))
+        weights[inverse] = given
+        self.n, self.depth, self.cell_level = n, depth, cl
+        self.rows, self.weights = rows[weights > 0.0], weights[weights > 0.0]
+        for table in (self.rows, self.weights):
+            table.setflags(write=False)
+        self.total = float(sum(self.weights.tolist()))  # left to right, as np.sum's pairwise sum is not
+
+    def _key(self) -> tuple:
+        return self.n, self.depth, self.cell_level, self.rows.tobytes(), self.weights.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CellMeasure) and self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return f"CellMeasure({self.n}, {self.depth}, {self.masses}, {self.cell_level})"
+
+    @cached_property
+    def masses(self) -> dict[tuple[int, ...], float]:
+        return dict(zip(map(tuple, self.rows.tolist()), self.weights.tolist()))
 
     def support(self) -> CellSet:
-        return CellSet(self.n, self.cell_level, frozenset(self.masses))
+        return CellSet(self.n, self.cell_level, self.rows)
 
     def with_depth(self, depth: int) -> "CellMeasure":
         """Declare a deeper working depth; masses stay at cell_level, uniform inside."""
         if depth < self.cell_level:
             raise InvalidInputError(f"depth {depth} shallower than cell level {self.cell_level}")
-        return CellMeasure(self.n, depth, dict(self.masses), self.cell_level)
+        return CellMeasure(self.n, depth, (self.rows, self.weights), self.cell_level)
 
     def scaled(self, c: float) -> "CellMeasure":
         if c < 0:
             raise InvalidInputError(f"scale factor must be >= 0, got {c}")
-        return CellMeasure(self.n, self.depth, {k: c * v for k, v in self.masses.items()}, self.cell_level)
+        return CellMeasure(self.n, self.depth, (self.rows, c * self.weights), self.cell_level)
 
     def normalized(self) -> "CellMeasure":
         if self.total <= 0:
@@ -87,19 +106,14 @@ class CellMeasure:
         """Aggregated masses of all occupied level-`level` cubes (level <= cell_level)."""
         if level > self.cell_level:
             raise InvalidInputError(f"level {level} is below the explicit cell level {self.cell_level}")
-        return dict(self._level_masses[level])
+        pyramid, sums = self._rollup
+        return dict(zip(map(tuple, pyramid.cubes[level].tolist()), sums[level].tolist()))
 
     @cached_property
     def _rollup(self) -> tuple[Pyramid, list[np.ndarray]]:
         """The cube tree over the cells and, per level, every cube's mass; built on first use."""
-        pyramid = Pyramid(self.n, self.cell_level, self.masses)
-        return pyramid, pyramid.rollup(list(self.masses.values()))
-
-    @cached_property
-    def _level_masses(self) -> list[dict[tuple[int, ...], float]]:
-        """Per level up to cell_level, every occupied cube's mass, as dicts."""
-        pyramid, sums = self._rollup
-        return [dict(zip(map(tuple, c.tolist()), s.tolist())) for c, s in zip(pyramid.cubes, sums)]
+        pyramid = Pyramid(self.n, self.cell_level, self.rows)
+        return pyramid, pyramid.rollup(self.weights)
 
     def cube_mass(self, cube: DyadicCube) -> float:
         """Exact mass of a dyadic cube at any level <= depth."""
@@ -107,36 +121,29 @@ class CellMeasure:
             raise InvalidInputError(f"cube dimension {cube.n} != measure dimension {self.n}")
         if cube.level > self.depth:
             raise InvalidInputError(f"cube level {cube.level} deeper than declared depth {self.depth}")
-        if cube.level <= self.cell_level:
-            return self._level_masses[cube.level].get(cube.index, 0.0)
-        # below the explicit cells, mass splits uniformly
-        shift = cube.level - self.cell_level
-        return self.masses.get(cube.ancestor(self.cell_level).index, 0.0) * 2.0 ** (-self.n * shift)
+        pyramid, sums = self._rollup
+        level = min(cube.level, self.cell_level)
+        shift = cube.level - level  # below the explicit cells, mass splits uniformly
+        pos = locate(pyramid.cubes[level], level, np.array([cube.index], dtype=np.int64) >> shift)[0]
+        return float(sums[level][pos]) * 2.0 ** (-self.n * shift) if pos >= 0 else 0.0
 
     def centers_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Cell centers with their masses, for moment computations."""
-        cells = sorted(self.masses)
-        side = 2.0 ** (-self.cell_level)
-        pts = (np.array(cells, dtype=float) + 0.5) * side
-        w = np.array([self.masses[c] for c in cells], dtype=float)
-        return pts, w
+        return self.support().centers(), self.weights
 
     def sample_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Mass-weighted sample: cell chosen with probability mass/total, uniform inside."""
-        cells = sorted(self.masses)
-        if not cells:
+        if not len(self.rows):
             raise InvalidInputError("cannot sample from the zero measure")
-        w = np.array([self.masses[c] for c in cells], dtype=float)
-        picks = rng.choice(len(cells), size=count, p=w / w.sum())
+        picks = rng.choice(len(self.weights), size=count, p=self.weights / self.weights.sum())
         side = 2.0 ** (-self.cell_level)
-        base = np.array([cells[i] for i in picks], dtype=float) * side
-        return base + rng.random((count, self.n)) * side
+        return self.rows[picks] * side + rng.random((count, self.n)) * side
 
     def to_json_obj(self) -> dict:
         obj = {
             "n": self.n,
             "depth": self.depth,
-            "masses": [[list(idx), self.masses[idx]] for idx in sorted(self.masses)],
+            "masses": [[idx, m] for idx, m in zip(self.rows.tolist(), self.weights.tolist())],
         }
         if self.cell_level != self.depth:
             obj["cell_level"] = self.cell_level
@@ -148,10 +155,10 @@ class CellMeasure:
             n = int(obj["n"])
             depth = int(obj["depth"])
             cl = int(obj.get("cell_level", depth))
-            masses = {tuple(int(i) for i in idx): float(m) for idx, m in obj["masses"]}
+            entries = [(idx, m) for idx, m in obj["masses"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed measure object: {exc}") from exc
-        return CellMeasure(n, depth, masses, cl)
+        return CellMeasure(n, depth, ([idx for idx, _ in entries], [m for _, m in entries]), cl)
 
     def save(self, path) -> None:
         write_canonical(path, self.to_json_obj())
@@ -169,7 +176,7 @@ def build_frostman(cells: CellSet, h: Gauge) -> CellMeasure:
     per cube and flattened in a single downward pass, so no level-by-level
     rescan of the cells is needed.
     """
-    if not cells.cells:
+    if not len(cells):
         raise InvalidInputError("cannot build a measure on an empty cell set")
     n, m = cells.n, cells.depth
     init = h(level_diameter(n, m))
@@ -190,7 +197,7 @@ def build_frostman(cells: CellSet, h: Gauge) -> CellMeasure:
     mass = np.full(len(pyramid.cubes[0]), init)
     for level in range(m):
         mass = (mass * factors[level])[pyramid.parents[level + 1]]
-    return CellMeasure(n, m, dict(zip(map(tuple, pyramid.cubes[m].tolist()), mass.tolist())))
+    return CellMeasure(n, m, (pyramid.cubes[m], mass))
 
 
 @dataclass(frozen=True)
@@ -225,14 +232,13 @@ def verify_frostman(measure: CellMeasure, h: Gauge) -> FrostmanReport:
         if ratios[top] > max_ratio:
             max_ratio, worst = float(ratios[top]), (level, tuple(pyramid.cubes[level][top].tolist()))
 
-    if measure.cell_level < measure.depth and measure.masses:
-        peak = max(measure.masses.values())
+    if measure.cell_level < measure.depth and len(measure.rows):
+        top = int(np.argmax(measure.weights))  # the first heaviest cell in row order
+        peak, idx = float(measure.weights[top]), measure.rows[top].tolist()
         for level in range(measure.cell_level + 1, measure.depth + 1):
             cap = h(level_diameter(n, level))
             ratio = peak * 2.0 ** (-n * (level - measure.cell_level)) / cap
             if ratio > max_ratio:
-                # locate one cell attaining the per-level maximum
-                idx = max(sorted(measure.masses), key=lambda c: measure.masses[c])
                 deep = tuple(i << (level - measure.cell_level) for i in idx)
                 max_ratio, worst = ratio, (level, deep)
 
@@ -282,7 +288,7 @@ def ball_frostman_check(measure: CellMeasure, k: int, samples: int = 256, seed: 
     pyramid, sums = measure._rollup
     rng = np.random.default_rng(seed)
     drawn = rng.random((max(1, samples // 2), n))
-    pts = np.concatenate([drawn, (pyramid.cubes[cl][: samples - len(drawn)] + 0.5) * 2.0 ** (-cl)])
+    pts = np.concatenate([drawn, measure.support().centers()[: samples - len(drawn)]])
 
     radii = tuple(level_diameter(n, j) for j in range(measure.depth + 1))
     if radii[-1] ** k == 0.0:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from math import floor, sqrt
 
 import numpy as np
@@ -180,23 +180,55 @@ def locate(table: np.ndarray, level: int, rows: np.ndarray) -> np.ndarray:
     return np.where(keys[pos] == queries, pos, -1)
 
 
+def index_rows(cells, n: int, level: int) -> np.ndarray:
+    """The cell indices `cells`, an (N, n) integer array or any iterable of
+    length-n index sequences, as an (N, n) int64 array, checked to lie in
+    [0, 2^level)."""
+    try:
+        rows = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells), dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"malformed cell index rows: {exc}") from exc
+    rows = rows.reshape(0, n) if rows.shape == (0,) else rows
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise InvalidInputError(f"cell index rows must hold {n} indices each, got an array of shape {rows.shape}")
+    bad = ((rows < 0) | (rows >= 1 << level)).any(axis=1)
+    if bad.any():
+        raise InvalidInputError(f"cell index {tuple(rows[bad][0].tolist())} out of range at level {level}")
+    return rows
+
+
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the (N, n) array `rows` in lexicographic order, and
+    the position of each input row among them: what ``np.unique(rows, axis=0,
+    return_inverse=True)`` gives, by one lexsort over the columns and a mask of
+    the sorted rows that differ from the row before."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 class Pyramid:
     """The occupied dyadic cubes above an antichain of nodes, level by level.
 
-    Built once from nodes given as index tuples, at `depth` or at the matching
-    entry of `levels` (a ``CellSet`` is the case where every node sits at one
-    level).  For each level l in [0, depth], ``cubes[l]`` holds the occupied
-    level-l cube indices as an (m_l, n) int64 array in lexicographic order,
-    and ``parents[l]`` the position of each one's parent in ``cubes[l - 1]``.
+    Built once from nodes given as an (N, n) array of index rows, at `depth` or
+    at the matching entry of the array `levels` (a ``CellSet`` is the case
+    where every node sits at one level).  For each level l in [0, depth],
+    ``cubes[l]`` holds the occupied level-l cube indices as an (m_l, n) int64
+    array in lexicographic order, and ``parents[l]`` the position of each
+    one's parent in ``cubes[l - 1]``.
 
     Sums up the tree are ``np.bincount`` over parent positions, which adds in
     array order: in the order a loop over the sorted tuples adds.  Values go
     down the tree by gathering through ``parents``.
     """
 
-    def __init__(self, n: int, depth: int, indices, levels=None):
-        rows = np.fromiter(chain.from_iterable(indices), dtype=np.int64).reshape(-1, n)
-        node_level = np.full(len(rows), depth) if levels is None else np.fromiter(levels, dtype=np.int64)
+    def __init__(self, n: int, depth: int, rows, levels=None):
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, n)
+        node_level = np.full(len(rows), depth) if levels is None else np.asarray(levels, dtype=np.int64)
         self.n, self.depth = n, depth
         self.cubes: list[np.ndarray] = [np.empty((0, n), dtype=np.int64)] * (depth + 1)
         self.parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * (depth + 1)
@@ -204,7 +236,7 @@ class Pyramid:
         above = np.empty((0, n), dtype=np.int64)  # parents of the level below
         for level in range(depth, -1, -1):
             here = np.flatnonzero(node_level == level)
-            self.cubes[level], position = np.unique(np.concatenate([rows[here], above]), axis=0, return_inverse=True)
+            self.cubes[level], position = group_rows(np.concatenate([rows[here], above]))
             node_pos[here] = position[: len(here)]
             if level < depth:
                 self.parents[level + 1] = position[len(here) :]
@@ -256,32 +288,48 @@ class Pyramid:
         return [(level, idx) for _, level, idx in sorted(found)]
 
 
-@dataclass(frozen=True)
 class CellSet:
-    """A finite set of depth-m cells representing a subset of [0,1]^n."""
+    """A finite set of depth-m cells representing a subset of [0,1]^n.
 
-    n: int
-    depth: int
-    cells: frozenset[tuple[int, ...]]
+    ``rows`` holds the distinct cell indices as a read-only (N, n) int64 array
+    in lexicographic order; ``cells``, the same set as a frozenset of index
+    tuples, is built on first use.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInputError(f"ambient dimension must be >= 1, got {self.n}")
-        _check_level(self.depth)
-        norm = frozenset(tuple(int(i) for i in c) for c in self.cells)
-        object.__setattr__(self, "cells", norm)
-        top = 1 << self.depth
-        for c in norm:
-            if len(c) != self.n:
-                raise InvalidInputError(f"cell {c} has wrong dimension (expected {self.n})")
-            if any(i < 0 or i >= top for i in c):
-                raise InvalidInputError(f"cell index {c} out of range at depth {self.depth}")
+    def __init__(self, n: int, depth: int, cells):
+        """`cells`: an (N, n) integer array or any iterable of index tuples; repeats collapse."""
+        if n < 1:
+            raise InvalidInputError(f"ambient dimension must be >= 1, got {n}")
+        _check_level(depth)
+        self.n, self.depth = n, depth
+        self.rows = group_rows(index_rows(cells, n, depth))[0]
+        self.rows.setflags(write=False)
+
+    def _key(self) -> tuple:
+        return self.n, self.depth, self.rows.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CellSet) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"CellSet({self.n}, {self.depth}, {self.sorted_cells()})"
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.rows)
+
+    @cached_property
+    def cells(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.sorted_cells())
 
     def sorted_cells(self) -> list[tuple[int, ...]]:
-        return sorted(self.cells)
+        return list(map(tuple, self.rows.tolist()))
+
+    def centers(self) -> np.ndarray:
+        """The cell centres, an (N, n) float array in ``rows`` order."""
+        return (self.rows + 0.5) * 2.0 ** (-self.depth)
 
     def cubes(self) -> list[DyadicCube]:
         return [DyadicCube(self.n, self.depth, c) for c in self.sorted_cells()]
@@ -301,7 +349,7 @@ class CellSet:
 
     @cached_property
     def _pyramid(self) -> "Pyramid":
-        return Pyramid(self.n, self.depth, self.cells)
+        return Pyramid(self.n, self.depth, self.rows)
 
     def refined(self, depth: int) -> "CellSet":
         """The same set expressed with cells at a deeper uniform depth."""
@@ -310,36 +358,24 @@ class CellSet:
         if depth == self.depth:
             return self
         d = depth - self.depth
-        step = 1 << d
-        cells = set()
-        for c in self.cells:
-            for offs in product(range(step), repeat=self.n):
-                cells.add(tuple((i << d) + o for i, o in zip(c, offs)))
-        return CellSet(self.n, depth, frozenset(cells))
+        offsets = np.indices((1 << d,) * self.n).reshape(self.n, -1).T  # every descendant offset
+        return CellSet(self.n, depth, ((self.rows << d)[:, None, :] + offsets).reshape(-1, self.n))
 
     def sample_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Uniform sample: a uniformly chosen cell, then a uniform point in it."""
-        cells = self.sorted_cells()
-        if not cells:
+        if not len(self):
             raise InvalidInputError("cannot sample from an empty cell set")
-        picks = rng.integers(0, len(cells), size=count)
+        picks = rng.integers(0, len(self), size=count)
         side = 2.0 ** (-self.depth)
-        base = np.array([cells[i] for i in picks], dtype=float) * side
-        return base + rng.random((count, self.n)) * side
+        return self.rows[picks] * side + rng.random((count, self.n)) * side
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "depth": self.depth,
-            "cells": [list(c) for c in self.sorted_cells()],
-        }
+        return {"n": self.n, "depth": self.depth, "cells": self.rows.tolist()}
 
     @staticmethod
     def from_json_obj(obj: dict) -> "CellSet":
         try:
-            n = int(obj["n"])
-            depth = int(obj["depth"])
-            cells = frozenset(tuple(int(i) for i in c) for c in obj["cells"])
+            n, depth, cells = int(obj["n"]), int(obj["depth"]), obj["cells"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed cell set object: {exc}") from exc
         return CellSet(n, depth, cells)
@@ -360,7 +396,4 @@ def union(sets: list[CellSet]) -> CellSet:
     if any(s.n != n for s in sets):
         raise InvalidInputError("union requires a common ambient dimension")
     depth = max(s.depth for s in sets)
-    cells: set[tuple[int, ...]] = set()
-    for s in sets:
-        cells.update(s.refined(depth).cells)
-    return CellSet(n, depth, frozenset(cells))
+    return CellSet(n, depth, np.concatenate([s.refined(depth).rows for s in sets]))

@@ -231,7 +231,7 @@ def check_sparse(cells: CellSet, cert: SparsityCertificate) -> bool:
         raise InvalidInputError(
             f"certificate reaches level {cert.scales[-1] + cert.ell} below cell depth {cells.depth}"
         )
-    return all(_follows(cert, cells.depth, cell) for cell in cells.cells)
+    return all(_follows(cert, cells.depth, cell) for cell in cells.sorted_cells())
 
 
 def _follows(cert: SparsityCertificate, level: int, idx: tuple[int, ...]) -> bool:
@@ -310,6 +310,13 @@ class SparseMeasure:
             if e < 1 or a < 0 or a + e > self.depth:
                 raise InvalidInputError(f"window ({a}, {e}) outside depth {self.depth}")
         object.__setattr__(self, "windows", wins)
+        # the nodes form an antichain: each node's cube holds no node but itself
+        pyramid = self._level_sums[0]
+        count = pyramid.rollup(np.ones(len(self._keys)))
+        for t, table, _ in self._node_runs:
+            held = count[t][locate(pyramid.cubes[t], t, table)]
+            if (held > 1).any():
+                raise InvalidInputError(f"node {(t, tuple(table[np.argmax(held > 1)].tolist()))} holds another node")
 
     @property
     def total(self) -> float:
@@ -357,9 +364,8 @@ class SparseMeasure:
     def to_cell_measure(self) -> CellMeasure:
         if not self.is_explicit():
             raise InvalidInputError("measure has uniform-territory structure; no flat cell form")
-        level = max((lvl for lvl, _ in self.nodes), default=self.depth)
-        masses = {idx: m for (lvl, idx), m in self.nodes.items()}
-        return CellMeasure(self.n, self.depth, masses, level)
+        levels, rows, w = self._node_table
+        return CellMeasure(self.n, self.depth, (rows, w), max(levels.tolist(), default=self.depth))
 
     def _support_cells(self, rng: np.random.Generator, count: int, level: int) -> np.ndarray:
         """Mass-weighted support cells at `level`, a (count, n) int64 array: one
@@ -398,7 +404,7 @@ class SparseMeasure:
         """Distinct support cells at `level`, drawn mass-weighted (deduplicated)."""
         if not 0 <= level <= self.depth:
             raise InvalidInputError(f"level must lie in [0, {self.depth}], got {level}")
-        return CellSet(self.n, level, frozenset(map(tuple, self._support_cells(rng, count, level).tolist())))
+        return CellSet(self.n, level, self._support_cells(rng, count, level))
 
     def sample_support_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Mass-weighted points of the support: a support cell at the declared
@@ -414,8 +420,9 @@ class SparseMeasure:
     @cached_property
     def _level_sums(self) -> tuple[Pyramid, list[np.ndarray]]:
         """The pyramid above the nodes, and per level the mass of each of its cubes."""
-        pyramid = Pyramid(self.n, self.depth, (idx for _, idx in self._keys), (t for t, _ in self._keys))
-        return pyramid, pyramid.rollup([self.nodes[key] for key in self._keys])
+        levels, rows, w = self._node_table
+        pyramid = Pyramid(self.n, self.depth, rows, levels)
+        return pyramid, pyramid.rollup(w)
 
     def ancestor_rollup(self, max_level: int) -> dict[tuple[int, tuple[int, ...]], float]:
         """Aggregated masses of every cube at level <= max_level containing a node."""
@@ -439,6 +446,8 @@ class SparseMeasure:
         try:
             nodes = {(int(lvl), tuple(int(i) for i in idx)): float(m) for lvl, idx, m in obj["nodes"]}
             wins = tuple((int(a), int(e)) for a, e in obj["windows"])
+            if len(nodes) < len(obj["nodes"]):
+                raise InvalidInputError("a node is listed more than once")
             return SparseMeasure(int(obj["n"]), int(obj["depth"]), nodes, wins)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed sparse measure object: {exc}") from exc
@@ -553,9 +562,6 @@ def _apply_scale(stage: SparseMeasure, level: int, ell: int) -> tuple[dict, bool
     mid = np.flatnonzero((levels >= level) & (levels < sel_level))
     drop = sel_level - levels[mid]
     cands = np.concatenate([pyramid.cubes[sel_level], rows[mid] << drop[:, None]])
-    # counting, unlike a plain np.unique, does not import numpy.ma (about 30 ms per process)
-    if np.unique(cands, axis=0, return_counts=True)[1].max(initial=0) > 1:
-        raise VerificationError("antichain overlap while selecting subcubes", stage="sparsify")
     mass = np.concatenate([sums[sel_level], w[mid] * 2.0 ** (-n * drop)])
     group = locate(pyramid.cubes[level], level, cands >> ell)
     order = np.lexsort((*cands.T[::-1], -mass, group))
@@ -601,7 +607,8 @@ def build_sparse_construction(
     # certified_scales raised if not even one scale fits
 
     windows: list[tuple[int, int]] = []
-    stages = [SparseMeasure(n, depth, {(base.cell_level, idx): m for idx, m in base.masses.items()})]
+    cells = zip(map(tuple, base.rows.tolist()), base.weights.tolist())
+    stages = [SparseMeasure(n, depth, {(base.cell_level, idx): m for idx, m in cells})]
     families: list[ScaleFamily] = []
     sel_ratios: list[float] = []
     for level in scales:

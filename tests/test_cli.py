@@ -137,6 +137,17 @@ def test_sparsify_command(tmp_path, capsys):
     assert back.scales == (17,)
 
 
+def test_sparsify_rejects_a_measure_listing_a_cell_twice(tmp_path, capsys):
+    measure = tmp_path / "dup.json"
+    measure.write_text(json.dumps({"n": 2, "depth": 2, "masses": [[[0, 0], 0.5], [[0, 0], 0.25]]}))
+    code = run([
+        "sparsify", "--measure", str(measure), "--gauge", "powerexp:1:0.5", "--ell", "4", "--depth", "24",
+        "--out", str(tmp_path / "sparse.json"), "--cert", str(tmp_path / "cert.json"),
+    ])
+    assert code == 3
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_beta_csv_on_flat_cells(tmp_path):
     cells_path = tmp_path / "patch.json"
     assert run([
@@ -355,6 +366,28 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs 20-30 ms of start-up; a plain np.unique imports it
+    code = """if True:
+        import sys
+        from gmtkit.cli import main
+        codes = [main(argv) for argv in (
+            ["generate", "--kind", "four-corner-cantor", "--depth", "6", "--out", "cells.json"],
+            ["extract-core", "--cells", "cells.json", "--k", "1", "--witness-samples", "2", "--beta-centers", "1",
+             "--outdir", "out"],
+            ["frostman", "--cells", "cells.json", "--out", "mu.json", "--report", "rep.json", "--ball-check", "8"],
+            ["content", "--cells", "cells.json", "--profile", "--out", "profile.json"],
+            ["beta", "--cells", "cells.json", "--out", "beta.json"],
+        )]
+        print(codes, "numpy.ma" in sys.modules)
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=imported_package_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False"
 
 
 def run_traced(tmp_path, generate_args, extract_args):

@@ -1,3 +1,6 @@
+from itertools import product
+
+import numpy as np
 import pytest
 
 from gmtkit.corpus import KINDS, GeneratorSpec, generate, random_sparse_with_certificate
@@ -129,3 +132,26 @@ def test_generator_spec_validation():
         "random-dense",
         "union",
     }
+
+
+def test_array_generators_match_tuple_loops():
+    """The generators build index arrays; these are the same sets built one tuple at a time."""
+    for n, k, depth in ((2, 1, 5), (3, 2, 3), (3, 1, 4)):
+        want = {free + (0,) * (n - k) for free in product(range(1 << depth), repeat=k)}
+        assert generate(GeneratorSpec(kind="plane-patch", n=n, depth=depth, k=k)).cells == want
+    cells = [(0, 0)]
+    for depth in range(2, 9, 2):
+        cells = [(4 * i + a, 4 * j + b) for i, j in cells for a, b in product((0, 3), repeat=2)]
+        assert generate(GeneratorSpec(kind="four-corner-cantor", depth=depth)).cells == set(cells)
+    for n, a, depth in ((1, 2, 6), (2, 1, 4), (3, 3, 6)):
+        cells = [(0,) * n]
+        for _ in range(depth // a):
+            cells = [tuple((c << a) + p for c, p in zip(cell, picks))
+                     for cell in cells for picks in product((0, (1 << a) - 1), repeat=n)]
+        spec = GeneratorSpec(kind="product-cantor", n=n, depth=depth, levels_per_generation=a)
+        assert generate(spec).cells == set(cells)
+    for n, depth, seed in ((2, 4, 0), (3, 2, 5), (1, 6, 2)):
+        side = 1 << depth
+        keep = np.random.default_rng(seed).random(side**n) < 0.5
+        want = {idx for idx, flag in zip(product(range(side), repeat=n), keep) if flag}
+        assert generate(GeneratorSpec(kind="random-dense", n=n, depth=depth, seed=seed)).cells == want

@@ -1,10 +1,13 @@
+import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gmtkit.cli import main
 from gmtkit.content import dyadic_cover_cost
 from gmtkit.corpus import GeneratorSpec, generate
 from gmtkit.errors import InvalidInputError
@@ -288,3 +291,84 @@ def test_sample_points_follow_support():
     assert cells <= {(0, 0), (7, 7)}
     heavy = sum(1 for p in pts if int(p[0] * 8) == 7)
     assert heavy > 100  # mass-weighted draw favors the 3x cell
+
+
+@st.composite
+def measures(draw):
+    """(n, depth, cell_level, masses): masses on a few cells, some of them zero,
+    declared down to the cell level or up to two levels deeper."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    cell_level = draw(st.integers(min_value=0, max_value=4))
+    depth = cell_level + draw(st.integers(min_value=0, max_value=2))
+    cell = st.tuples(*[st.integers(min_value=0, max_value=(1 << cell_level) - 1)] * n)
+    mass = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0))
+    return n, depth, cell_level, draw(st.dictionaries(cell, mass, max_size=10))
+
+
+@given(measures(), st.randoms(use_true_random=False))
+@example((2, 3, 2, {(3, 1): 0.1, (0, 2): 0.2, (3, 0): 0.3, (1, 1): 0.0}), random.Random(0))
+def test_measure_tables_match_brute_force_scans(case, rnd):
+    n, depth, cl, given_masses = case
+    clean = {c: m for c, m in given_masses.items() if m > 0.0}
+    mu = CellMeasure(n, depth, given_masses, cl)
+    entries = list(given_masses.items())
+    rnd.shuffle(entries)
+    rows = np.array([c for c, _ in entries], dtype=np.int64).reshape(-1, n)
+    assert CellMeasure(n, depth, (rows, [m for _, m in entries]), cl) == mu
+    assert mu.masses == clean and list(mu.masses) == sorted(clean)
+    assert mu.rows.tolist() == [list(c) for c in sorted(clean)]
+    assert mu.weights.tolist() == [clean[c] for c in sorted(clean)]
+    total = 0.0
+    for c in sorted(clean):
+        total += clean[c]
+    assert mu.total == total
+    for level in range(cl + 1):
+        occupied = sorted({tuple(i >> (cl - level) for i in c) for c in clean})
+        assert mu.level_masses(level) == {idx: brute_cube_mass(clean, cl, level, idx) for idx in occupied}
+    for level in range(depth + 1):
+        for _ in range(4):
+            idx = tuple(rnd.randrange(1 << level) for _ in range(n))
+            shift = max(0, level - cl)
+            top = tuple(i >> shift for i in idx)
+            want = brute_cube_mass(clean, cl, level - shift, top) * 2.0 ** (-n * shift)
+            assert mu.cube_mass(DyadicCube(n, level, idx)) == want
+
+
+BAD_ROWS = {
+    "ragged": [[0, 1], [1]],
+    "wrong-length": [[0, 1, 0]],
+    "negative-index": [[0, -1]],
+    "index-past-2^depth": [[0, 4]],
+    "index-2^70": [[1 << 70, 0]],
+}
+
+
+@pytest.mark.parametrize("rows", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+def test_malformed_cell_rows_are_invalid_input(rows, tmp_path, capsys):
+    cells = {"n": 2, "depth": 2, "cells": [[0, 0], *rows]}
+    with pytest.raises(InvalidInputError):
+        CellSet.from_json_obj(cells)
+    with pytest.raises(InvalidInputError):
+        CellMeasure.from_json_obj({"n": 2, "depth": 2, "masses": [[r, 0.5] for r in cells["cells"]]})
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(cells))
+    assert main(["content", "--cells", str(path)]) == 3
+    assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mass", [math.nan, -0.5, math.inf], ids=["nan", "negative", "infinite"])
+def test_invalid_masses_are_invalid_input(mass):
+    with pytest.raises(InvalidInputError):
+        CellMeasure.from_json_obj({"n": 2, "depth": 2, "masses": [[[0, 0], 0.5], [[1, 1], mass]]})
+
+
+def test_measure_json_rejects_a_cell_listed_twice(tmp_path):
+    obj = {"n": 2, "depth": 2, "masses": [[[0, 0], 0.5], [[0, 0], 0.25]]}
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(InvalidInputError):
+        CellMeasure.load(path)
+    with pytest.raises(InvalidInputError):
+        CellMeasure(2, 2, (np.array([[1, 0], [0, 1], [1, 0]]), [0.0, 0.5, 0.0]))
+    # a cell set is a set: repeated cells collapse
+    assert CellSet.from_json_obj({"n": 2, "depth": 2, "cells": [[0, 0], [0, 0]]}) == CellSet(2, 2, {(0, 0)})

@@ -14,11 +14,13 @@ from gmtkit.lattice import (
     children,
     cube_at,
     descendants,
+    group_rows,
     index_ancestor,
     level_diameter,
     locate,
     union,
 )
+from gmtkit.utils import dumps_canonical
 
 
 def test_cube_at_floors_coordinates():
@@ -258,7 +260,7 @@ def test_pyramid_locate_matches_a_sorted_list(n, depth, rnd):
         return tuple(rnd.randrange(1 << level) for _ in range(n))
 
     cells = {row(depth) for _ in range(rnd.randrange(7))}
-    pyramid = Pyramid(n, depth, cells)
+    pyramid = Pyramid(n, depth, np.array(list(cells), dtype=np.int64).reshape(-1, n))
     for level in range(depth + 1):
         occupied = sorted({index_ancestor(c, depth - level) for c in cells})
         top = (1 << level) - 1
@@ -283,3 +285,50 @@ def test_cellset_pyramid_is_built_once_with_leaves_in_sorted_order(case):
     cs = CellSet(n, depth, frozenset(tuple(i << (depth - t) for i in idx) for t, idx in nodes))
     assert cs.pyramid() is cs.pyramid()
     assert [tuple(c) for c in cs.pyramid().cubes[depth].tolist()] == cs.sorted_cells()
+
+
+@st.composite
+def index_tables(draw):
+    """(n, level, rows): an (N, n) int64 array of level-`level` index rows in
+    any order, with repeats; n * level runs past the 63 bits of a packed key."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    level = draw(st.integers(min_value=0, max_value=MAX_LEVEL))
+    index = st.integers(min_value=0, max_value=(1 << level) - 1)
+    pool = draw(st.lists(st.tuples(*[index] * n), min_size=1, max_size=8))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=20))
+    return n, level, np.array(rows, dtype=np.int64).reshape(-1, n)
+
+
+@given(index_tables())
+@example((1, 0, np.empty((0, 1), dtype=np.int64)))
+@example((4, 3, np.empty((0, 4), dtype=np.int64)))
+@example((3, MAX_LEVEL, np.array([[(1 << 50) - 1, 0, 5], [0, 1, 2], [(1 << 50) - 1, 0, 5], [0, 1, 1]])))
+def test_group_rows_matches_np_unique(case):
+    _, _, rows = case
+    unique, inverse = group_rows(rows)
+    want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert unique.dtype == np.int64 and unique.shape == want.shape
+    assert unique.tolist() == want.tolist()
+    assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+
+
+@given(index_tables(), st.randoms(use_true_random=False))
+def test_cellset_from_a_shuffled_array_equals_the_set_of_its_tuples(case, rnd):
+    n, level, rows = case
+    tuples = frozenset(map(tuple, rows.tolist()))
+    repeated = rows.tolist() * 2
+    rnd.shuffle(repeated)
+    a = CellSet(n, level, tuples)
+    b = CellSet(n, level, np.array(repeated, dtype=np.int64).reshape(-1, n))
+    assert a == b and hash(a) == hash(b) and len(a) == len(b) == len(tuples)
+    assert a.rows.tolist() == b.rows.tolist() == [list(c) for c in sorted(tuples)]
+    assert a.cells == b.cells == tuples
+    assert a.sorted_cells() == b.sorted_cells() == sorted(tuples)
+    assert dumps_canonical(a.to_json_obj()) == dumps_canonical(b.to_json_obj())
+    assert not a.rows.flags.writeable
+
+
+def test_cellset_centers_are_the_cell_midpoints():
+    cs = CellSet(2, 2, [(3, 0), (1, 2)])
+    assert cs.centers().tolist() == [[0.375, 0.625], [0.875, 0.125]]
+    assert CellSet(3, 4, []).centers().shape == (0, 3)

@@ -247,6 +247,16 @@ def test_sparse_measure_rejects_depth_beyond_the_lattice():
         SparseMeasure(2, 64, {(10, (1023, 1023)): 1.0})
 
 
+@pytest.mark.parametrize("nodes", [
+    [[1, [0, 0], 1.0], [1, [0, 0], 2.0]],  # one node listed twice
+    [[1, [0, 0], 1.0], [3, [0, 0], 1.0]],  # the level-1 node holds the level-3 node
+    [[3, [2, 5], 1.0], [2, [1, 2], 0.5]],  # the level-2 node holds the level-3 node
+])
+def test_sparse_measure_rejects_repeated_and_nested_nodes(nodes):
+    with pytest.raises(InvalidInputError):
+        SparseMeasure.from_json_obj({"n": 2, "depth": 6, "nodes": nodes, "windows": []})
+
+
 def test_sparse_measure_drops_zero_nodes():
     out = SparseMeasure.from_json_obj({"n": 2, "depth": 4, "nodes": [[2, [1, 1], 0.0], [2, [3, 0], 1.0]], "windows": []})
     assert out.nodes == {(2, (3, 0)): 1.0}
@@ -315,10 +325,10 @@ def test_apply_scale_matches_brute_force_oracle(case):
 
 
 def test_apply_scale_rejects_overlapping_nodes():
-    # the level-1 node's first level-3 subcube is the level-3 node itself
-    stage = SparseMeasure(2, 6, {(1, (0, 0)): 1.0, (3, (0, 0)): 1.0})
-    with pytest.raises(VerificationError):
-        _apply_scale(stage, 0, 3)
+    # the level-1 node's first level-3 subcube is the level-3 node itself, so
+    # no stage that _apply_scale could be handed holds these nodes
+    with pytest.raises(InvalidInputError):
+        SparseMeasure(2, 6, {(1, (0, 0)): 1.0, (3, (0, 0)): 1.0})
 
 
 @given(windowed_constructions())
