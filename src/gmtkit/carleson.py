@@ -16,7 +16,7 @@ normal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma, pi, sqrt
+from math import gamma, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -78,13 +78,22 @@ class DomainPair:
             raise InvalidInputError(f"ambient dimension must be >= 2, got {self.dim}")
 
 
-def halfspace_pair(normal, point) -> DomainPair:
+def _plane(normal, point) -> tuple[np.ndarray, np.ndarray]:
+    """The unit normal and the point of a plane, both finite, of one length."""
     normal = np.asarray(normal, dtype=float)
     point = np.asarray(point, dtype=float)
+    if normal.ndim != 1 or point.shape != normal.shape:
+        raise InvalidInputError(f"normal and point must be vectors of one length, got shapes {normal.shape} and {point.shape}")
+    if not (np.isfinite(normal).all() and np.isfinite(point).all()):
+        raise InvalidInputError("normal and point must be finite")
     norm = float(np.sqrt((normal * normal).sum()))
     if norm == 0.0:
-        raise InvalidInputError("halfspace normal must be nonzero")
-    normal = normal / norm
+        raise InvalidInputError("normal must be nonzero")
+    return normal / norm, point
+
+
+def halfspace_pair(normal, point) -> DomainPair:
+    normal, point = _plane(normal, point)
 
     def classify(pts):
         s = (np.atleast_2d(pts) - point) @ normal
@@ -95,14 +104,9 @@ def halfspace_pair(normal, point) -> DomainPair:
 
 def slab_complement_pair(normal, point, gap: float) -> DomainPair:
     """Halfspace pair with a closed slab of half-width `gap` removed."""
-    if gap < 0:
-        raise InvalidInputError(f"gap must be >= 0, got {gap}")
-    normal = np.asarray(normal, dtype=float)
-    point = np.asarray(point, dtype=float)
-    norm = float(np.sqrt((normal * normal).sum()))
-    if norm == 0.0:
-        raise InvalidInputError("normal must be nonzero")
-    normal = normal / norm
+    if not (isfinite(gap) and gap >= 0):
+        raise InvalidInputError(f"gap must be finite and >= 0, got {gap}")
+    normal, point = _plane(normal, point)
 
     def classify(pts):
         s = (np.atleast_2d(pts) - point) @ normal
@@ -113,9 +117,11 @@ def slab_complement_pair(normal, point, gap: float) -> DomainPair:
 
 def ball_pair(center, radius: float) -> DomainPair:
     """Open ball as the plus domain, exterior of its closure as the minus."""
-    if radius <= 0:
-        raise InvalidInputError(f"radius must be positive, got {radius}")
+    if not (isfinite(radius) and radius > 0):
+        raise InvalidInputError(f"ball radius must be finite and positive, got {radius}")
     center = np.asarray(center, dtype=float)
+    if center.ndim != 1 or not np.isfinite(center).all():
+        raise InvalidInputError(f"ball center must be a finite vector, got {center.tolist()}")
 
     def classify(pts):
         d2 = ((np.atleast_2d(pts) - center) ** 2).sum(axis=1)
@@ -137,6 +143,8 @@ def polygon_pair(vertices) -> DomainPair:
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
         raise InvalidInputError("polygon needs >= 3 plane vertices")
+    if not np.isfinite(verts).all():
+        raise InvalidInputError("polygon vertices must be finite")
 
     def classify(pts):
         pts = np.atleast_2d(pts)
@@ -186,19 +194,59 @@ class EpsilonReport:
     radius: float
 
 
-def _miss_fractions(offsets: np.ndarray, labels: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Miss fraction per candidate normal (columns scored in one pass).
+# samples per block of the scoring product: a block's (rows, normals) product
+# takes at most BLOCK_ROWS * normals floats, whatever the sample count
+BLOCK_ROWS = 8192
+# relative and absolute widening of a refinement band, far above the d * 1e-16
+# rounding error of a d-term dot product of unit vectors
+BAND_MARGIN = 1e-9
+
+
+def _band_reach(us: np.ndarray, centre: np.ndarray) -> float:
+    """The largest distance from `centre` to a row of `us`, widened by
+    BAND_MARGIN relative and absolute."""
+    reach = float(np.sqrt(((us - centre) ** 2).sum(axis=1)).max())
+    return reach * (1.0 + BAND_MARGIN) + BAND_MARGIN
+
+
+def _upper_counts(table: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Per row of `us`, the number of rows of `table` strictly above its plane
+    (dot product > 0.0), counted as integers over blocks of BLOCK_ROWS rows."""
+    counts = np.zeros(len(us), dtype=np.int64)
+    for start in range(0, len(table), BLOCK_ROWS):
+        counts += np.count_nonzero(table[start : start + BLOCK_ROWS] @ us.T > 0.0, axis=0)
+    return counts
+
+
+def _miss_fractions(
+    plus: np.ndarray, minus: np.ndarray, count: int, us: np.ndarray, centre: np.ndarray | None = None
+) -> np.ndarray:
+    """Miss fraction per candidate normal, over `count` unit samples of which
+    `plus` and `minus` are the +1- and -1-labelled rows.
 
     A sample above the plane (dot product > 0.0) misses unless its label is
-    +1, one below unless it is -1, so an unlabelled sample always misses.
-    One product over all samples gives every sign.  The misses are counted as
-    integers, exact, and divided once by the sample count: the same float
-    that the mean of the 0/1 miss matrix gives, whose float sum is exact too.
+    +1, one below unless it is -1, so an unlabelled sample always misses and
+    enters only through the count.  The misses are counted as integers, exact,
+    and divided once by `count`: the same float that the mean of the 0/1 miss
+    matrix gives, whose float sum is exact too.
+
+    With `centre`, every candidate lies within reach = `_band_reach(us,
+    centre)` of it.  A unit sample o with o.centre > reach then lies above
+    every candidate's plane (o.u >= o.centre - |u - centre| > 0), and one with
+    o.centre < -reach below all of them.  The band's margin is far above the
+    rounding of either product, so the computed signs agree too, and only the
+    band |o.centre| <= reach goes through the (rows, normals) product.  A zero
+    candidate makes reach >= 1, a band of every sample.
     """
-    upper = offsets @ us.T > 0.0
-    plus, minus = labels == 1, labels == -1
-    misses = (len(labels) - np.count_nonzero(minus)) - np.count_nonzero(upper[plus], axis=0)
-    return (misses + np.count_nonzero(upper[minus], axis=0)) / len(labels)
+    if centre is None:
+        above = [_upper_counts(table, us) for table in (plus, minus)]
+    else:
+        reach = _band_reach(us, centre)
+        above = []
+        for table in (plus, minus):
+            s = table @ centre
+            above.append(np.count_nonzero(s > reach) + _upper_counts(table[np.abs(s) <= reach], us))
+    return ((count - len(minus)) - above[0] + above[1]) / count
 
 
 def epsilon_report(
@@ -216,21 +264,27 @@ def epsilon_report(
     minimum never increases as the candidate set grows.  Refinement rounds
     perturb the running best normal with a step that halves each round,
     starting at the grid spacing; the default round count carries the step
-    below the sample resolution at 10^5 samples.
+    below the sample resolution at 10^5 samples.  The samples are split once
+    by label; the grid is scored over all of them in blocks, and each round
+    only over the band of samples near the best normal's plane (see
+    `_miss_fractions`), so no (samples, normals) array is ever formed.
     """
-    if r <= 0:
-        raise InvalidInputError(f"radius must be positive, got {r}")
+    if not (isfinite(r) and r > 0):
+        raise InvalidInputError(f"radius must be finite and positive, got {r}")
     if normals < 2 or sphere_samples < 8:
         raise InvalidInputError("need normals >= 2 and sphere_samples >= 8")
     x = np.asarray(x, dtype=float)
     if x.shape != (dp.dim,):
         raise InvalidInputError(f"center must have {dp.dim} coordinates")
+    if not np.isfinite(x).all():
+        raise InvalidInputError(f"center must be finite, got {x.tolist()}")
     offsets = sphere_points(dp.dim, sphere_samples)
     labels = np.asarray(dp.classify(x + r * offsets)).astype(int)
+    plus, minus, count = offsets[labels == 1], offsets[labels == -1], len(labels)
     area = unit_sphere_area(dp.dim)
 
     candidates = sphere_points(dp.dim, normals)
-    fracs = _miss_fractions(offsets, labels, candidates)
+    fracs = _miss_fractions(plus, minus, count, candidates)
     best = int(np.argmin(fracs))
     best_frac = float(fracs[best])
     best_u = candidates[best]
@@ -244,7 +298,7 @@ def epsilon_report(
         norms = np.sqrt((perturbed * perturbed).sum(axis=1))
         norms[norms == 0.0] = 1.0
         perturbed /= norms[:, None]
-        fracs = _miss_fractions(offsets, labels, perturbed)
+        fracs = _miss_fractions(plus, minus, count, perturbed, best_u)
         cand = int(np.argmin(fracs))
         if float(fracs[cand]) < best_frac:
             best_frac = float(fracs[cand])

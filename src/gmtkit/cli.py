@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -271,9 +272,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_point(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(p) for p in text.split(","))
+        point = tuple(float(p) for p in text.split(","))
     except ValueError as exc:
         raise InvalidInputError(f"bad point {text!r}: {exc}") from exc
+    if not all(isfinite(c) for c in point):
+        raise InvalidInputError(f"bad point {text!r}: coordinates must be finite")
+    return point
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -553,8 +557,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("epsilon", help="spherical deficiency coefficient")
     p.add_argument("--pair", required=True)
     p.add_argument("--center", required=True)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--scales", default=None)
+    radius = p.add_mutually_exclusive_group()  # a profile takes r = 2^-j from --scales
+    radius.add_argument("--r", type=float, default=1.0)
+    radius.add_argument("--scales", default=None)
     p.add_argument("--normals", type=int, default=64)
     p.add_argument("--samples", type=int, default=4096)
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -28,7 +28,7 @@ import numpy as np
 
 from gmtkit.errors import InvalidInputError, VerificationError
 from gmtkit.gauge import Gauge
-from gmtkit.lattice import CellSet, DyadicCube, Pyramid, group_rows, index_rows, level_diameter, locate
+from gmtkit.lattice import CellSet, DyadicCube, Pyramid, group_rows, index_rows, level_diameter
 from gmtkit.utils import load_json, write_canonical
 
 CAP_TOLERANCE = 1e-9
@@ -124,7 +124,7 @@ class CellMeasure:
         pyramid, sums = self._rollup
         level = min(cube.level, self.cell_level)
         shift = cube.level - level  # below the explicit cells, mass splits uniformly
-        pos = locate(pyramid.cubes[level], level, np.array([cube.index], dtype=np.int64) >> shift)[0]
+        pos = pyramid.locate(level, np.array([cube.index], dtype=np.int64) >> shift)[0]
         return float(sums[level][pos]) * 2.0 ** (-self.n * shift) if pos >= 0 else 0.0
 
     def centers_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +309,7 @@ def ball_frostman_check(measure: CellMeasure, k: int, samples: int = 256, seed: 
             meets = (gap[..., None, :] @ gap[..., :, None])[..., 0, 0] <= r * r
             meets &= (idx <= hi[s : s + step, None, :]).all(axis=2)
             mass = np.zeros(meets.shape)
-            held = locate(pyramid.cubes[level - shift], level - shift, idx[meets] >> shift)
+            held = pyramid.locate(level - shift, idx[meets] >> shift)
             mass[meets] = masses[held] * 2.0 ** (-n * shift)
             ratios[s : s + step, level] = np.cumsum(mass, axis=1)[:, -1] / r**k
 

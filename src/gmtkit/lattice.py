@@ -160,22 +160,28 @@ def box_distances(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return np.sqrt((gap * gap).sum(axis=-1))
 
 
-def locate(table: np.ndarray, level: int, rows: np.ndarray) -> np.ndarray:
-    """Position in `table`, an (m, n) array of level-`level` cube indices in
-    lexicographic order, of each row of `rows` (indices in [0, 2^level)), or
-    -1 where the row is not in the table.
-
-    Each row packs into one integer key, first index most significant, so
-    keys sort as the rows do; keys wider than 62 bits are Python integers,
-    which an empty table never packs.
-    """
-    if not len(table):
-        return np.full(len(rows), -1, dtype=np.int64)
-    dtype = np.int64 if table.shape[1] * level <= 62 else object
-    keys, queries = np.zeros(len(table), dtype), np.zeros(len(rows), dtype)
-    for column, query in zip(table.T, rows.T):
+def pack(rows: np.ndarray, level: int) -> np.ndarray:
+    """One integer key per row of `rows`, an (m, n) array of level-`level`
+    cube indices: the indices packed first index most significant, so keys
+    sort as the rows do.  Keys wider than 62 bits are Python integers."""
+    dtype = np.int64 if rows.shape[1] * level <= 62 else object
+    keys = np.zeros(len(rows), dtype)
+    for column in rows.T:
         keys = keys << level | column.astype(dtype, copy=False)
-        queries = queries << level | query.astype(dtype, copy=False)
+    return keys
+
+
+def locate(keys: np.ndarray, level: int, rows: np.ndarray) -> np.ndarray:
+    """Position in `keys`, the packed keys (`pack`) of a lexicographically
+    ordered table of level-`level` cube indices, of each row of `rows`
+    (indices in [0, 2^level)), or -1 where the row is not in the table.
+
+    A table that is searched often keeps its keys, so that each search packs
+    only its queries.
+    """
+    if not len(keys):
+        return np.full(len(rows), -1, dtype=np.int64)
+    queries = pack(rows, level)
     pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
     return np.where(keys[pos] == queries, pos, -1)
 
@@ -245,6 +251,14 @@ class Pyramid:
         self._order = np.lexsort((node_pos, node_level))
         self._node_level = node_level[self._order]
         self._node_pos = node_pos[self._order]
+        self._keys: dict[int, np.ndarray] = {}  # level -> packed keys of cubes[level]
+
+    def locate(self, level: int, rows: np.ndarray) -> np.ndarray:
+        """`locate` of level-`level` index rows in ``cubes[level]``, whose keys
+        are packed on the first search of the level."""
+        if level not in self._keys:
+            self._keys[level] = pack(self.cubes[level], level)
+        return locate(self._keys[level], level, rows)
 
     def sum_up(self, level: int, values: np.ndarray) -> np.ndarray:
         """Per level-(`level` - 1) cube, the sum of its children's `values`."""

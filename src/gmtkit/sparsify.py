@@ -49,6 +49,7 @@ from gmtkit.lattice import (
     index_first_descendant,
     level_diameter,
     locate,
+    pack,
 )
 from gmtkit.utils import load_json, write_canonical
 
@@ -313,8 +314,8 @@ class SparseMeasure:
         # the nodes form an antichain: each node's cube holds no node but itself
         pyramid = self._level_sums[0]
         count = pyramid.rollup(np.ones(len(self._keys)))
-        for t, table, _ in self._node_runs:
-            held = count[t][locate(pyramid.cubes[t], t, table)]
+        for t, table, _, _ in self._node_runs:
+            held = count[t][pyramid.locate(t, table)]
             if (held > 1).any():
                 raise InvalidInputError(f"node {(t, tuple(table[np.argmax(held > 1)].tolist()))} holds another node")
 
@@ -337,12 +338,12 @@ class SparseMeasure:
         support where that fraction is positive.
         """
         pyramid, sums = self._level_sums
-        pos = locate(pyramid.cubes[level], level, rows)
+        pos = pyramid.locate(level, rows)
         occupied, mass = pos >= 0, np.append(sums[level], 0.0)[pos]  # position -1: no node inside
-        for t, table, w in self._node_runs:
+        for t, _, keys, w in self._node_runs:
             if t >= level:
                 break
-            at = locate(table, t, rows >> (level - t))
+            at = locate(keys, t, rows >> (level - t))
             inside = np.flatnonzero(at >= 0)
             forced, fraction = _interior_factor(self.n, t, level, self.windows)
             fraction = np.where((rows[inside] & forced).any(axis=1), 0.0, fraction)
@@ -393,12 +394,14 @@ class SparseMeasure:
         return levels, rows, np.array([self.nodes[key] for key in self._keys], dtype=float)
 
     @cached_property
-    def _node_runs(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """(level, index rows, masses) of the nodes at each node level, levels
-        ascending.  `_keys` sorts by level, then index, so each run's rows are
-        in lexicographic order."""
+    def _node_runs(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """(level, index rows, their packed keys, masses) of the nodes at each
+        node level, levels ascending.  `_keys` sorts by level, then index, so
+        each run's rows are in lexicographic order, and `locate` searches the
+        keys."""
         levels, rows, w = self._node_table
-        return [(t, rows[levels == t], w[levels == t]) for t in sorted(set(levels.tolist()))]
+        runs = [(t, rows[levels == t], w[levels == t]) for t in sorted(set(levels.tolist()))]
+        return [(t, table, pack(table, t), w) for t, table, w in runs]
 
     def support_sample_cells(self, level: int, count: int, rng: np.random.Generator) -> CellSet:
         """Distinct support cells at `level`, drawn mass-weighted (deduplicated)."""
@@ -563,7 +566,7 @@ def _apply_scale(stage: SparseMeasure, level: int, ell: int) -> tuple[dict, bool
     drop = sel_level - levels[mid]
     cands = np.concatenate([pyramid.cubes[sel_level], rows[mid] << drop[:, None]])
     mass = np.concatenate([sums[sel_level], w[mid] * 2.0 ** (-n * drop)])
-    group = locate(pyramid.cubes[level], level, cands >> ell)
+    group = pyramid.locate(level, cands >> ell)
     order = np.lexsort((*cands.T[::-1], -mass, group))
     best = order[np.diff(group[order], prepend=-1) > 0]  # per group, its first candidate in `order`
     q_mass = sums[level]
@@ -572,7 +575,7 @@ def _apply_scale(stage: SparseMeasure, level: int, ell: int) -> tuple[dict, bool
     new_nodes = {keys[i]: stage.nodes[keys[i]] for i in np.flatnonzero(levels < level).tolist()}
     # nodes inside a winning pyramid cube are scaled up to their group's mass
     fine = np.flatnonzero(levels >= sel_level)
-    held = locate(pyramid.cubes[sel_level], sel_level, rows[fine] >> (levels[fine] - sel_level)[:, None])
+    held = pyramid.locate(sel_level, rows[fine] >> (levels[fine] - sel_level)[:, None])
     kept = best[group[held]] == held
     scaled = w[fine[kept]] * (q_mass / mass[best])[group[held[kept]]]
     new_nodes.update(zip([keys[i] for i in fine[kept].tolist()], scaled.tolist()))
@@ -704,7 +707,7 @@ def verify_sparse_construction(cons: SparseConstruction, h: Gauge, sample_cells:
     for j, sm in enumerate(cons.stages):
         amp = 2.0 ** (n * ell * j)
         _, sums = sm._level_sums
-        heaviest = {t: float(w.max()) for t, _, w in sm._node_runs}
+        heaviest = {t: float(w.max()) for t, _, _, w in sm._node_runs}
         for lvl in range(depth + 1):
             # inside a node, the zero-digit cube is one of the heaviest: windows keep it
             inside = [w * _interior_factor(n, t, lvl, sm.windows)[1] for t, w in heaviest.items() if t < lvl]
@@ -716,7 +719,7 @@ def verify_sparse_construction(cons: SparseConstruction, h: Gauge, sample_cells:
     # support nesting: every node of stage j sits inside stage j-1's support
     nested = True
     for prev, cur in zip(cons.stages, cons.stages[1:]):
-        for t, rows, _ in cur._node_runs:
+        for t, rows, _, _ in cur._node_runs:
             nested = nested and bool(prev._lookup(t, rows)[0].all())
 
     # certificate consistency: nodes follow their recorded selections, and a

@@ -11,6 +11,7 @@ from itertools import product
 
 import numpy as np
 
+from gmtkit.carleson import EpsilonReport, sphere_points, unit_sphere_area
 from gmtkit.gauge import Gauge
 from gmtkit.lattice import CellSet
 
@@ -302,3 +303,36 @@ def brute_miss_fractions(offsets: np.ndarray, labels: np.ndarray, us: np.ndarray
             misses += label != (1 if upper else -1)
         fractions.append(misses / len(labels))
     return np.array(fractions)
+
+
+def full_matrix_miss_fractions(offsets: np.ndarray, labels: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Miss fraction per normal from the whole (samples, normals) sign matrix
+    of one product."""
+    upper = offsets @ us.T > 0.0
+    plus, minus = labels == 1, labels == -1
+    misses = (len(labels) - np.count_nonzero(minus)) - np.count_nonzero(upper[plus], axis=0)
+    return (misses + np.count_nonzero(upper[minus], axis=0)) / len(labels)
+
+
+def full_matrix_epsilon_report(dp, x, r: float, normals: int, sphere_samples: int, rounds: int, seed: int) -> EpsilonReport:
+    """`epsilon_report`'s search, each batch of candidates scored over every
+    sample by `full_matrix_miss_fractions`."""
+    x = np.asarray(x, dtype=float)
+    offsets = sphere_points(dp.dim, sphere_samples)
+    labels = np.asarray(dp.classify(x + r * offsets)).astype(int)
+    area = unit_sphere_area(dp.dim)
+    candidates = sphere_points(dp.dim, normals)
+    fracs = full_matrix_miss_fractions(offsets, labels, candidates)
+    best_frac, best_u = float(fracs.min()), candidates[int(np.argmin(fracs))]
+    minima = [area * best_frac]
+    rng = np.random.default_rng(seed)
+    for rnd in range(rounds):
+        perturbed = best_u + math.pi / normals * 0.5**rnd * rng.standard_normal((normals, dp.dim))
+        norms = np.sqrt((perturbed * perturbed).sum(axis=1))
+        norms[norms == 0.0] = 1.0
+        perturbed /= norms[:, None]
+        fracs = full_matrix_miss_fractions(offsets, labels, perturbed)
+        if float(fracs.min()) < best_frac:
+            best_frac, best_u = float(fracs.min()), perturbed[int(np.argmin(fracs))]
+        minima.append(area * best_frac)
+    return EpsilonReport(area * best_frac, tuple(minima), normals, sphere_samples, r)

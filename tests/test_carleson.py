@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmtkit.beta import BetaProfile
 from gmtkit.carleson import (
+    _band_reach,
     _miss_fractions,
     EpsilonProfile,
     ball_pair,
@@ -21,7 +25,7 @@ from gmtkit.carleson import (
 )
 from gmtkit.errors import InvalidInputError
 
-from helpers import brute_miss_fractions
+from helpers import brute_miss_fractions, full_matrix_epsilon_report
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,8 +67,88 @@ def test_miss_fractions_match_per_sample_loop(dim):
     labels = rng.integers(-1, 2, size=len(offsets))
     normals = np.concatenate([rng.standard_normal((9, dim)), axes])
     assert set(labels.tolist()) == {-1, 0, 1}
-    got = _miss_fractions(offsets, labels, normals)
+    got = _miss_fractions(offsets[labels == 1], offsets[labels == -1], len(labels), normals)
     assert np.array_equal(got, brute_miss_fractions(offsets, labels, normals))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_band_miss_fractions_match_per_sample_loop(dim, monkeypatch):
+    monkeypatch.setattr("gmtkit.carleson.BLOCK_ROWS", 7)  # many blocks, the last one partial
+    rng = np.random.default_rng(10 + dim)
+    for centre in (np.eye(dim)[0], sphere_points(dim, 7)[3]):
+        us = centre + 0.05 * rng.standard_normal((12, dim))
+        us /= np.sqrt((us * us).sum(axis=1))[:, None]
+        reach = _band_reach(us, centre)
+        # samples at heights around the band's edges, and beyond them
+        heights = np.concatenate([rng.uniform(-1.0, 1.0, 200), reach * rng.uniform(0.9, 1.1, 100), -reach * rng.uniform(0.9, 1.1, 100)])
+        across = rng.standard_normal((len(heights), dim))
+        across -= (across @ centre)[:, None] * centre
+        across /= np.sqrt((across * across).sum(axis=1))[:, None]
+        offsets = heights[:, None] * centre + np.sqrt(1.0 - heights * heights)[:, None] * across
+        if centre[0] == 1.0:
+            # dot products with an axis centre are exact: samples at exactly
+            # +-reach, which lie in the band, and the floats just outside it
+            rim = np.array([reach, -reach, np.nextafter(reach, 2.0), np.nextafter(-reach, -2.0)])
+            side = np.zeros((len(rim), dim))
+            side[:, 1] = np.sqrt(1.0 - rim * rim)
+            side[:, 0] = rim
+            offsets = np.concatenate([offsets, side])
+            assert (offsets[-4:] @ centre).tolist() == rim.tolist()
+        labels = rng.integers(-1, 2, size=len(offsets))
+        plus, minus = offsets[labels == 1], offsets[labels == -1]
+        for cands in (us, np.concatenate([us, np.zeros((1, dim))])):  # a zero candidate: every sample in the band
+            got = _miss_fractions(plus, minus, len(labels), cands, centre)
+            assert np.array_equal(got, brute_miss_fractions(offsets, labels, cands))
+            assert np.array_equal(got, _miss_fractions(plus, minus, len(labels), cands))
+
+
+@st.composite
+def epsilon_cases(draw):
+    """(pair, x, r, normals, samples, rounds, seed): small epsilon searches on
+    each pair kind, coordinates on a 1/16 grid so that samples can fall on a
+    pair's boundaries."""
+    kind = draw(st.sampled_from(["halfspace", "slab-complement", "ball", "empty", "polygon"]))
+    dim = 2 if kind == "polygon" else draw(st.integers(min_value=2, max_value=5))
+    grid = st.integers(min_value=0, max_value=16).map(lambda i: i / 16)
+    point = st.lists(grid, min_size=dim, max_size=dim)
+    normal = st.lists(st.integers(min_value=-3, max_value=3), min_size=dim, max_size=dim).filter(any)
+    if kind == "halfspace":
+        pair = halfspace_pair(draw(normal), draw(point))
+    elif kind == "slab-complement":
+        pair = slab_complement_pair(draw(normal), draw(point), draw(st.sampled_from([0.0, 0.0625, 0.25])))
+    elif kind == "ball":
+        pair = ball_pair(draw(point), draw(st.sampled_from([0.125, 0.25, 0.5])))
+    elif kind == "empty":
+        pair = empty_pair(dim)
+    else:
+        pair = polygon_pair(draw(st.lists(st.tuples(grid, grid), min_size=3, max_size=5)))
+    return (
+        pair,
+        draw(point),
+        draw(st.sampled_from([0.0625, 0.25, 1.0 / 3.0, 1.0])),
+        draw(st.integers(min_value=2, max_value=12)),
+        draw(st.integers(min_value=8, max_value=400)),
+        draw(st.integers(min_value=0, max_value=12)),
+        draw(st.integers(min_value=0, max_value=2**16)),
+    )
+
+
+@settings(max_examples=60)
+@given(epsilon_cases())
+def test_epsilon_report_matches_full_matrix_search(case):
+    assert epsilon_report(*case) == full_matrix_epsilon_report(*case)
+
+
+def test_epsilon_report_forms_no_samples_by_normals_array():
+    # the (100000, 64) float product alone would take 51 MB
+    dp = halfspace_pair([0.0, 1.0], [0.5, 0.5])
+    tracemalloc.start()
+    try:
+        epsilon_report(dp, [0.5, 0.5], 0.25, normals=64, sphere_samples=100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_round_minima_never_increase():

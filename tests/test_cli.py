@@ -216,6 +216,45 @@ def test_epsilon_profile_csv(tmp_path):
     assert all(v == pytest.approx(2.0 * 3.141592653589793, rel=1e-12) for v in values)
 
 
+HALFSPACE = {"kind": "halfspace", "normal": [0.0, 1.0], "point": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "pair, args",
+    [
+        (HALFSPACE, ["--r", "nan"]),
+        (HALFSPACE, ["--r", "inf"]),
+        (HALFSPACE, ["--center", "nan,0.5"]),
+        ({"kind": "ball", "center": [0.5, 0.5], "radius": float("nan")}, []),
+        ({"kind": "slab-complement", "normal": [0.0, 1.0], "point": [0.5, 0.5], "gap": float("nan")}, []),
+        ({"kind": "halfspace", "normal": [float("nan"), 1.0], "point": [0.5, 0.5]}, []),
+        ({"kind": "halfspace", "normal": [0.0, 1.0], "point": [0.5, 0.5, 0.5]}, []),
+    ],
+    ids=["r-nan", "r-inf", "center-nan", "ball-radius-nan", "slab-gap-nan", "normal-nan", "normal-point-lengths"],
+)
+def test_epsilon_rejects_bad_input(tmp_path, capsys, pair, args):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))  # NaN is written as the bare token NaN
+    assert run(["epsilon", "--pair", str(path), "--center", "0.5,0.5", "--r", "0.25", *args]) == 3
+    assert "invalid input:" in capsys.readouterr().err
+
+
+def test_epsilon_takes_r_or_scales_not_both(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(HALFSPACE))
+    argv = ["epsilon", "--pair", str(path), "--center", "0.5,0.5", "--samples", "512"]
+    assert run([*argv, "--r", "-5", "--scales", "2:4"]) == 3
+    assert "invalid input:" in capsys.readouterr().err
+    assert run([*argv, "--scales", "2:4"]) == 0
+
+
+def test_beta_rejects_a_non_finite_center(tmp_path, capsys):
+    cells = write_square(tmp_path)
+    for center in ("nan,0.5", "0.5,inf"):
+        assert run(["beta", "--cells", str(cells), "--k", "1", "--center", center]) == 3
+    assert capsys.readouterr().err.count("invalid input:") == 2
+
+
 # c0-trials must stay large enough for the clearance estimate to settle
 # below the construction's actual minimum; 8 trials leaves it too high
 EXTRACT_ARGS = [

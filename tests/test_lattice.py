@@ -18,6 +18,7 @@ from gmtkit.lattice import (
     index_ancestor,
     level_diameter,
     locate,
+    pack,
     union,
 )
 from gmtkit.utils import dumps_canonical
@@ -266,7 +267,10 @@ def test_pyramid_locate_matches_a_sorted_list(n, depth, rnd):
         top = (1 << level) - 1
         queries = [row(level) for _ in range(4)] + occupied[::-1] + [(0,) * n, (top,) * n, (top,) + (0,) * (n - 1)]
         want = [occupied.index(q) if q in occupied else -1 for q in queries]
-        assert locate(pyramid.cubes[level], level, np.array(queries, dtype=np.int64)).tolist() == want
+        queries = np.array(queries, dtype=np.int64)
+        assert locate(pack(pyramid.cubes[level], level), level, queries).tolist() == want
+        assert pyramid.locate(level, queries).tolist() == want
+        assert pyramid.locate(level, queries).tolist() == want  # the level's keys, now cached
 
 
 def test_pyramid_of_a_cellset_is_one_level_of_nodes():
