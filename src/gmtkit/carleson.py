@@ -86,6 +86,8 @@ def _plane(normal, point) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInputError(f"normal and point must be vectors of one length, got shapes {normal.shape} and {point.shape}")
     if not (np.isfinite(normal).all() and np.isfinite(point).all()):
         raise InvalidInputError("normal and point must be finite")
+    # scaling by a power of two is exact and keeps the squares below from overflowing or underflowing
+    normal = np.ldexp(normal, -np.frexp(np.abs(normal).max(initial=0.0))[1])
     norm = float(np.sqrt((normal * normal).sum()))
     if norm == 0.0:
         raise InvalidInputError("normal must be nonzero")

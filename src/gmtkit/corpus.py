@@ -133,14 +133,9 @@ def random_sparse_with_certificate(spec: GeneratorSpec) -> tuple[CellSet, Sparsi
         while level < target:
             frontier = _branch(frontier, spec.n, spec.keep_probability, rng)
             level += 1
-        pairs = {}
-        nxt = []
-        for cell in sorted(frontier):
-            sub = tuple((c << ell) + int(rng.integers(0, 1 << ell)) for c in cell)
-            pairs[cell] = sub
-            nxt.append(sub)
-        families.append(ScaleFamily(target, ell, pairs))
-        frontier = nxt
+        cubes = sorted(frontier)
+        frontier = [tuple((c << ell) + int(rng.integers(0, 1 << ell)) for c in cell) for cell in cubes]
+        families.append(ScaleFamily(target, ell, (cubes, frontier)))
         level = target + ell
     while level < spec.depth:
         frontier = _branch(frontier, spec.n, spec.keep_probability, rng)

@@ -35,6 +35,27 @@ CAP_TOLERANCE = 1e-9
 BALL_BLOCK = 1 << 16  # (point, cube) pairs per array pass of the ball check
 
 
+def positive_masses(table: np.ndarray, masses, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the (N, m) int64 array `table` that carry positive mass, in
+    lexicographic order, and their masses.  `masses` holds one finite,
+    nonnegative mass per row, in `table`'s order; no row may repeat."""
+    rows, inverse = group_rows(table)
+    if len(rows) < len(inverse):
+        raise InvalidInputError(f"{what} {rows[np.bincount(inverse).argmax()].tolist()} is listed more than once")
+    try:
+        given = np.asarray(masses, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"malformed {what} masses: {exc}") from exc
+    if given.shape != inverse.shape:
+        raise InvalidInputError(f"{given.size} masses for {len(inverse)} {what}s")
+    bad = given[~(np.isfinite(given) & (given >= 0.0))]
+    if len(bad):
+        raise InvalidInputError(f"masses must be finite and nonnegative, got {bad[0]}")
+    weights = np.empty(len(rows))
+    weights[inverse] = given
+    return rows[weights > 0.0], weights[weights > 0.0]
+
+
 class CellMeasure:
     """Nonnegative masses on level-`cell_level` cells, declared down to `depth`.
 
@@ -50,22 +71,8 @@ class CellMeasure:
         if cl < 0 or cl > depth:
             raise InvalidInputError(f"cell level {cl} must lie in [0, depth={depth}]")
         cells, given = (list(masses), list(masses.values())) if isinstance(masses, dict) else masses
-        rows, inverse = group_rows(index_rows(cells, n, cl))
-        if len(rows) < len(inverse):
-            raise InvalidInputError(f"cell {rows[np.bincount(inverse).argmax()].tolist()} has more than one mass")
-        try:
-            given = np.asarray(given, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError(f"malformed cell masses: {exc}") from exc
-        if given.shape != inverse.shape:
-            raise InvalidInputError(f"{given.size} masses for {len(inverse)} cells")
-        bad = given[~(np.isfinite(given) & (given >= 0.0))]
-        if len(bad):
-            raise InvalidInputError(f"masses must be finite and nonnegative, got {bad[0]}")
-        weights = np.empty(len(rows))
-        weights[inverse] = given
         self.n, self.depth, self.cell_level = n, depth, cl
-        self.rows, self.weights = rows[weights > 0.0], weights[weights > 0.0]
+        self.rows, self.weights = positive_masses(index_rows(cells, n, cl), given, "cell")
         for table in (self.rows, self.weights):
             table.setflags(write=False)
         self.total = float(sum(self.weights.tolist()))  # left to right, as np.sum's pairwise sum is not

@@ -143,15 +143,6 @@ def descendants(cube: DyadicCube, dlevel: int) -> list[DyadicCube]:
     return out
 
 
-def index_ancestor(index: tuple[int, ...], levels_up: int) -> tuple[int, ...]:
-    return tuple(i >> levels_up for i in index)
-
-
-def index_first_descendant(index: tuple[int, ...], dlevel: int) -> tuple[int, ...]:
-    """Lexicographically smallest descendant index `dlevel` levels down."""
-    return tuple(i << dlevel for i in index)
-
-
 def box_distances(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Euclidean distances from (m, n) points to (b, n) closed axis-aligned
     boxes, as an (m, b) array."""

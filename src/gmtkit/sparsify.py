@@ -32,12 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import isfinite, sqrt
+from math import sqrt
 
 import numpy as np
 
 from gmtkit.errors import DepthBudgetError, InvalidInputError, VerificationError
-from gmtkit.frostman import CellMeasure
+from gmtkit.frostman import CellMeasure, positive_masses
 from gmtkit.gauge import Gauge, unit_ball_volume
 from gmtkit.lattice import (
     MAX_LEVEL,
@@ -45,8 +45,8 @@ from gmtkit.lattice import (
     DyadicCube,
     Pyramid,
     box_distances,
-    index_ancestor,
-    index_first_descendant,
+    group_rows,
+    index_rows,
     level_diameter,
     locate,
     pack,
@@ -136,33 +136,55 @@ def min_sparsity_parameter(n: int, k: int, alpha_mode: str = "ball-bound") -> in
 # certificates
 
 
-@dataclass(frozen=True)
 class ScaleFamily:
     """Selections for one certified scale: explicit pairs, optionally extended
     by the lexicographic-first rule over territory that was uniform at
-    selection time (``pattern``)."""
+    selection time (``pattern``).
 
-    level: int
-    ell: int
-    pairs: dict
-    pattern: bool = False
+    ``cubes`` holds the level-`level` cubes with an explicit selection as a
+    read-only (m, n) int64 table in lexicographic order, and ``selections``
+    the level-(`level` + `ell`) subcube each one selects, in the same order;
+    ``pairs``, the same selections as a dict, is built on first use.
+    """
 
-    def __post_init__(self):
-        clean = {}
-        for q, sel in self.pairs.items():
-            qt, st = tuple(int(i) for i in q), tuple(int(i) for i in sel)
-            if index_ancestor(st, self.ell) != qt:
-                raise InvalidInputError(f"selected cube {st} not inside {qt} at gap {self.ell}")
-            clean[qt] = st
-        object.__setattr__(self, "pairs", clean)
+    def __init__(self, level: int, ell: int, pairs, pattern: bool = False):
+        """`pairs`: a dict from cube index tuples to selected subcube index
+        tuples, or a pair of the cubes' and the selections' index rows."""
+        if not 0 <= level <= level + ell <= MAX_LEVEL:
+            raise InvalidInputError(f"scale {level} with gap {ell} leaves the levels [0, {MAX_LEVEL}]")
+        cubes, given = (list(pairs), list(pairs.values())) if isinstance(pairs, dict) else pairs
+        n = np.shape(cubes[:1])[-1] or 1  # the first cube's length (1 for none), checked against every row
+        cubes, inverse = group_rows(index_rows(cubes, n, level))
+        if len(cubes) < len(inverse):
+            raise InvalidInputError(f"cube {cubes[np.bincount(inverse).argmax()].tolist()} has more than one selection")
+        selections = np.empty_like(cubes)
+        selections[inverse] = index_rows(given, n, level + ell)
+        outside = (selections >> ell != cubes).any(axis=1)
+        if outside.any():
+            q, sel = cubes[outside][0].tolist(), selections[outside][0].tolist()
+            raise InvalidInputError(f"selected cube {sel} not inside {q} at gap {ell}")
+        self.level, self.ell, self.pattern = level, ell, bool(pattern)
+        self.cubes, self.selections = cubes, selections
+        for table in (cubes, selections):
+            table.setflags(write=False)
 
-    def selected(self, q: tuple[int, ...]) -> tuple[int, ...] | None:
-        got = self.pairs.get(tuple(q))
-        if got is not None:
-            return got
-        if self.pattern:
-            return index_first_descendant(tuple(q), self.ell)
-        return None
+    @cached_property
+    def pairs(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        return dict(zip(map(tuple, self.cubes.tolist()), map(tuple, self.selections.tolist())))
+
+    @cached_property
+    def _packed(self) -> np.ndarray:
+        return pack(self.cubes, self.level)
+
+    def selected(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each level-`level` cube of the (m, n) array `rows`: whether it
+        has a selection, and the selected subcube's index row (meaningless
+        where it has none)."""
+        pos = locate(self._packed, self.level, rows)
+        hit = pos >= 0
+        sel = rows << self.ell  # the lexicographically first subcube, which `pattern` selects
+        sel[hit] = self.selections[pos[hit]]
+        return hit | self.pattern, sel
 
 
 @dataclass(frozen=True)
@@ -187,17 +209,15 @@ class SparsityCertificate:
         for fam, lvl in zip(self.families, scales):
             if fam.level != lvl or fam.ell != self.ell:
                 raise InvalidInputError("family levels must match the scale list")
+            if len(fam.cubes) and fam.cubes.shape[1] != self.n:
+                raise InvalidInputError(f"scale {lvl} selects cubes of {fam.cubes.shape[1]} indices, not n = {self.n}")
 
     def to_json_obj(self) -> dict:
-        fams = []
-        for fam in self.families:
-            entry: dict = {
-                "scale": fam.level,
-                "pairs": [[list(q), list(fam.pairs[q])] for q in sorted(fam.pairs)],
-            }
-            if fam.pattern:
-                entry["pattern"] = "lex-first"
-            fams.append(entry)
+        fams = [
+            {"scale": fam.level, "pairs": np.stack([fam.cubes, fam.selections], axis=1).tolist()}
+            | ({"pattern": "lex-first"} if fam.pattern else {})
+            for fam in self.families
+        ]
         return {"n": self.n, "ell": self.ell, "scales": list(self.scales), "families": fams}
 
     @staticmethod
@@ -208,10 +228,8 @@ class SparsityCertificate:
             scales = tuple(int(s) for s in obj["scales"])
             fams = []
             for entry in obj["families"]:
-                pairs = {tuple(q): tuple(s) for q, s in entry["pairs"]}
-                fams.append(
-                    ScaleFamily(int(entry["scale"]), ell, pairs, entry.get("pattern") == "lex-first")
-                )
+                pairs = tuple(zip(*entry["pairs"], strict=True)) or ((), ())  # (cubes, selections)
+                fams.append(ScaleFamily(int(entry["scale"]), ell, pairs, entry.get("pattern") == "lex-first"))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed certificate object: {exc}") from exc
         return SparsityCertificate(n, ell, scales, tuple(fams))
@@ -232,18 +250,20 @@ def check_sparse(cells: CellSet, cert: SparsityCertificate) -> bool:
         raise InvalidInputError(
             f"certificate reaches level {cert.scales[-1] + cert.ell} below cell depth {cells.depth}"
         )
-    return all(_follows(cert, cells.depth, cell) for cell in cells.sorted_cells())
+    return bool(_follows(cert, np.full(len(cells), cells.depth), cells.rows).all())
 
 
-def _follows(cert: SparsityCertificate, level: int, idx: tuple[int, ...]) -> bool:
-    """Does the level-`level` cube `idx` sit inside the selected subcube at every
-    certified scale whose selection level is at most `level`?"""
+def _follows(cert: SparsityCertificate, levels: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Does each cube, row i of the (m, n) index array `rows` at level
+    `levels[i]`, sit inside the selected subcube at every certified scale
+    whose selection level is at most its level?"""
+    ok = np.ones(len(rows), dtype=bool)
     for fam in cert.families:
-        if fam.level + fam.ell <= level:
-            sel = fam.selected(index_ancestor(idx, level - fam.level))
-            if sel is None or index_ancestor(idx, level - fam.level - fam.ell) != sel:
-                return False
-    return True
+        deep = np.flatnonzero(levels >= fam.level + fam.ell)
+        shift = (levels[deep] - fam.level)[:, None]
+        found, sel = fam.selected(rows[deep] >> shift)
+        ok[deep] &= found & (rows[deep] >> (shift - fam.ell) == sel).all(axis=1)
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -280,48 +300,56 @@ def _interior_factor(
     return forced, 2.0 ** (-n * (level - node_level - forced.bit_count()))
 
 
-@dataclass(frozen=True)
 class SparseMeasure:
-    """Measure as a disjoint uniform-node antichain plus zero-digit windows."""
+    """Measure as a disjoint uniform-node antichain plus zero-digit windows.
 
-    n: int
-    depth: int
-    nodes: dict  # (level, index tuple) -> mass
-    windows: tuple = ()
+    The nodes of positive mass are stored as three read-only arrays sorted by
+    (level, index): ``levels``, ``rows``, an (N, n) int64 table of their
+    index rows, and ``weights``, their masses.  ``nodes``, the same nodes as
+    a dict from (level, index tuple) to mass, is built on first use.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.depth <= MAX_LEVEL:  # cells are int64 and points exact floats down to MAX_LEVEL
-            raise InvalidInputError(f"depth must lie in [0, {MAX_LEVEL}], got {self.depth}")
-        clean = {}
-        for (lvl, idx), mass in self.nodes.items():
-            key = (int(lvl), tuple(int(i) for i in idx))
-            if key[0] < 0 or key[0] > self.depth:
-                raise InvalidInputError(f"node level {key[0]} outside [0, depth={self.depth}]")
-            if len(key[1]) != self.n or any(i < 0 or i >= 1 << key[0] for i in key[1]):
-                raise InvalidInputError(f"node index {key[1]} invalid at level {key[0]}")
-            m = float(mass)
-            if m < 0 or not isfinite(m):
-                raise InvalidInputError(f"node {key} carries invalid mass {mass}")
-            if m > 0.0:
-                clean[key] = m
-        object.__setattr__(self, "nodes", clean)
-        object.__setattr__(self, "_keys", tuple(sorted(clean)))
-        wins = tuple((int(a), int(e)) for a, e in self.windows)
-        for a, e in wins:
-            if e < 1 or a < 0 or a + e > self.depth:
-                raise InvalidInputError(f"window ({a}, {e}) outside depth {self.depth}")
-        object.__setattr__(self, "windows", wins)
+    def __init__(self, n: int, depth: int, nodes, windows=()):
+        """`nodes`: a dict from (level, index tuple) to mass, or a triple of N
+        levels, an (N, n) integer array of index rows and N masses, in any
+        order.  Zero masses are dropped."""
+        if not 0 <= depth <= MAX_LEVEL:  # cells are int64 and points exact floats down to MAX_LEVEL
+            raise InvalidInputError(f"depth must lie in [0, {MAX_LEVEL}], got {depth}")
+        if isinstance(nodes, dict):
+            levels, rows = zip(*nodes, strict=True) if nodes else ((), ())  # the keys' two columns
+            nodes = levels, rows, list(nodes.values())
+        levels, rows = np.asarray(nodes[0], dtype=np.int64), index_rows(nodes[1], n, depth)
+        if levels.shape != (len(rows),):
+            raise InvalidInputError(f"{levels.size} levels for {len(rows)} nodes")
+        bad = (levels < 0) | (levels > depth) | (rows >> np.clip(levels, 0, depth)[:, None]).any(axis=1)
+        if bad.any():
+            raise InvalidInputError(f"node {(int(levels[bad][0]), rows[bad][0].tolist())} invalid at depth {depth}")
+        table, self.weights = positive_masses(np.column_stack([levels, rows]), nodes[2], "node")  # by level, then index
+        self.n, self.depth, self.levels, self.rows = n, depth, table[:, 0], table[:, 1:]
+        for array in (self.levels, self.rows, self.weights):
+            array.setflags(write=False)
+        self.total = float(sum(self.weights.tolist()))  # left to right, as np.sum's pairwise sum is not
+        self.windows = tuple((int(a), int(e)) for a, e in windows)
+        for a, e in self.windows:
+            if e < 1 or a < 0 or a + e > depth:
+                raise InvalidInputError(f"window ({a}, {e}) outside depth {depth}")
         # the nodes form an antichain: each node's cube holds no node but itself
         pyramid = self._level_sums[0]
-        count = pyramid.rollup(np.ones(len(self._keys)))
-        for t, table, _, _ in self._node_runs:
-            held = count[t][pyramid.locate(t, table)]
+        count = pyramid.rollup(np.ones(len(self.weights)))
+        for t, run, _, _ in self._node_runs:
+            held = count[t][pyramid.locate(t, run)]
             if (held > 1).any():
-                raise InvalidInputError(f"node {(t, tuple(table[np.argmax(held > 1)].tolist()))} holds another node")
+                raise InvalidInputError(f"node {(t, tuple(run[np.argmax(held > 1)].tolist()))} holds another node")
 
-    @property
-    def total(self) -> float:
-        return float(sum(self.nodes[k] for k in self._keys))
+    def _key(self) -> tuple:
+        return self.n, self.depth, self.windows, self.levels.tobytes(), self.rows.tobytes(), self.weights.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SparseMeasure) and self._key() == other._key()
+
+    @cached_property
+    def nodes(self) -> dict[tuple[int, tuple[int, ...]], float]:
+        return dict(zip(zip(self.levels.tolist(), map(tuple, self.rows.tolist())), self.weights.tolist()))
 
     def mass_at(self, level: int, idx: tuple[int, ...]) -> float:
         cube = DyadicCube(self.n, level, idx)  # rejects a bad level, index length or index range
@@ -357,16 +385,13 @@ class SparseMeasure:
         return self.mass_at(cube.level, cube.index)
 
     def is_explicit(self) -> bool:
-        if self.windows:
-            return False
-        levels = {lvl for lvl, _ in self.nodes}
-        return len(levels) <= 1
+        return not self.windows and bool((self.levels == self.levels[:1]).all())
 
     def to_cell_measure(self) -> CellMeasure:
         if not self.is_explicit():
             raise InvalidInputError("measure has uniform-territory structure; no flat cell form")
-        levels, rows, w = self._node_table
-        return CellMeasure(self.n, self.depth, (rows, w), max(levels.tolist(), default=self.depth))
+        cell_level = int(self.levels[0]) if len(self.levels) else self.depth
+        return CellMeasure(self.n, self.depth, (self.rows, self.weights), cell_level)
 
     def _support_cells(self, rng: np.random.Generator, count: int, level: int) -> np.ndarray:
         """Mass-weighted support cells at `level`, a (count, n) int64 array: one
@@ -374,11 +399,10 @@ class SparseMeasure:
         there (zeros inside windows), so a single draw takes its digits in the
         order a per-row descent would.  Integer coordinates: a float round trip
         at deep levels can round a point across a cell boundary, off the support."""
-        if not self._keys:
+        if not len(self.weights):
             raise InvalidInputError("cannot sample from the zero measure")
-        levels, rows, w = self._node_table
-        picks = rng.choice(len(w), size=count, p=w / w.sum())
-        t, idx = levels[picks], rows[picks]
+        picks = rng.choice(len(self.weights), size=count, p=self.weights / self.weights.sum())
+        t, idx = self.levels[picks], self.rows[picks]
         forced = np.array([_forced(self.windows, lvl, level) for lvl in t.tolist()], dtype=np.int64)
         cells = idx >> np.maximum(t - level, 0)[:, None] << np.maximum(level - t, 0)[:, None]
         for l in range(int(t.min(initial=level)) + 1, level + 1):
@@ -387,21 +411,14 @@ class SparseMeasure:
         return cells
 
     @cached_property
-    def _node_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Node levels, index rows and masses, in `_keys` order."""
-        levels = np.array([t for t, _ in self._keys], dtype=np.int64)
-        rows = np.array([idx for _, idx in self._keys], dtype=np.int64).reshape(-1, self.n)
-        return levels, rows, np.array([self.nodes[key] for key in self._keys], dtype=float)
-
-    @cached_property
     def _node_runs(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
         """(level, index rows, their packed keys, masses) of the nodes at each
-        node level, levels ascending.  `_keys` sorts by level, then index, so
+        node level, levels ascending.  The nodes sort by level, then index, so
         each run's rows are in lexicographic order, and `locate` searches the
         keys."""
-        levels, rows, w = self._node_table
-        runs = [(t, rows[levels == t], w[levels == t]) for t in sorted(set(levels.tolist()))]
-        return [(t, table, pack(table, t), w) for t, table, w in runs]
+        starts = np.flatnonzero(np.diff(self.levels, prepend=-1))
+        runs = zip(self.levels[starts].tolist(), np.split(self.rows, starts[1:]), np.split(self.weights, starts[1:]))
+        return [(t, rows, pack(rows, t), w) for t, rows, w in runs]
 
     def support_sample_cells(self, level: int, count: int, rng: np.random.Generator) -> CellSet:
         """Distinct support cells at `level`, drawn mass-weighted (deduplicated)."""
@@ -423,9 +440,8 @@ class SparseMeasure:
     @cached_property
     def _level_sums(self) -> tuple[Pyramid, list[np.ndarray]]:
         """The pyramid above the nodes, and per level the mass of each of its cubes."""
-        levels, rows, w = self._node_table
-        pyramid = Pyramid(self.n, self.depth, rows, levels)
-        return pyramid, pyramid.rollup(w)
+        pyramid = Pyramid(self.n, self.depth, self.rows, self.levels)
+        return pyramid, pyramid.rollup(self.weights)
 
     def ancestor_rollup(self, max_level: int) -> dict[tuple[int, tuple[int, ...]], float]:
         """Aggregated masses of every cube at level <= max_level containing a node."""
@@ -440,19 +456,17 @@ class SparseMeasure:
         return {
             "n": self.n,
             "depth": self.depth,
-            "nodes": [[lvl, list(idx), self.nodes[(lvl, idx)]] for lvl, idx in sorted(self.nodes)],
+            "nodes": [list(node) for node in zip(self.levels.tolist(), self.rows.tolist(), self.weights.tolist())],
             "windows": [list(w) for w in self.windows],
         }
 
     @staticmethod
     def from_json_obj(obj: dict) -> "SparseMeasure":
         try:
-            nodes = {(int(lvl), tuple(int(i) for i in idx)): float(m) for lvl, idx, m in obj["nodes"]}
+            nodes = tuple(zip(*obj["nodes"], strict=True)) or ((), (), ())  # (levels, rows, masses)
             wins = tuple((int(a), int(e)) for a, e in obj["windows"])
-            if len(nodes) < len(obj["nodes"]):
-                raise InvalidInputError("a node is listed more than once")
             return SparseMeasure(int(obj["n"]), int(obj["depth"]), nodes, wins)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed sparse measure object: {exc}") from exc
 
     def save(self, path) -> None:
@@ -524,11 +538,7 @@ def certified_scales(h: Gauge, k: int, n: int, ell: int, depth: int) -> list[int
     lmin = 0
     while True:
         thresh = 2.0 ** (-n * j * ell)
-        found = None
-        for l in range(lmin, depth + 1):
-            if suffix[l] <= thresh:
-                found = l
-                break
+        found = next((l for l in range(lmin, depth + 1) if suffix[l] <= thresh), None)
         if found is None:
             if j == 1:
                 raise VerificationError(
@@ -550,8 +560,9 @@ def certified_scales(h: Gauge, k: int, n: int, ell: int, depth: int) -> list[int
     return scales
 
 
-def _apply_scale(stage: SparseMeasure, level: int, ell: int) -> tuple[dict, bool, dict, float]:
-    """One reduction step; returns (new nodes, window added, pairs, min selection ratio).
+def _apply_scale(stage: SparseMeasure, level: int, ell: int) -> tuple[tuple, bool, tuple, float]:
+    """One reduction step; returns (new nodes as a (levels, rows, masses)
+    triple, window added, (cubes, selections), min selection ratio).
 
     The groups are the level-`level` cubes of the stage's pyramid.  Their
     candidates are the level-(`level` + ell) cubes of the pyramid and the
@@ -561,7 +572,7 @@ def _apply_scale(stage: SparseMeasure, level: int, ell: int) -> tuple[dict, bool
     """
     n, sel_level = stage.n, level + ell
     pyramid, sums = stage._level_sums
-    levels, rows, w = stage._node_table
+    levels, rows, w = stage.levels, stage.rows, stage.weights
     mid = np.flatnonzero((levels >= level) & (levels < sel_level))
     drop = sel_level - levels[mid]
     cands = np.concatenate([pyramid.cubes[sel_level], rows[mid] << drop[:, None]])
@@ -571,22 +582,22 @@ def _apply_scale(stage: SparseMeasure, level: int, ell: int) -> tuple[dict, bool
     best = order[np.diff(group[order], prepend=-1) > 0]  # per group, its first candidate in `order`
     q_mass = sums[level]
 
-    keys = stage._keys
-    new_nodes = {keys[i]: stage.nodes[keys[i]] for i in np.flatnonzero(levels < level).tolist()}
+    coarse = np.flatnonzero(levels < level)  # nodes above the scale stay as they are
     # nodes inside a winning pyramid cube are scaled up to their group's mass
     fine = np.flatnonzero(levels >= sel_level)
     held = pyramid.locate(sel_level, rows[fine] >> (levels[fine] - sel_level)[:, None])
     kept = best[group[held]] == held
     scaled = w[fine[kept]] * (q_mass / mass[best])[group[held[kept]]]
-    new_nodes.update(zip([keys[i] for i in fine[kept].tolist()], scaled.tolist()))
     # a winning node coarser than the selection level becomes uniform on its
     # first subcube, keeping its group's whole mass
     grown = np.flatnonzero(best >= len(pyramid.cubes[sel_level]))
-    new_nodes.update(zip([(sel_level, c) for c in map(tuple, cands[best[grown]].tolist())], q_mass[grown].tolist()))
-
-    pairs = dict(zip(map(tuple, pyramid.cubes[level].tolist()), map(tuple, cands[best].tolist())))
+    nodes = (
+        np.concatenate([levels[coarse], levels[fine[kept]], np.full(len(grown), sel_level)]),
+        np.concatenate([rows[coarse], rows[fine[kept]], cands[best[grown]]]),
+        np.concatenate([w[coarse], scaled, q_mass[grown]]),
+    )
     min_ratio = float((mass[best] * 2.0 ** (n * ell) / q_mass).min(initial=float("inf")))
-    return new_nodes, bool((levels < level).any()), pairs, min_ratio
+    return nodes, bool(len(coarse)), (pyramid.cubes[level], cands[best]), min_ratio
 
 
 def build_sparse_construction(
@@ -610,8 +621,7 @@ def build_sparse_construction(
     # certified_scales raised if not even one scale fits
 
     windows: list[tuple[int, int]] = []
-    cells = zip(map(tuple, base.rows.tolist()), base.weights.tolist())
-    stages = [SparseMeasure(n, depth, {(base.cell_level, idx): m for idx, m in cells})]
+    stages = [SparseMeasure(n, depth, (np.full(len(base.rows), base.cell_level), base.rows, base.weights))]
     families: list[ScaleFamily] = []
     sel_ratios: list[float] = []
     for level in scales:
@@ -717,14 +727,12 @@ def verify_sparse_construction(cons: SparseConstruction, h: Gauge, sample_cells:
             ratio_k = max(ratio_k, top / (B * c0_side * d ** cons.k))
 
     # support nesting: every node of stage j sits inside stage j-1's support
-    nested = True
-    for prev, cur in zip(cons.stages, cons.stages[1:]):
-        for t, rows, _, _ in cur._node_runs:
-            nested = nested and bool(prev._lookup(t, rows)[0].all())
+    stages = zip(cons.stages, cons.stages[1:])
+    nested = all(prev._lookup(t, rows)[0].all() for prev, cur in stages for t, rows, _, _ in cur._node_runs)
 
     # certificate consistency: nodes follow their recorded selections, and a
     # sampled set of support cells passes the public check
-    cert_ok = all(_follows(cert, t, idx) for t, idx in cons.result.nodes)
+    cert_ok = bool(_follows(cert, cons.result.levels, cons.result.rows).all())
     deepest = cert.scales[-1] + ell
     if deepest <= depth and sample_cells > 0:
         sampled = cons.result.support_sample_cells(deepest, sample_cells, np.random.default_rng(seed))
@@ -769,7 +777,7 @@ class ScaleFamilyView:
     level: int
     ell: int
     occupied: object  # callable: (m, n) array of level indices -> boolean array
-    selected: object  # callable: level-index tuple -> index tuple | None
+    selected: object  # callable: (m, n) array of level indices -> (has-selection mask, selected index rows)
 
 
 def scale_family_view(source, scale_index: int) -> ScaleFamilyView:
@@ -783,10 +791,7 @@ def scale_family_view(source, scale_index: int) -> ScaleFamilyView:
             raise InvalidInputError(
                 "pattern certificates do not enumerate occupied cubes; pass the construction"
             )
-        def occupied(rows):
-            return np.array([q in fam.pairs for q in map(tuple, rows.tolist())], dtype=bool)
-
-        return ScaleFamilyView(source.n, fam.level, source.ell, occupied, fam.selected)
+        return ScaleFamilyView(source.n, fam.level, source.ell, lambda rows: fam.selected(rows)[0], fam.selected)
     raise InvalidInputError(f"cannot build a family view from {type(source).__name__}")
 
 
@@ -814,9 +819,9 @@ def _family_boxes(view: ScaleFamilyView, x: np.ndarray, reach: float, inner: flo
     corner = cubes * side
     gap = box_distances(x[None, :], corner, corner + side)[0]
     cubes = cubes[(gap > inner) & (gap <= reach)]
-    selected = [sel for q in cubes[view.occupied(cubes)].tolist() if (sel := view.selected(tuple(q))) is not None]
+    found, selected = view.selected(cubes[view.occupied(cubes)])
     sub = 2.0 ** (-(level + view.ell))
-    lows = np.array(selected, dtype=float).reshape(-1, n) * sub
+    lows = selected[found] * sub
     return lows, lows + sub
 
 
@@ -994,10 +999,7 @@ def witness_unrectifiability(
             if witness is None:
                 failures.append((i, level))
                 continue
-            normalized = witness.clearance / 2.0 ** (-level)
-            cur = min_clear.get(level)
-            if cur is None or normalized < cur:
-                min_clear[level] = normalized
+            min_clear[level] = min(min_clear.get(level, float("inf")), witness.clearance / 2.0 ** (-level))
     return WitnessReport(
         passed=not failures,
         samples=samples,

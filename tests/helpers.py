@@ -16,6 +16,10 @@ from gmtkit.gauge import Gauge
 from gmtkit.lattice import CellSet
 
 
+def index_ancestor(index: tuple[int, ...], levels_up: int) -> tuple[int, ...]:
+    return tuple(i >> levels_up for i in index)
+
+
 def _diam(n: int, level: int) -> float:
     return math.sqrt(n) * 2.0 ** (-level)
 
@@ -128,6 +132,20 @@ def brute_family_distance(cert, scale_index: int, y) -> float:
             squared += gap * gap
         best = min(best, math.sqrt(squared))
     return best
+
+
+def brute_follows(cert, level: int, idx: tuple[int, ...]) -> bool:
+    """Does the level-`level` cube `idx` sit inside the selected subcube at
+    every certified scale whose selection level is at most `level`?  One
+    dict lookup per scale; a pattern family selects the first subcube of a
+    cube it lists no pair for."""
+    for fam in cert.families:
+        if fam.level + fam.ell <= level:
+            q = index_ancestor(idx, level - fam.level)
+            sel = fam.pairs.get(q, tuple(i << fam.ell for i in q) if fam.pattern else None)
+            if sel is None or index_ancestor(idx, level - fam.level - fam.ell) != sel:
+                return False
+    return True
 
 
 def _in_window(windows, t: int, level: int) -> bool:

@@ -229,14 +229,30 @@ HALFSPACE = {"kind": "halfspace", "normal": [0.0, 1.0], "point": [0.5, 0.5]}
         ({"kind": "slab-complement", "normal": [0.0, 1.0], "point": [0.5, 0.5], "gap": float("nan")}, []),
         ({"kind": "halfspace", "normal": [float("nan"), 1.0], "point": [0.5, 0.5]}, []),
         ({"kind": "halfspace", "normal": [0.0, 1.0], "point": [0.5, 0.5, 0.5]}, []),
+        ({"kind": "halfspace", "normal": [0.0, 0.0], "point": [0.5, 0.5]}, []),
     ],
-    ids=["r-nan", "r-inf", "center-nan", "ball-radius-nan", "slab-gap-nan", "normal-nan", "normal-point-lengths"],
+    ids=[
+        "r-nan", "r-inf", "center-nan", "ball-radius-nan", "slab-gap-nan", "normal-nan", "normal-point-lengths",
+        "normal-zero",
+    ],
 )
 def test_epsilon_rejects_bad_input(tmp_path, capsys, pair, args):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(pair))  # NaN is written as the bare token NaN
     assert run(["epsilon", "--pair", str(path), "--center", "0.5,0.5", "--r", "0.25", *args]) == 3
     assert "invalid input:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [1e200, 1e-200])
+def test_epsilon_normal_length_does_not_matter(tmp_path, size):
+    outputs = []
+    for normal in ([1.0, 1.0], [size, size]):
+        path, out = tmp_path / "pair.json", tmp_path / f"eps-{normal[0]}.json"
+        path.write_text(json.dumps({"kind": "halfspace", "normal": normal, "point": [0.5, 0.5]}))
+        argv = ["epsilon", "--pair", str(path), "--center", "0.5,0.5", "--r", "0.25", "--samples", "4096"]
+        assert run([*argv, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_epsilon_takes_r_or_scales_not_both(tmp_path, capsys):

@@ -10,9 +10,9 @@ from gmtkit.corpus import GeneratorSpec, generate
 from gmtkit.errors import InvalidInputError
 from gmtkit.frostman import build_frostman
 from gmtkit.gauge import power_exp_gauge, power_gauge, vanishing_gauge
-from gmtkit.lattice import CellSet, Pyramid, index_ancestor
+from gmtkit.lattice import CellSet, Pyramid
 
-from helpers import enumerate_cover_costs
+from helpers import enumerate_cover_costs, index_ancestor
 
 BARE = power_exp_gauge(1, 0.0)
 

@@ -15,13 +15,14 @@ from gmtkit.lattice import (
     cube_at,
     descendants,
     group_rows,
-    index_ancestor,
     level_diameter,
     locate,
     pack,
     union,
 )
 from gmtkit.utils import dumps_canonical
+
+from helpers import index_ancestor
 
 
 def test_cube_at_floors_coordinates():

@@ -31,11 +31,13 @@ from gmtkit.sparsify import (
     verify_sparse_construction,
     witness_unrectifiability,
     _apply_scale,
+    _follows,
 )
 
 from helpers import (
     brute_apply_scale,
     brute_family_distance,
+    brute_follows,
     brute_mass_at,
     brute_sparse_caps,
     brute_support_draw,
@@ -242,6 +244,29 @@ def test_sparse_measure_rejects_bad_nodes(node):
         SparseMeasure.from_json_obj({"n": 2, "depth": 4, "nodes": [node], "windows": []})
 
 
+@pytest.mark.parametrize("pairs", [
+    [[[0, 0], [0, 0]], [[0, 0], [1, 1]]],  # one cube listed twice
+    [[[-1, 0], [-4, 0]]],
+    [[[5, 0], [20, 0]]],  # index beyond the scale's level
+    [[[0, 0, 0], [0, 0, 0]]],  # three indices in the plane
+], ids=["repeated", "negative", "out-of-range", "wrong-length"])
+def test_certificate_rejects_bad_pairs(pairs):
+    obj = {"n": 2, "ell": 2, "scales": [1], "families": [{"scale": 1, "pairs": pairs}]}
+    with pytest.raises(InvalidInputError):
+        SparsityCertificate.from_json_obj(obj)
+
+
+def test_sparse_measure_from_dict_equals_shuffled_triple():
+    nodes = {(1, (1, 1)): 0.1, (2, (0, 2)): 0.2, (2, (3, 0)): 1 / 3, (3, (0, 1)): 0.3, (3, (3, 2)): 0.7}
+    keys = [list(nodes)[i] for i in (3, 0, 4, 2, 1)]
+    triple = ([t for t, _ in keys], np.array([idx for _, idx in keys]), [nodes[key] for key in keys])
+    a, b = SparseMeasure(2, 6, nodes, ((3, 2),)), SparseMeasure(2, 6, triple, ((3, 2),))
+    assert a == b
+    assert a.to_json_obj() == b.to_json_obj()
+    assert a.total.hex() == b.total.hex() == sum(nodes[key] for key in sorted(nodes)).hex()
+    assert a.nodes == nodes
+
+
 def test_sparse_measure_rejects_depth_beyond_the_lattice():
     with pytest.raises(InvalidInputError):
         SparseMeasure(2, 64, {(10, (1023, 1023)): 1.0})
@@ -321,7 +346,11 @@ def antichain_stages(draw):
 @given(antichain_stages())
 def test_apply_scale_matches_brute_force_oracle(case):
     stage, level, ell = case
-    assert _apply_scale(stage, level, ell) == brute_apply_scale(stage.n, stage.nodes, level, ell)
+    (levels, rows, masses), window_added, (cubes, selections), ratio = _apply_scale(stage, level, ell)
+    nodes = dict(zip(zip(levels.tolist(), map(tuple, rows.tolist())), masses.tolist()))
+    pairs = dict(zip(map(tuple, cubes.tolist()), map(tuple, selections.tolist())))
+    assert len(nodes) == len(levels) and len(pairs) == len(cubes)
+    assert (nodes, window_added, pairs, ratio) == brute_apply_scale(stage.n, stage.nodes, level, ell)
 
 
 def test_apply_scale_rejects_overlapping_nodes():
@@ -339,6 +368,50 @@ def test_construction_stages_match_brute_force_oracle(case):
         assert cons.stages[j].nodes == nodes
         assert (fam.pattern, fam.pairs) == (window_added, pairs)
         assert cons.selection_ratios[j - 1] == (ratio if ratio != math.inf else 1.0)
+
+
+@st.composite
+def certificates_with_cubes(draw):
+    """(cert, depth, cubes): a certificate of one to three scales, some
+    extended by the pattern rule, a depth below its last selection level, and
+    (level, index) cubes at levels down to that depth, each drawn digit by
+    digit and following the selection at a scale four times in five."""
+    n, ell = draw(st.sampled_from([1, 2, 3])), draw(st.integers(1, 2))
+    scales = [draw(st.integers(0, 2))]
+    for _ in range(draw(st.integers(0, 2))):
+        scales.append(scales[-1] + ell + draw(st.integers(0, 1)))
+    depth = scales[-1] + ell + draw(st.integers(0, 2))
+    rnd = draw(st.randoms(use_true_random=False))
+    families = []
+    for level in scales:
+        cubes = {tuple(rnd.randrange(min(3, 1 << level)) for _ in range(n)) for _ in range(rnd.randrange(4))}
+        pairs = {q: tuple(i << ell | rnd.randrange(1 << ell) for i in q) for q in cubes}
+        families.append(ScaleFamily(level, ell, pairs, pattern=draw(st.booleans())))
+    cert = SparsityCertificate(n, ell, tuple(scales), tuple(families))
+    cubes = []
+    for _ in range(12):
+        target = depth if rnd.random() < 0.5 else rnd.randrange(depth + 1)
+        level, idx = 0, (0,) * n
+        while level < target:
+            fam = next((f for f in families if f.level == level), None)
+            first = tuple(i << ell for i in idx) if fam is not None and fam.pattern else None
+            sel = None if fam is None else fam.pairs.get(idx, first)
+            if sel is not None and level + ell <= target and rnd.random() < 0.8:
+                level, idx = level + ell, sel
+            else:
+                level, idx = level + 1, tuple(2 * i + rnd.randrange(2) for i in idx)
+        cubes.append((level, idx))
+    return cert, depth, cubes
+
+
+@given(certificates_with_cubes())
+def test_check_sparse_matches_brute_force_oracle(case):
+    cert, depth, cubes = case
+    levels = np.array([t for t, _ in cubes], dtype=np.int64)
+    rows = np.array([idx for _, idx in cubes], dtype=np.int64).reshape(-1, cert.n)
+    assert _follows(cert, levels, rows).tolist() == [brute_follows(cert, t, idx) for t, idx in cubes]
+    cells = CellSet(cert.n, depth, [idx for t, idx in cubes if t == depth])
+    assert check_sparse(cells, cert) == all(brute_follows(cert, depth, c) for c in cells.sorted_cells())
 
 
 def _cube_queries(sm, level: int, rnd: random.Random) -> list[tuple[int, ...]]:
