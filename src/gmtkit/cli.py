@@ -42,6 +42,13 @@ EXIT_VERIFY = 2
 EXIT_INVALID = 3
 EXIT_DEPTH = 4
 
+# fixed settings of the pipeline's stages; summary.json records them under "params"
+WITNESS_GRID = 12  # section grid points per plane axis in the hole search
+C0_GRID = 12  # the same for the clearance-constant estimate
+BETA_POINTS = 2048  # support points behind the beta profiles
+BETA_J_MIN, BETA_J_MAX = 2, 12  # the profiles' scale span, cut at the working depth
+FLAT_THRESHOLD = 0.05  # content beta below this marks the input flat
+
 
 # ---------------------------------------------------------------------------
 # pipeline
@@ -72,14 +79,8 @@ def pipeline_extract_core(
     seed: int = 0,
     *,
     witness_samples: int = 24,
-    witness_grid: int = 12,
     c0_trials: int = 64,
-    c0_grid: int = 12,
     beta_centers: int = 8,
-    beta_points: int = 2048,
-    beta_j_min: int = 2,
-    beta_j_max: int = 12,
-    flat_threshold: float = 0.05,
 ) -> CoreBundle:
     """Run the full extraction on a nonempty cell set; raises tagged stage errors."""
     if not len(cells):
@@ -116,13 +117,13 @@ def pipeline_extract_core(
         raise VerificationError("sparse construction failed verification", stage="sparsify")
 
     if k < n:
-        c0_est = estimate_c0(ell, n, k, trials=c0_trials, grid=c0_grid, seed=seed)
+        c0_est = estimate_c0(ell, n, k, trials=c0_trials, grid=C0_GRID, seed=seed)
         c0 = c0_est.value
     else:
         c0_est = None
         c0 = 0.0
     wit_rep = witness_unrectifiability(
-        cons, None, max(c0, 0.0), samples=witness_samples, seed=seed, grid=witness_grid
+        cons, None, max(c0, 0.0), samples=witness_samples, seed=seed, grid=WITNESS_GRID
     )
     if not wit_rep.passed:
         (sample, level), count = wit_rep.failures[0], len(wit_rep.failures)
@@ -132,11 +133,11 @@ def pipeline_extract_core(
         )
 
     rng = np.random.default_rng(seed)
-    pts = cons.result.sample_support_points(rng, beta_points)
+    pts = cons.result.sample_support_points(rng, BETA_POINTS)
     weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
     centers = pts[:beta_centers]
     profiles = tuple(
-        square_function((pts, weights), c, k, beta_j_min, min(beta_j_max, depth)) for c in centers
+        square_function((pts, weights), c, k, BETA_J_MIN, min(BETA_J_MAX, depth)) for c in centers
     )
 
     flat_value = float("nan")
@@ -144,7 +145,7 @@ def pipeline_extract_core(
     if k < n:
         bary = cells.centers().mean(axis=0)
         flat_value = content_beta(cells, bary, 0.25, k, plane_grid=24, t_grid=8, seed=seed)
-        flat = flat_value < flat_threshold
+        flat = flat_value < FLAT_THRESHOLD
 
     params = {
         "n": n,
@@ -156,12 +157,12 @@ def pipeline_extract_core(
         "input_cells": len(cells),
         "input_depth": cells.depth,
         "witness_samples": witness_samples,
-        "witness_grid": witness_grid,
+        "witness_grid": WITNESS_GRID,
         "c0_trials": c0_trials,
-        "c0_grid": c0_grid,
-        "beta_points": beta_points,
+        "c0_grid": C0_GRID,
+        "beta_points": BETA_POINTS,
         "beta_centers": beta_centers,
-        "flat_threshold": flat_threshold,
+        "flat_threshold": FLAT_THRESHOLD,
     }
     passed = gauge_rep.verdict and fr_rep.passed and sp_rep.passed and wit_rep.passed
     return CoreBundle(

@@ -1,12 +1,24 @@
-"""Measures on cell sets and the bottom-up Frostman construction.
+"""Measures on dyadic cubes and the bottom-up Frostman construction.
 
-A ``CellMeasure`` assigns nonnegative mass to cells at a fixed level and is
-read as the measure that spreads each cell's mass uniformly over the cell.
-The declared ``depth`` may exceed the level the masses live at
-(``cell_level``); the measure is then still well defined on every dyadic cube
-down to ``depth`` through the uniform-density convention, without ever
-materializing the deeper cells.  Fully explicit measures have
-``cell_level == depth``.
+A ``SparseMeasure`` is the one measure type: every stage of the sparse
+construction, from the Frostman measure it starts on to the measure on the
+purely unrectifiable core, is one.  A ``CellMeasure`` is the case whose
+nodes all sit at one level, ``cell_level``, with no windows: nonnegative
+mass on level-``cell_level`` cells, each spread uniformly over its cell.
+The declared ``depth`` may exceed ``cell_level``; the measure is then still
+well defined on every dyadic cube down to ``depth`` through the
+uniform-density convention, without ever materializing the deeper cells.
+Fully explicit measures have ``cell_level == depth``.
+
+Representation.  A measure is stored as a disjoint antichain of ``nodes``
+(cube, mass), each read as uniform inside its cube, plus a list of
+``windows`` (start, ell): inside any node at level <= start, digits at levels
+start+1 .. start+ell are forced to zero.  A window records that a scale acted
+on territory that was uniform at selection time, where every subcube mass
+ties and the lexicographically first subcube wins in closed form.  This keeps
+deep working depths (scales far below the explicit cells) exact and cheap: no
+cell enumeration ever happens below the antichain, and cube masses, support
+membership, caps, and preservation checks all evaluate in closed form.
 
 ``build_frostman`` produces the canonical measure witnessing positive
 h-content of a cell set: start every occupied bottom cell exactly saturated,
@@ -28,36 +40,244 @@ import numpy as np
 
 from gmtkit.errors import InvalidInputError, VerificationError
 from gmtkit.gauge import Gauge
-from gmtkit.lattice import CellSet, DyadicCube, Pyramid, group_rows, index_rows, level_diameter
+from gmtkit.lattice import (
+    MAX_LEVEL,
+    CellSet,
+    DyadicCube,
+    Pyramid,
+    cell_points,
+    group_rows,
+    index_rows,
+    level_diameter,
+    locate,
+    pack,
+)
 from gmtkit.utils import load_json, write_canonical
 
 CAP_TOLERANCE = 1e-9
 BALL_BLOCK = 1 << 16  # (point, cube) pairs per array pass of the ball check
 
 
-def positive_masses(table: np.ndarray, masses, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of the (N, m) int64 array `table` that carry positive mass, in
-    lexicographic order, and their masses.  `masses` holds one finite,
-    nonnegative mass per row, in `table`'s order; no row may repeat."""
-    rows, inverse = group_rows(table)
-    if len(rows) < len(inverse):
-        raise InvalidInputError(f"{what} {rows[np.bincount(inverse).argmax()].tolist()} is listed more than once")
-    try:
-        given = np.asarray(masses, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"malformed {what} masses: {exc}") from exc
-    if given.shape != inverse.shape:
-        raise InvalidInputError(f"{given.size} masses for {len(inverse)} {what}s")
-    bad = given[~(np.isfinite(given) & (given >= 0.0))]
-    if len(bad):
-        raise InvalidInputError(f"masses must be finite and nonnegative, got {bad[0]}")
-    weights = np.empty(len(rows))
-    weights[inverse] = given
-    return rows[weights > 0.0], weights[weights > 0.0]
+def _forced(windows: tuple[tuple[int, int], ...], t: int, level: int) -> int:
+    """Bitmask of the level-`level` index digits forced to zero inside a node at
+    level `t`: the digit of level l (bit level - l of every coordinate) is
+    forced when some window (a, e) has t <= a < l <= a + e."""
+    mask = 0
+    for a, e in windows:
+        if t <= a < level:
+            end = min(a + e, level)
+            mask |= ((1 << (end - a)) - 1) << (level - end)
+    return mask
 
 
-class CellMeasure:
-    """Nonnegative masses on level-`cell_level` cells, declared down to `depth`.
+def _interior_factor(
+    n: int,
+    node_level: int,
+    level: int,
+    windows: tuple[tuple[int, int], ...],
+) -> tuple[int, float]:
+    """(forced digit mask, mass fraction) of a level-`level` cube strictly
+    inside a uniform node at `node_level`: the fraction holds where the
+    cube's forced digits vanish, and the cube is empty elsewhere.
+
+    Descending one level splits mass by 2^-n outside windows; inside a window
+    the zero-digit branch keeps the whole mass and every other branch drops
+    to zero.
+    """
+    forced = _forced(windows, node_level, level)
+    return forced, 2.0 ** (-n * (level - node_level - forced.bit_count()))
+
+
+class SparseMeasure:
+    """Measure as a disjoint uniform-node antichain plus zero-digit windows.
+
+    The nodes of positive mass are stored as three read-only arrays sorted by
+    (level, index): ``levels``, ``rows``, an (N, n) int64 table of their
+    index rows, and ``weights``, their masses.  ``nodes``, the same nodes as
+    a dict from (level, index tuple) to mass, is built on first use.
+    """
+
+    def __init__(self, n: int, depth: int, nodes, windows=()):
+        """`nodes`: a dict from (level, index tuple) to mass, or a triple of N
+        levels, an (N, n) integer array of index rows and N masses, in any
+        order.  Zero masses are dropped."""
+        if not 0 <= depth <= MAX_LEVEL:  # cells are int64 and points exact floats down to MAX_LEVEL
+            raise InvalidInputError(f"depth must lie in [0, {MAX_LEVEL}], got {depth}")
+        if isinstance(nodes, dict):
+            levels, rows = zip(*nodes, strict=True) if nodes else ((), ())  # the keys' two columns
+            nodes = levels, rows, list(nodes.values())
+        levels, rows = np.asarray(nodes[0], dtype=np.int64), index_rows(nodes[1], n, depth)
+        if levels.shape != (len(rows),):
+            raise InvalidInputError(f"{levels.size} levels for {len(rows)} nodes")
+        bad = (levels < 0) | (levels > depth) | (rows >> np.clip(levels, 0, depth)[:, None]).any(axis=1)
+        if bad.any():
+            raise InvalidInputError(f"node {(int(levels[bad][0]), rows[bad][0].tolist())} invalid at depth {depth}")
+        table, inverse = group_rows(np.column_stack([levels, rows]))  # by level, then index
+        if len(table) < len(inverse):
+            raise InvalidInputError(f"node {table[np.bincount(inverse).argmax()].tolist()} is listed more than once")
+        try:
+            given = np.asarray(nodes[2], dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"malformed node masses: {exc}") from exc
+        if given.shape != inverse.shape:
+            raise InvalidInputError(f"{given.size} masses for {len(inverse)} nodes")
+        bad = given[~(np.isfinite(given) & (given >= 0.0))]
+        if len(bad):
+            raise InvalidInputError(f"masses must be finite and nonnegative, got {bad[0]}")
+        weights = np.empty(len(table))
+        weights[inverse] = given
+        kept = weights > 0.0
+        self.n, self.depth, self.levels, self.rows = n, depth, table[kept, 0], table[kept, 1:]
+        self.weights = weights[kept]
+        for array in (self.levels, self.rows, self.weights):
+            array.setflags(write=False)
+        self.total = float(sum(self.weights.tolist()))  # left to right, as np.sum's pairwise sum is not
+        self.windows = tuple((int(a), int(e)) for a, e in windows)
+        for a, e in self.windows:
+            if e < 1 or a < 0 or a + e > depth:
+                raise InvalidInputError(f"window ({a}, {e}) outside depth {depth}")
+        # the nodes form an antichain: no node's cube holds a deeper node
+        for t, run, keys, _ in self._node_runs:
+            deeper = int(np.searchsorted(self.levels, t, side="right"))
+            at = locate(keys, t, self.rows[deeper:] >> (self.levels[deeper:] - t)[:, None])
+            if (at >= 0).any():
+                raise InvalidInputError(f"node {(t, tuple(run[at[at >= 0].min()].tolist()))} holds another node")
+
+    def _key(self) -> tuple:
+        return self.n, self.depth, self.windows, self.levels.tobytes(), self.rows.tobytes(), self.weights.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SparseMeasure) and self._key() == other._key()
+
+    @cached_property
+    def nodes(self) -> dict[tuple[int, tuple[int, ...]], float]:
+        return dict(zip(zip(self.levels.tolist(), map(tuple, self.rows.tolist())), self.weights.tolist()))
+
+    def mass_at(self, level: int, idx: tuple[int, ...]) -> float:
+        cube = DyadicCube(self.n, level, idx)  # rejects a bad level, index length or index range
+        if level > self.depth:
+            raise InvalidInputError(f"level {level} below declared depth {self.depth}")
+        return float(self._lookup(level, np.array([cube.index], dtype=np.int64))[1][0])
+
+    def _lookup(self, level: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Support membership and mass of each level-`level` cube of the (m, n)
+        array `rows`.
+
+        A cube holding nodes reads the rollup.  A cube strictly inside a node
+        holds the node's mass times the interior fraction, and lies in the
+        support where that fraction is positive.
+        """
+        pyramid, sums = self._level_sums
+        pos = pyramid.locate(level, rows)
+        occupied, mass = pos >= 0, np.append(sums[level], 0.0)[pos]  # position -1: no node inside
+        for t, _, keys, w in self._node_runs:
+            if t >= level:
+                break
+            at = locate(keys, t, rows >> (level - t))
+            inside = np.flatnonzero(at >= 0)
+            forced, fraction = _interior_factor(self.n, t, level, self.windows)
+            fraction = np.where((rows[inside] & forced).any(axis=1), 0.0, fraction)
+            mass[inside] += w[at[inside]] * fraction
+            occupied[inside] |= fraction > 0.0
+        return occupied, mass
+
+    def cube_mass(self, cube: DyadicCube) -> float:
+        """Exact mass of a dyadic cube at any level <= depth."""
+        if cube.n != self.n:
+            raise InvalidInputError(f"cube dimension {cube.n} != measure dimension {self.n}")
+        return self.mass_at(cube.level, cube.index)
+
+    def is_explicit(self) -> bool:
+        return not self.windows and bool((self.levels == self.levels[:1]).all())
+
+    def to_cell_measure(self) -> "CellMeasure":
+        if not self.is_explicit():
+            raise InvalidInputError("measure has uniform-territory structure; no flat cell form")
+        cell_level = int(self.levels[0]) if len(self.levels) else self.depth
+        return CellMeasure(self.n, self.depth, (self.rows, self.weights), cell_level)
+
+    def _support_cells(self, rng: np.random.Generator, count: int, level: int) -> np.ndarray:
+        """Mass-weighted support cells at `level`, a (count, n) int64 array: one
+        choice of nodes, then per level one draw of digits for the rows free
+        there (zeros inside windows), so a single draw takes its digits in the
+        order a per-row descent would.  Integer coordinates: a float round trip
+        at deep levels can round a point across a cell boundary, off the support."""
+        if not len(self.weights):
+            raise InvalidInputError("cannot sample from the zero measure")
+        picks = rng.choice(len(self.weights), size=count, p=self.weights / self.weights.sum())
+        t, idx = self.levels[picks], self.rows[picks]
+        forced = np.array([_forced(self.windows, lvl, level) for lvl in t.tolist()], dtype=np.int64)
+        cells = idx >> np.maximum(t - level, 0)[:, None] << np.maximum(level - t, 0)[:, None]
+        for l in range(int(t.min(initial=level)) + 1, level + 1):
+            free = np.flatnonzero((t < l) & (((forced >> (level - l)) & 1) == 0))
+            cells[free] |= rng.integers(0, 2, size=(len(free), self.n)) << (level - l)
+        return cells
+
+    @cached_property
+    def _node_runs(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """(level, index rows, their packed keys, masses) of the nodes at each
+        node level, levels ascending.  The nodes sort by level, then index, so
+        each run's rows are in lexicographic order, and `locate` searches the
+        keys."""
+        starts = np.flatnonzero(np.diff(self.levels, prepend=-1))
+        runs = zip(self.levels[starts].tolist(), np.split(self.rows, starts[1:]), np.split(self.weights, starts[1:]))
+        return [(t, rows, pack(rows, t), w) for t, rows, w in runs]
+
+    def support_sample_cells(self, level: int, count: int, rng: np.random.Generator) -> CellSet:
+        """Distinct support cells at `level`, drawn mass-weighted (deduplicated)."""
+        if not 0 <= level <= self.depth:
+            raise InvalidInputError(f"level must lie in [0, {self.depth}], got {level}")
+        return CellSet(self.n, level, self._support_cells(rng, count, level))
+
+    def sample_support_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Mass-weighted points of the support: a support cell at the declared
+        depth, then a uniform point inside it."""
+        cells = self._support_cells(rng, count, self.depth)
+        return cell_points(cells, self.depth, rng.random((count, self.n)))
+
+    @cached_property
+    def _level_sums(self) -> tuple[Pyramid, list[np.ndarray]]:
+        """The pyramid above the nodes, and per level the mass of each of its cubes."""
+        pyramid = Pyramid(self.n, self.depth, self.rows, self.levels)
+        return pyramid, pyramid.rollup(self.weights)
+
+    def ancestor_rollup(self, max_level: int) -> dict[tuple[int, tuple[int, ...]], float]:
+        """Aggregated masses of every cube at level <= max_level containing a node."""
+        pyramid, sums = self._level_sums
+        return {
+            (level, idx): mass
+            for level in range(min(max_level, self.depth) + 1)
+            for idx, mass in zip(map(tuple, pyramid.cubes[level].tolist()), sums[level].tolist())
+        }
+
+    def to_json_obj(self) -> dict:
+        return {
+            "n": self.n,
+            "depth": self.depth,
+            "nodes": [list(node) for node in zip(self.levels.tolist(), self.rows.tolist(), self.weights.tolist())],
+            "windows": [list(w) for w in self.windows],
+        }
+
+    @staticmethod
+    def from_json_obj(obj: dict) -> "SparseMeasure":
+        try:
+            nodes = tuple(zip(*obj["nodes"], strict=True)) or ((), (), ())  # (levels, rows, masses)
+            wins = tuple((int(a), int(e)) for a, e in obj["windows"])
+            return SparseMeasure(int(obj["n"]), int(obj["depth"]), nodes, wins)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"malformed sparse measure object: {exc}") from exc
+
+    def save(self, path) -> None:
+        write_canonical(path, self.to_json_obj())
+
+    @staticmethod
+    def load(path) -> "SparseMeasure":
+        return SparseMeasure.from_json_obj(load_json(path))
+
+
+class CellMeasure(SparseMeasure):
+    """Nonnegative masses on level-`cell_level` cells, declared down to `depth`:
+    the sparse measure whose nodes all sit at `cell_level`, with no windows.
 
     ``rows`` holds the cells of positive mass as a read-only (N, n) int64
     array in lexicographic order and ``weights`` their masses in the same
@@ -71,17 +291,11 @@ class CellMeasure:
         if cl < 0 or cl > depth:
             raise InvalidInputError(f"cell level {cl} must lie in [0, depth={depth}]")
         cells, given = (list(masses), list(masses.values())) if isinstance(masses, dict) else masses
-        self.n, self.depth, self.cell_level = n, depth, cl
-        self.rows, self.weights = positive_masses(index_rows(cells, n, cl), given, "cell")
-        for table in (self.rows, self.weights):
-            table.setflags(write=False)
-        self.total = float(sum(self.weights.tolist()))  # left to right, as np.sum's pairwise sum is not
+        self.cell_level = cl
+        super().__init__(n, depth, (np.full(len(cells), cl), cells, given))
 
     def _key(self) -> tuple:
-        return self.n, self.depth, self.cell_level, self.rows.tobytes(), self.weights.tobytes()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CellMeasure) and self._key() == other._key()
+        return *super()._key(), self.cell_level
 
     def __repr__(self) -> str:
         return f"CellMeasure({self.n}, {self.depth}, {self.masses}, {self.cell_level})"
@@ -113,26 +327,8 @@ class CellMeasure:
         """Aggregated masses of all occupied level-`level` cubes (level <= cell_level)."""
         if level > self.cell_level:
             raise InvalidInputError(f"level {level} is below the explicit cell level {self.cell_level}")
-        pyramid, sums = self._rollup
+        pyramid, sums = self._level_sums
         return dict(zip(map(tuple, pyramid.cubes[level].tolist()), sums[level].tolist()))
-
-    @cached_property
-    def _rollup(self) -> tuple[Pyramid, list[np.ndarray]]:
-        """The cube tree over the cells and, per level, every cube's mass; built on first use."""
-        pyramid = Pyramid(self.n, self.cell_level, self.rows)
-        return pyramid, pyramid.rollup(self.weights)
-
-    def cube_mass(self, cube: DyadicCube) -> float:
-        """Exact mass of a dyadic cube at any level <= depth."""
-        if cube.n != self.n:
-            raise InvalidInputError(f"cube dimension {cube.n} != measure dimension {self.n}")
-        if cube.level > self.depth:
-            raise InvalidInputError(f"cube level {cube.level} deeper than declared depth {self.depth}")
-        pyramid, sums = self._rollup
-        level = min(cube.level, self.cell_level)
-        shift = cube.level - level  # below the explicit cells, mass splits uniformly
-        pos = pyramid.locate(level, np.array([cube.index], dtype=np.int64) >> shift)[0]
-        return float(sums[level][pos]) * 2.0 ** (-self.n * shift) if pos >= 0 else 0.0
 
     def centers_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Cell centers with their masses, for moment computations."""
@@ -143,8 +339,7 @@ class CellMeasure:
         if not len(self.rows):
             raise InvalidInputError("cannot sample from the zero measure")
         picks = rng.choice(len(self.weights), size=count, p=self.weights / self.weights.sum())
-        side = 2.0 ** (-self.cell_level)
-        return self.rows[picks] * side + rng.random((count, self.n)) * side
+        return cell_points(self.rows[picks], self.cell_level, rng.random((count, self.n)))
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -166,9 +361,6 @@ class CellMeasure:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed measure object: {exc}") from exc
         return CellMeasure(n, depth, ([idx for idx, _ in entries], [m for _, m in entries]), cl)
-
-    def save(self, path) -> None:
-        write_canonical(path, self.to_json_obj())
 
     @staticmethod
     def load(path) -> "CellMeasure":
@@ -227,7 +419,7 @@ def verify_frostman(measure: CellMeasure, h: Gauge) -> FrostmanReport:
     """
     n = measure.n
     max_ratio, worst = 0.0, None
-    pyramid, mass = measure._rollup
+    pyramid, mass = measure._level_sums
     caps = [h(level_diameter(n, level)) for level in range(measure.cell_level + 1)]
     for level, cap in enumerate(caps):
         if not len(mass[level]):
@@ -273,9 +465,10 @@ class BallCheckReport:
 def ball_frostman_check(measure: CellMeasure, k: int, samples: int = 256, seed: int = 0) -> BallCheckReport:
     """Monte-Carlo upper bound on sup mass(B_r(x)) / r^k over dyadic radii.
 
-    The ball mass is bounded by summing aggregated masses of every comparable-
-    level cube that meets the closed ball (comparable: the first level whose
-    cube diameter drops to r or below, clamped to the explicit cell level).
+    The ball mass is bounded by summing the masses of every comparable-level
+    cube that meets the closed ball (comparable: the first level whose cube
+    diameter drops to r or below; below the explicit cells a cube holds its
+    uniform share of its cell, as the measure's lookup reads it).
     A ball of radius r meets boundedly many such cubes, so a pass of the cube
     cap check with h(r) = r^k forces a dimensional-constant bound here.
 
@@ -291,8 +484,7 @@ def ball_frostman_check(measure: CellMeasure, k: int, samples: int = 256, seed: 
         raise InvalidInputError(f"k must be >= 1, got {k}")
     if samples < 1:
         raise InvalidInputError(f"samples must be >= 1, got {samples}")
-    n, cl = measure.n, measure.cell_level
-    pyramid, sums = measure._rollup
+    n = measure.n
     rng = np.random.default_rng(seed)
     drawn = rng.random((max(1, samples // 2), n))
     pts = np.concatenate([drawn, measure.support().centers()[: samples - len(drawn)]])
@@ -302,8 +494,6 @@ def ball_frostman_check(measure: CellMeasure, k: int, samples: int = 256, seed: 
         raise InvalidInputError(f"r^{k} underflows to 0.0 at depth {measure.depth}; no ratio is defined")
     ratios = np.empty((len(pts), len(radii)))
     for level, r in enumerate(radii):
-        shift = max(0, level - cl)  # below the explicit cells, mass splits uniformly
-        masses = np.append(sums[level - shift], 0.0)  # position -1: an unoccupied cube
         scale = 1 << level
         lo = np.maximum(np.floor((pts - r) * scale).astype(np.int64), 0)
         hi = np.minimum(np.floor((pts + r) * scale).astype(np.int64), scale - 1)
@@ -316,8 +506,7 @@ def ball_frostman_check(measure: CellMeasure, k: int, samples: int = 256, seed: 
             meets = (gap[..., None, :] @ gap[..., :, None])[..., 0, 0] <= r * r
             meets &= (idx <= hi[s : s + step, None, :]).all(axis=2)
             mass = np.zeros(meets.shape)
-            held = pyramid.locate(level - shift, idx[meets] >> shift)
-            mass[meets] = masses[held] * 2.0 ** (-n * shift)
+            mass[meets] = measure._lookup(level, idx[meets])[1]
             ratios[s : s + step, level] = np.cumsum(mass, axis=1)[:, -1] / r**k
 
     top = int(np.argmax(ratios))

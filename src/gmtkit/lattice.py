@@ -177,6 +177,19 @@ def locate(keys: np.ndarray, level: int, rows: np.ndarray) -> np.ndarray:
     return np.where(keys[pos] == queries, pos, -1)
 
 
+def cell_points(rows: np.ndarray, level: int, unit: np.ndarray) -> np.ndarray:
+    """Points of the level-`level` cells `rows`, an (m, n) index array, placed
+    at the offsets `unit`, one (m, n) draw in [0, 1): the cell corner plus
+    the offset times the side.  Rounding at deep levels can land the sum on
+    the cell's upper face; such a point is pulled back inside the half-open
+    cell."""
+    side = 2.0 ** (-level)
+    low = rows * side
+    points = low + unit * side
+    high = low + side
+    return np.where(points >= high, np.nextafter(high, low), points)
+
+
 def index_rows(cells, n: int, level: int) -> np.ndarray:
     """The cell indices `cells`, an (N, n) integer array or any iterable of
     length-n index sequences, as an (N, n) int64 array, checked to lie in
@@ -371,8 +384,7 @@ class CellSet:
         if not len(self):
             raise InvalidInputError("cannot sample from an empty cell set")
         picks = rng.integers(0, len(self), size=count)
-        side = 2.0 ** (-self.depth)
-        return self.rows[picks] * side + rng.random((count, self.n)) * side
+        return cell_points(self.rows[picks], self.depth, rng.random((count, self.n)))
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "depth": self.depth, "cells": self.rows.tolist()}

@@ -14,15 +14,10 @@ every occupied level-l_j cube moves all mass onto one maximal-mass
 level-(l_j + ell) subcube (lexicographic tie-break), rescaled so cube masses
 at levels <= l_j are preserved exactly.
 
-Representation.  The evolving measure is stored as a disjoint antichain of
-``nodes`` (cube, mass), each read as uniform inside its cube, plus a list of
-``windows`` (start, ell): inside any node at level <= start, digits at levels
-start+1 .. start+ell are forced to zero.  A window records that a scale acted
-on territory that was uniform at selection time, where every subcube mass
-ties and the lexicographically first subcube wins in closed form.  This keeps
-deep working depths (scales far below the explicit cells) exact and cheap: no
-cell enumeration ever happens below the antichain, and cube masses, support
-membership, caps, and preservation checks all evaluate in closed form.
+Every stage is a :class:`~gmtkit.frostman.SparseMeasure`, the measure type
+of :mod:`gmtkit.frostman`, which this module re-exports; stage 0 is the
+(normalized) input measure itself.  A scale that acts on territory that was
+uniform at selection time adds a window instead of enumerating cells.
 Constructions whose input is fully explicit never create windows and return
 an ordinary :class:`~gmtkit.frostman.CellMeasure`.
 """
@@ -37,13 +32,11 @@ from math import sqrt
 import numpy as np
 
 from gmtkit.errors import DepthBudgetError, InvalidInputError, VerificationError
-from gmtkit.frostman import CellMeasure, positive_masses
+from gmtkit.frostman import CellMeasure, SparseMeasure, _interior_factor
 from gmtkit.gauge import Gauge, unit_ball_volume
 from gmtkit.lattice import (
     MAX_LEVEL,
     CellSet,
-    DyadicCube,
-    Pyramid,
     box_distances,
     group_rows,
     index_rows,
@@ -267,217 +260,6 @@ def _follows(cert: SparsityCertificate, levels: np.ndarray, rows: np.ndarray) ->
 
 
 # ---------------------------------------------------------------------------
-# lazily represented measures
-
-
-def _forced(windows: tuple[tuple[int, int], ...], t: int, level: int) -> int:
-    """Bitmask of the level-`level` index digits forced to zero inside a node at
-    level `t`: the digit of level l (bit level - l of every coordinate) is
-    forced when some window (a, e) has t <= a < l <= a + e."""
-    mask = 0
-    for a, e in windows:
-        if t <= a < level:
-            end = min(a + e, level)
-            mask |= ((1 << (end - a)) - 1) << (level - end)
-    return mask
-
-
-def _interior_factor(
-    n: int,
-    node_level: int,
-    level: int,
-    windows: tuple[tuple[int, int], ...],
-) -> tuple[int, float]:
-    """(forced digit mask, mass fraction) of a level-`level` cube strictly
-    inside a uniform node at `node_level`: the fraction holds where the
-    cube's forced digits vanish, and the cube is empty elsewhere.
-
-    Descending one level splits mass by 2^-n outside windows; inside a window
-    the zero-digit branch keeps the whole mass and every other branch drops
-    to zero.
-    """
-    forced = _forced(windows, node_level, level)
-    return forced, 2.0 ** (-n * (level - node_level - forced.bit_count()))
-
-
-class SparseMeasure:
-    """Measure as a disjoint uniform-node antichain plus zero-digit windows.
-
-    The nodes of positive mass are stored as three read-only arrays sorted by
-    (level, index): ``levels``, ``rows``, an (N, n) int64 table of their
-    index rows, and ``weights``, their masses.  ``nodes``, the same nodes as
-    a dict from (level, index tuple) to mass, is built on first use.
-    """
-
-    def __init__(self, n: int, depth: int, nodes, windows=()):
-        """`nodes`: a dict from (level, index tuple) to mass, or a triple of N
-        levels, an (N, n) integer array of index rows and N masses, in any
-        order.  Zero masses are dropped."""
-        if not 0 <= depth <= MAX_LEVEL:  # cells are int64 and points exact floats down to MAX_LEVEL
-            raise InvalidInputError(f"depth must lie in [0, {MAX_LEVEL}], got {depth}")
-        if isinstance(nodes, dict):
-            levels, rows = zip(*nodes, strict=True) if nodes else ((), ())  # the keys' two columns
-            nodes = levels, rows, list(nodes.values())
-        levels, rows = np.asarray(nodes[0], dtype=np.int64), index_rows(nodes[1], n, depth)
-        if levels.shape != (len(rows),):
-            raise InvalidInputError(f"{levels.size} levels for {len(rows)} nodes")
-        bad = (levels < 0) | (levels > depth) | (rows >> np.clip(levels, 0, depth)[:, None]).any(axis=1)
-        if bad.any():
-            raise InvalidInputError(f"node {(int(levels[bad][0]), rows[bad][0].tolist())} invalid at depth {depth}")
-        table, self.weights = positive_masses(np.column_stack([levels, rows]), nodes[2], "node")  # by level, then index
-        self.n, self.depth, self.levels, self.rows = n, depth, table[:, 0], table[:, 1:]
-        for array in (self.levels, self.rows, self.weights):
-            array.setflags(write=False)
-        self.total = float(sum(self.weights.tolist()))  # left to right, as np.sum's pairwise sum is not
-        self.windows = tuple((int(a), int(e)) for a, e in windows)
-        for a, e in self.windows:
-            if e < 1 or a < 0 or a + e > depth:
-                raise InvalidInputError(f"window ({a}, {e}) outside depth {depth}")
-        # the nodes form an antichain: each node's cube holds no node but itself
-        pyramid = self._level_sums[0]
-        count = pyramid.rollup(np.ones(len(self.weights)))
-        for t, run, _, _ in self._node_runs:
-            held = count[t][pyramid.locate(t, run)]
-            if (held > 1).any():
-                raise InvalidInputError(f"node {(t, tuple(run[np.argmax(held > 1)].tolist()))} holds another node")
-
-    def _key(self) -> tuple:
-        return self.n, self.depth, self.windows, self.levels.tobytes(), self.rows.tobytes(), self.weights.tobytes()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SparseMeasure) and self._key() == other._key()
-
-    @cached_property
-    def nodes(self) -> dict[tuple[int, tuple[int, ...]], float]:
-        return dict(zip(zip(self.levels.tolist(), map(tuple, self.rows.tolist())), self.weights.tolist()))
-
-    def mass_at(self, level: int, idx: tuple[int, ...]) -> float:
-        cube = DyadicCube(self.n, level, idx)  # rejects a bad level, index length or index range
-        if level > self.depth:
-            raise InvalidInputError(f"level {level} below declared depth {self.depth}")
-        return float(self._lookup(level, np.array([cube.index], dtype=np.int64))[1][0])
-
-    def _lookup(self, level: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Support membership and mass of each level-`level` cube of the (m, n)
-        array `rows`.
-
-        A cube holding nodes reads the rollup.  A cube strictly inside a node
-        holds the node's mass times the interior fraction, and lies in the
-        support where that fraction is positive.
-        """
-        pyramid, sums = self._level_sums
-        pos = pyramid.locate(level, rows)
-        occupied, mass = pos >= 0, np.append(sums[level], 0.0)[pos]  # position -1: no node inside
-        for t, _, keys, w in self._node_runs:
-            if t >= level:
-                break
-            at = locate(keys, t, rows >> (level - t))
-            inside = np.flatnonzero(at >= 0)
-            forced, fraction = _interior_factor(self.n, t, level, self.windows)
-            fraction = np.where((rows[inside] & forced).any(axis=1), 0.0, fraction)
-            mass[inside] += w[at[inside]] * fraction
-            occupied[inside] |= fraction > 0.0
-        return occupied, mass
-
-    def cube_mass(self, cube: DyadicCube) -> float:
-        if cube.n != self.n:
-            raise InvalidInputError(f"cube dimension {cube.n} != measure dimension {self.n}")
-        return self.mass_at(cube.level, cube.index)
-
-    def is_explicit(self) -> bool:
-        return not self.windows and bool((self.levels == self.levels[:1]).all())
-
-    def to_cell_measure(self) -> CellMeasure:
-        if not self.is_explicit():
-            raise InvalidInputError("measure has uniform-territory structure; no flat cell form")
-        cell_level = int(self.levels[0]) if len(self.levels) else self.depth
-        return CellMeasure(self.n, self.depth, (self.rows, self.weights), cell_level)
-
-    def _support_cells(self, rng: np.random.Generator, count: int, level: int) -> np.ndarray:
-        """Mass-weighted support cells at `level`, a (count, n) int64 array: one
-        choice of nodes, then per level one draw of digits for the rows free
-        there (zeros inside windows), so a single draw takes its digits in the
-        order a per-row descent would.  Integer coordinates: a float round trip
-        at deep levels can round a point across a cell boundary, off the support."""
-        if not len(self.weights):
-            raise InvalidInputError("cannot sample from the zero measure")
-        picks = rng.choice(len(self.weights), size=count, p=self.weights / self.weights.sum())
-        t, idx = self.levels[picks], self.rows[picks]
-        forced = np.array([_forced(self.windows, lvl, level) for lvl in t.tolist()], dtype=np.int64)
-        cells = idx >> np.maximum(t - level, 0)[:, None] << np.maximum(level - t, 0)[:, None]
-        for l in range(int(t.min(initial=level)) + 1, level + 1):
-            free = np.flatnonzero((t < l) & (((forced >> (level - l)) & 1) == 0))
-            cells[free] |= rng.integers(0, 2, size=(len(free), self.n)) << (level - l)
-        return cells
-
-    @cached_property
-    def _node_runs(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        """(level, index rows, their packed keys, masses) of the nodes at each
-        node level, levels ascending.  The nodes sort by level, then index, so
-        each run's rows are in lexicographic order, and `locate` searches the
-        keys."""
-        starts = np.flatnonzero(np.diff(self.levels, prepend=-1))
-        runs = zip(self.levels[starts].tolist(), np.split(self.rows, starts[1:]), np.split(self.weights, starts[1:]))
-        return [(t, rows, pack(rows, t), w) for t, rows, w in runs]
-
-    def support_sample_cells(self, level: int, count: int, rng: np.random.Generator) -> CellSet:
-        """Distinct support cells at `level`, drawn mass-weighted (deduplicated)."""
-        if not 0 <= level <= self.depth:
-            raise InvalidInputError(f"level must lie in [0, {self.depth}], got {level}")
-        return CellSet(self.n, level, self._support_cells(rng, count, level))
-
-    def sample_support_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Mass-weighted points of the support: a support cell at the declared
-        depth, then a uniform point inside it."""
-        side = 2.0 ** (-self.depth)
-        base = self._support_cells(rng, count, self.depth) * side
-        pt = base + rng.random((count, self.n)) * side
-        # rounding at deep levels can push the sum onto the next cell's
-        # boundary; pull such points back inside the half-open cell
-        hi = base + side
-        return np.where(pt >= hi, np.nextafter(hi, base), pt)
-
-    @cached_property
-    def _level_sums(self) -> tuple[Pyramid, list[np.ndarray]]:
-        """The pyramid above the nodes, and per level the mass of each of its cubes."""
-        pyramid = Pyramid(self.n, self.depth, self.rows, self.levels)
-        return pyramid, pyramid.rollup(self.weights)
-
-    def ancestor_rollup(self, max_level: int) -> dict[tuple[int, tuple[int, ...]], float]:
-        """Aggregated masses of every cube at level <= max_level containing a node."""
-        pyramid, sums = self._level_sums
-        return {
-            (level, idx): mass
-            for level in range(min(max_level, self.depth) + 1)
-            for idx, mass in zip(map(tuple, pyramid.cubes[level].tolist()), sums[level].tolist())
-        }
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "depth": self.depth,
-            "nodes": [list(node) for node in zip(self.levels.tolist(), self.rows.tolist(), self.weights.tolist())],
-            "windows": [list(w) for w in self.windows],
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "SparseMeasure":
-        try:
-            nodes = tuple(zip(*obj["nodes"], strict=True)) or ((), (), ())  # (levels, rows, masses)
-            wins = tuple((int(a), int(e)) for a, e in obj["windows"])
-            return SparseMeasure(int(obj["n"]), int(obj["depth"]), nodes, wins)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError(f"malformed sparse measure object: {exc}") from exc
-
-    def save(self, path) -> None:
-        write_canonical(path, self.to_json_obj())
-
-    @staticmethod
-    def load(path) -> "SparseMeasure":
-        return SparseMeasure.from_json_obj(load_json(path))
-
-
-# ---------------------------------------------------------------------------
 # the construction
 
 
@@ -489,7 +271,7 @@ class SparseConstruction:
     h_label: str
     k: int
     ell: int
-    stages: tuple[SparseMeasure, ...]  # stages[0] initial, stages[j] after scale j
+    stages: tuple[SparseMeasure, ...]  # stages[0] is `base`, stages[j] the measure after scale j
     certificate: SparsityCertificate
     normalized: bool
     norm_constant: float  # B = max(1, 1/original total)
@@ -621,7 +403,7 @@ def build_sparse_construction(
     # certified_scales raised if not even one scale fits
 
     windows: list[tuple[int, int]] = []
-    stages = [SparseMeasure(n, depth, (np.full(len(base.rows), base.cell_level), base.rows, base.weights))]
+    stages: list[SparseMeasure] = [base]
     families: list[ScaleFamily] = []
     sel_ratios: list[float] = []
     for level in scales:

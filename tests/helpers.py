@@ -177,6 +177,17 @@ def brute_mass_at(sm, level: int, idx: tuple[int, ...]) -> tuple[bool, float]:
     return occupied, total
 
 
+def brute_holder(nodes) -> tuple[int, tuple[int, ...]] | None:
+    """The first node, in (level, index) order, whose cube contains the cube
+    of another node, by comparing every pair; None when the nodes form an
+    antichain.  `nodes` holds distinct (level, index tuple) keys."""
+    for t, idx in sorted(nodes):
+        for s, other in nodes:
+            if s > t and index_ancestor(other, s - t) == tuple(idx):
+                return t, tuple(idx)
+    return None
+
+
 def brute_apply_scale(n: int, nodes: dict, level: int, ell: int) -> tuple[dict, bool, dict, float]:
     """(new nodes, window added, pairs, min selection ratio) of one reduction
     step by a loop over the level-`level` cubes holding nodes: each such cube

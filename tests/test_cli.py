@@ -178,6 +178,13 @@ def test_beta_from_measure_json(tmp_path):
     assert all(v > 0.1 for v in got["values"])  # a full square is nowhere flat
 
 
+def test_beta_rejects_a_measure_deeper_than_the_lattice(tmp_path, capsys):
+    measure = tmp_path / "deep.json"
+    measure.write_text(json.dumps({"n": 2, "depth": 60, "cell_level": 1, "masses": [[[0, 1], 1.0]]}))
+    assert run(["beta", "--measure", str(measure), "--center", "0.5,0.5", "--scales", "1:4"]) == 3
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_beta_needs_exactly_one_source(tmp_path, capsys):
     cells = write_square(tmp_path)
     mu_path = tmp_path / "mu.json"

@@ -7,18 +7,21 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import gmtkit
+import gmtkit.sparsify
 from gmtkit.cli import main
 from gmtkit.content import dyadic_cover_cost
 from gmtkit.corpus import GeneratorSpec, generate
 from gmtkit.errors import InvalidInputError
 from gmtkit.frostman import (
     CellMeasure,
+    SparseMeasure,
     ball_frostman_check,
     build_frostman,
     verify_frostman,
 )
 from gmtkit.gauge import power_exp_gauge, power_gauge, scaled_gauge, vanishing_gauge
-from gmtkit.lattice import CellSet, DyadicCube, children, level_diameter, union
+from gmtkit.lattice import CellSet, DyadicCube, Pyramid, children, level_diameter, union
 
 from helpers import brute_ball_check, brute_cube_mass, brute_frostman_max_ratio
 
@@ -291,6 +294,42 @@ def test_sample_points_follow_support():
     assert cells <= {(0, 0), (7, 7)}
     heavy = sum(1 for p in pts if int(p[0] * 8) == 7)
     assert heavy > 100  # mass-weighted draw favors the 3x cell
+
+
+def test_sample_points_stay_in_their_cells_at_level_50():
+    top = (1 << 50) - 1
+    for mu in (CellMeasure(1, 50, {(top,): 1.0}), CellMeasure(2, 50, {(top, top): 1.0, (0, top): 2.0, (top, 5): 0.5})):
+        pts = mu.sample_points(np.random.default_rng(0), 10000)
+        assert ((pts >= 0.0) & (pts < 1.0)).all()
+        # scaling by 2^50 is exact, so the floor is each point's level-50 cell
+        assert {tuple(row) for row in np.floor(pts * 2.0**50).astype(np.int64).tolist()} <= set(mu.masses)
+
+
+def test_one_measure_class():
+    assert gmtkit.SparseMeasure is gmtkit.sparsify.SparseMeasure is SparseMeasure
+    assert issubclass(CellMeasure, SparseMeasure)
+    mu = CellMeasure(2, 4, {(0, 1): 1.0, (3, 2): 0.5}, cell_level=2)
+    assert mu.levels.tolist() == [2, 2] and mu.windows == ()
+    as_nodes = SparseMeasure(2, 4, {(2, (0, 1)): 1.0, (2, (3, 2)): 0.5})
+    assert mu.to_cell_measure() == mu and as_nodes.to_cell_measure() == mu
+    assert mu != as_nodes and as_nodes != mu  # a CellMeasure equals only a CellMeasure
+
+
+def test_constructing_a_measure_builds_no_pyramid(monkeypatch):
+    built = []
+    init = Pyramid.__init__
+    monkeypatch.setattr(Pyramid, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    CellMeasure(2, 6, {(0, 0): 1.0, (3, 5): 2.0}, cell_level=3)
+    SparseMeasure(2, 6, {(1, (0, 0)): 1.0, (3, (4, 5)): 0.5, (4, (15, 0)): 0.25}, ((3, 2),))
+    assert built == []
+
+
+def test_a_depth_beyond_the_lattice_is_invalid():
+    with pytest.raises(InvalidInputError):
+        CellMeasure(2, 51, {})
+    mu = CellMeasure(2, 50, {(1, 1): 1.0}, cell_level=1)
+    with pytest.raises(InvalidInputError):
+        mu.with_depth(51)
 
 
 @st.composite

@@ -11,6 +11,7 @@ from gmtkit.lattice import (
     CellSet,
     DyadicCube,
     Pyramid,
+    cell_points,
     children,
     cube_at,
     descendants,
@@ -180,6 +181,32 @@ def test_sample_points_land_in_cells():
     pts = cs.sample_points(np.random.default_rng(0), 64)
     for p in pts:
         assert tuple(int(c * 8) for c in p) in cs.cells
+
+
+def test_sample_points_stay_in_their_cells_at_level_50():
+    top = (1 << 50) - 1
+    for cs in (CellSet(1, 50, [[top]]), CellSet(2, 50, [[top, top], [0, top], [top, 5]])):
+        pts = cs.sample_points(np.random.default_rng(0), 10000)
+        assert ((pts >= 0.0) & (pts < 1.0)).all()
+        # scaling by 2^50 is exact, so the floor is each point's level-50 cell
+        assert {tuple(row) for row in np.floor(pts * 2.0**50).astype(np.int64).tolist()} <= cs.cells
+
+
+def test_sample_points_keep_the_stream_and_bits_off_the_upper_faces():
+    cs = CellSet(2, 3, frozenset({(0, 0), (5, 2), (7, 7)}))
+    ours, twin = np.random.default_rng(4), np.random.default_rng(4)
+    pts = cs.sample_points(ours, 500)
+    picks = twin.integers(0, len(cs), size=500)
+    plain = cs.rows[picks] * 0.125 + twin.random((500, 2)) * 0.125
+    assert pts.tobytes() == plain.tobytes()
+    assert ours.bit_generator.state == twin.bit_generator.state
+
+
+def test_cell_points_pull_the_upper_face_back_inside():
+    rows = np.array([[(1 << 50) - 1], [3]])
+    pts = cell_points(rows, 50, np.array([[np.nextafter(1.0, 0.0)], [0.5]]))
+    assert pts[0, 0] == np.nextafter(1.0, 0.0) and pts[0, 0] >= 1.0 - 2.0**-50
+    assert pts[1, 0] == 3.5 * 2.0**-50
 
 
 @st.composite

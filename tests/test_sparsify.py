@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -38,6 +39,7 @@ from helpers import (
     brute_apply_scale,
     brute_family_distance,
     brute_follows,
+    brute_holder,
     brute_mass_at,
     brute_sparse_caps,
     brute_support_draw,
@@ -280,6 +282,43 @@ def test_sparse_measure_rejects_depth_beyond_the_lattice():
 def test_sparse_measure_rejects_repeated_and_nested_nodes(nodes):
     with pytest.raises(InvalidInputError):
         SparseMeasure.from_json_obj({"n": 2, "depth": 6, "nodes": nodes, "windows": []})
+
+
+@st.composite
+def node_sets(draw):
+    """(n, depth, nodes): distinct nodes on one to three levels, indices near
+    the origin, and some drawn as descendants of earlier nodes, one or more
+    levels down, so that nesting is common."""
+    n = draw(st.integers(1, 3))
+    depth = draw(st.integers(2, 6))
+    levels = draw(st.lists(st.integers(0, depth), min_size=1, max_size=3, unique=True))
+    nodes = {}
+    for _ in range(draw(st.integers(1, 8))):
+        t = draw(st.sampled_from(levels))
+        s, idx = draw(st.sampled_from(sorted(nodes))) if nodes and draw(st.booleans()) else (t, None)
+        if s < t:
+            idx = tuple(i << (t - s) | draw(st.integers(0, (1 << (t - s)) - 1)) for i in idx)
+        else:
+            idx = draw(st.tuples(*[st.integers(0, min(3, (1 << t) - 1))] * n))
+        nodes[(t, idx)] = draw(st.sampled_from([0.5, 1.0]))
+    return n, depth, nodes
+
+
+@given(node_sets())
+@example((1, 4, {(1, (0,)): 1.0, (3, (1,)): 1.0}))  # nested two levels apart
+@example((2, 5, {(4, (9, 3)): 1.0, (1, (1, 0)): 1.0, (2, (0, 0)): 1.0, (5, (19, 6)): 1.0}))  # three levels
+def test_antichain_check_matches_pairwise_containment_oracle(case):
+    n, depth, nodes = case
+    holder = brute_holder(nodes)
+    if holder is None:
+        assert SparseMeasure(n, depth, nodes).nodes == nodes
+    else:
+        with pytest.raises(InvalidInputError, match=re.escape(f"node {holder} holds another node")):
+            SparseMeasure(n, depth, nodes)
+
+
+def test_construction_starts_from_its_base(square_construction):
+    assert square_construction.stages[0] is square_construction.base
 
 
 def test_sparse_measure_drops_zero_nodes():
