@@ -85,6 +85,10 @@ def pipeline_extract_core(
     """Run the full extraction on a nonempty cell set; raises tagged stage errors."""
     if not len(cells):
         raise InvalidInputError("the input cell set is empty")
+    if witness_samples < 1:
+        raise InvalidInputError(f"witness samples must be >= 1, got {witness_samples}")
+    if not 1 <= beta_centers <= BETA_POINTS:
+        raise InvalidInputError(f"beta centers must lie in [1, {BETA_POINTS}], got {beta_centers}")
     n = cells.n
     label = gauge_label or f"powerexp:{k}:0.5"
     h = parse_gauge(label)

@@ -56,6 +56,7 @@ from gmtkit.utils import load_json, write_canonical
 
 CAP_TOLERANCE = 1e-9
 BALL_BLOCK = 1 << 16  # (point, cube) pairs per array pass of the ball check
+DRAW_BLOCK = 1 << 13  # digits per random draw of the support sampler
 
 
 def _forced(windows: tuple[tuple[int, int], ...], t: int, level: int) -> int:
@@ -198,19 +199,45 @@ class SparseMeasure:
 
     def _support_cells(self, rng: np.random.Generator, count: int, level: int) -> np.ndarray:
         """Mass-weighted support cells at `level`, a (count, n) int64 array: one
-        choice of nodes, then per level one draw of digits for the rows free
-        there (zeros inside windows), so a single draw takes its digits in the
-        order a per-row descent would.  Integer coordinates: a float round trip
-        at deep levels can round a point across a cell boundary, off the support."""
+        choice of nodes, then the digits of the rows free at each level (zeros
+        inside windows), level by level, then row by row.  Integer
+        coordinates: a float round trip at deep levels can round a point
+        across a cell boundary, off the support.
+
+        The digits take the random stream in the order of one
+        ``rng.integers(0, 2)`` call per level, the order a single-row draw
+        shares with a per-row descent, but come from one call per run of
+        levels whose free rows agree, cut into blocks of at most
+        ``DRAW_BLOCK`` digits.  Each int64 digit of range 2
+        takes exactly one 32-bit output (Lemire's method never rejects there)
+        and the generator keeps its spare 32-bit half between calls, so
+        merging or cutting the calls leaves the stream as it was."""
         if not len(self.weights):
             raise InvalidInputError("cannot sample from the zero measure")
         picks = rng.choice(len(self.weights), size=count, p=self.weights / self.weights.sum())
         t, idx = self.levels[picks], self.rows[picks]
-        forced = np.array([_forced(self.windows, lvl, level) for lvl in t.tolist()], dtype=np.int64)
         cells = idx >> np.maximum(t - level, 0)[:, None] << np.maximum(level - t, 0)[:, None]
-        for l in range(int(t.min(initial=level)) + 1, level + 1):
-            free = np.flatnonzero((t < l) & (((forced >> (level - l)) & 1) == 0))
-            cells[free] |= rng.integers(0, 2, size=(len(free), self.n)) << (level - l)
+        # free[u, i]: does a row whose node sits at node_levels[u] take digits at digit_levels[i]
+        node_levels, which = np.unique(t, return_inverse=True)
+        forced = np.array([_forced(self.windows, u, level) for u in node_levels.tolist()], dtype=np.int64)
+        digit_levels = np.arange(int(t.min(initial=level)) + 1, level + 1)
+        free = (node_levels[:, None] < digit_levels) & ((forced[:, None] >> (level - digit_levels) & 1) == 0)
+        # the runs of levels over which the free rows stay the same
+        changes = np.flatnonzero((free[:, 1:] != free[:, :-1]).any(axis=0)) + 1
+        starts = [0, *changes.tolist()] if len(digit_levels) else []
+        width = max(1, DRAW_BLOCK // self.n)  # rows per draw, at most
+        for a, b in zip(starts, [*starts[1:], len(digit_levels)]):
+            rows = np.flatnonzero(free[which, a])
+            if not len(rows):
+                continue
+            step = max(1, width // len(rows))  # levels per draw
+            for l in range(a, b, step):
+                shifts = (level - digit_levels[l : min(l + step, b)])[:, None, None]
+                for r in range(0, len(rows), width):
+                    part = rows[r : r + width]
+                    bits = rng.integers(0, 2, size=(len(shifts), len(part), self.n))
+                    bits <<= shifts
+                    cells[part] |= bits.sum(axis=0)  # each level's digit sits on its own bit
         return cells
 
     @cached_property

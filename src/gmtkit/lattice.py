@@ -144,11 +144,16 @@ def descendants(cube: DyadicCube, dlevel: int) -> list[DyadicCube]:
 
 
 def box_distances(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Euclidean distances from (m, n) points to (b, n) closed axis-aligned
-    boxes, as an (m, b) array."""
-    p = points[:, None, :]
-    gap = np.maximum(np.maximum(lo - p, p - hi), 0.0)
-    return np.sqrt((gap * gap).sum(axis=-1))
+    """Euclidean distances from points to closed axis-aligned boxes with
+    corners lo, hi: the last axis holds the n coordinates, and the others
+    broadcast, so (m, 1, n) points against (b, n) boxes give an (m, b) array.
+    The squared gaps add along the contiguous last axis, in one order for
+    every shape."""
+    gap = lo - points
+    np.maximum(gap, points - hi, out=gap)
+    np.maximum(gap, 0.0, out=gap)
+    gap *= gap
+    return np.sqrt(gap.sum(axis=-1))
 
 
 def pack(rows: np.ndarray, level: int) -> np.ndarray:

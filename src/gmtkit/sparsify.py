@@ -48,6 +48,8 @@ from gmtkit.utils import load_json, write_canonical
 
 PRESERVE_TOL = 1e-12
 CAP_TOL = 1e-9
+HOLE_BLOCK = 1 << 13  # (point, box) pairs or swept cubes per array pass of the hole search
+WITNESS_BLOCK = 256  # witness samples per hole search
 
 
 # ---------------------------------------------------------------------------
@@ -577,53 +579,114 @@ def scale_family_view(source, scale_index: int) -> ScaleFamilyView:
     raise InvalidInputError(f"cannot build a family view from {type(source).__name__}")
 
 
-def _section_grid(x: np.ndarray, frame: np.ndarray, rho: float, grid: int) -> np.ndarray:
-    """Points of x + span(frame) on a `grid`-per-axis lattice inside the closed
-    rho-ball around x, ordered lexicographically by plane coordinates."""
-    k = frame.shape[0]
+def _section_offsets(k: int, rho: float, grid: int) -> np.ndarray:
+    """Plane coordinates of a `grid`-per-axis lattice inside the closed rho-ball
+    around the origin of a k-plane, in lexicographic order, as a (g, k) array.
+    A centre x with frame F has the section points x + offsets @ F."""
     axis = np.linspace(-rho, rho, grid)
     t = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
-    t = t[(t * t).sum(axis=1) <= rho * rho * (1.0 + 1e-12)]
-    return x + t @ frame
+    return t[(t * t).sum(axis=1) <= rho * rho * (1.0 + 1e-12)]
 
 
-def _family_boxes(view: ScaleFamilyView, x: np.ndarray, reach: float, inner: float = -1.0):
-    """Corners (lo, hi) of the selected subcubes of the occupied level-l cubes
-    Q with inner < dist(x, Q) <= reach."""
+def _as_points(y, n: int) -> np.ndarray:
+    """`y`, one point or a stack of points, as a float array of shape (n,) or
+    (m, n) with finite coordinates."""
+    try:
+        y = np.asarray(y, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed point: {exc}") from exc
+    if y.ndim not in (1, 2) or y.shape[-1] != n:
+        raise InvalidInputError(f"points must have {n} coordinates, got an array of shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise InvalidInputError(f"point coordinates must be finite, got {y[~np.isfinite(y)][0]}")
+    return y
+
+
+def _family_boxes(view: ScaleFamilyView, x: np.ndarray, reach: np.ndarray, inner: np.ndarray):
+    """(owner, lo, hi): the corners of the selected subcubes of the occupied
+    level-l cubes Q with inner[i] < dist(x[i], Q) <= reach[i], for each row i
+    of the (m, n) array `x`, and the row each belongs to, rows ascending.
+
+    Each row sweeps the cubes of its own bounding box, so a sweep costs the
+    sum of the rows' box sizes, never the largest box times the rows; the
+    boxes' cubes go in passes of at most ``HOLE_BLOCK``."""
     n, level = view.n, view.level
     side = 2.0 ** (-level)
     scale = 1 << level
-    # a cube whose upper face lies exactly at x - reach is at distance reach
-    lo = np.maximum(np.ceil((x - reach) * scale).astype(np.int64) - 1, 0)
-    hi = np.minimum(np.floor((x + reach) * scale).astype(np.int64), scale - 1)
-    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    cubes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    corner = cubes * side
-    gap = box_distances(x[None, :], corner, corner + side)[0]
-    cubes = cubes[(gap > inner) & (gap <= reach)]
-    found, selected = view.selected(cubes[view.occupied(cubes)])
+    # a cube whose upper face lies exactly at x - reach is at distance reach;
+    # clipping to just outside [0, scale] keeps a far row's bounds within
+    # int64 and leaves the cubes of its box as they are
+    r = reach[:, None]
+    lo = np.maximum(np.ceil(np.clip((x - r) * scale, -1.0, scale + 1.0)).astype(np.int64) - 1, 0)
+    hi = np.minimum(np.floor(np.clip((x + r) * scale, -1.0, scale)).astype(np.int64), scale - 1)
+    span = np.maximum(hi - lo + 1, 0)
+    count = span.prod(axis=1)
+    starts, total = np.cumsum(count) - count, int(count.sum())
+    owners, kept = [np.empty(0, dtype=np.int64)], [np.empty((0, n), dtype=np.int64)]
+    for a in range(0, total, HOLE_BLOCK):
+        at = np.arange(a, min(a + HOLE_BLOCK, total))
+        owner = np.searchsorted(starts, at, side="right") - 1
+        rest = at - starts[owner]  # position in the owner's box
+        cubes = np.empty((len(at), n), dtype=np.int64)
+        for d in range(n - 1, -1, -1):  # the box's cubes in lexicographic order, first index slowest
+            rest, digit = np.divmod(rest, span[owner, d])
+            cubes[:, d] = lo[owner, d] + digit
+        corner = cubes * side
+        gap = box_distances(x[owner], corner, corner + side)
+        near = np.flatnonzero((gap > inner[owner]) & (gap <= reach[owner]))
+        near = near[view.occupied(cubes[near])]
+        owners.append(owner[near])
+        kept.append(cubes[near])
+    owner, cubes = np.concatenate(owners), np.concatenate(kept)
+    found, selected = view.selected(cubes)
     sub = 2.0 ** (-(level + view.ell))
     lows = selected[found] * sub
-    return lows, lows + sub
+    return owner[found], lows, lows + sub
 
 
-def distance_to_family(view: ScaleFamilyView, y: np.ndarray) -> float:
+def distance_to_family(view: ScaleFamilyView, y) -> float | np.ndarray:
     """Exact distance from y to the union of selected subcubes at this scale
-    (infinite when the scale selects none)."""
-    y = np.asarray(y, dtype=float)
+    (infinite when the scale selects none): a float for one point of shape
+    (n,), an (m,) array for m points of shape (m, n).
+
+    Each point sweeps the cubes within a radius of it, doubling the radius
+    until the nearest subcube found lies within it; every sweep takes all
+    points still open at once."""
+    y = _as_points(y, view.n)
+    pts = y.reshape(-1, view.n)
     side = 2.0 ** (-view.level)
-    radius = 2.0 * side
     cap = 4.0 * sqrt(view.n) + 4.0 * side
-    best = float("inf")
-    seen_radius = -1.0
-    while True:
-        lo, hi = _family_boxes(view, y, radius, seen_radius)
-        best = min(best, float(box_distances(y[None, :], lo, hi).min(initial=np.inf)))
-        # every unexamined family cube is farther than `radius`
-        if best <= radius or radius > cap:
-            return best
-        seen_radius = radius
-        radius *= 2.0
+    best = np.full(len(pts), np.inf)
+    radius = np.full(len(pts), 2.0 * side)
+    seen = np.full(len(pts), -1.0)
+    rows = np.arange(len(pts))  # the points still open
+    while len(rows):
+        owner, lo, hi = _family_boxes(view, pts[rows], radius[rows], seen[rows])
+        np.minimum.at(best, rows[owner], box_distances(pts[rows[owner]], lo, hi))
+        # every unexamined family cube is farther than the point's radius
+        rows = rows[(best[rows] > radius[rows]) & (radius[rows] <= cap)]
+        seen[rows] = radius[rows]
+        radius[rows] *= 2.0
+    return float(best[0]) if y.ndim == 1 else best
+
+
+def _clearances(points: np.ndarray, owner: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per point of the (m, g, n) array `points`, the distance to the nearest
+    box of its row (infinite where the row has none): box j, with corners
+    lo[j] and hi[j], belongs to row owner[j], rows ascending.  Boxes go in
+    passes of at most ``HOLE_BLOCK`` (point, box) pairs."""
+    m, g, _ = points.shape
+    out = np.full((m, g), np.inf)
+    step = min(g, HOLE_BLOCK)  # points per pass
+    per = HOLE_BLOCK // step  # boxes per pass
+    for s in range(0, g, step):
+        for a in range(0, len(owner), per):
+            rows = owner[a : a + per]
+            d = box_distances(points[rows, s : s + step], lo[a : a + per, None], hi[a : a + per, None])
+            first = np.flatnonzero(np.diff(rows, prepend=-1))  # each row's first box in the pass
+            here = rows[first]
+            out[here, s : s + step] = np.minimum(out[here, s : s + step], np.minimum.reduceat(d, first, axis=0))
+    return out
 
 
 @dataclass(frozen=True)
@@ -637,10 +700,10 @@ def find_hole(
     source,
     scale_index: int,
     x,
-    plane: AffinePlane,
+    plane,
     c_target: float,
     grid: int = 16,
-) -> HoleWitness | None:
+) -> HoleWitness | None | tuple[HoleWitness | None, ...]:
     """Search the k-plane section through x at one certified scale for a point
     at distance >= c_target * 2^-l_j from the union of selected subcubes.
 
@@ -649,27 +712,42 @@ def find_hole(
     grid point of largest clearance when it clears the target, otherwise None.
     When the scale selects no subcube at all, every clearance is infinite and
     the first grid point is returned.
+
+    `x` is one centre, shape (n,), with one AffinePlane, or m centres, shape
+    (m, n), with a sequence of m planes of one dimension k; the latter returns
+    a tuple of m results.  All centres go through one array pass: one
+    distance sweep, one sweep of the cubes within reach, and their section
+    grids scored against their own subcubes.
     """
     if grid < 8:
         raise InvalidInputError(f"grid must be >= 8, got {grid}")
     view = scale_family_view(source, scale_index)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (view.n,):
-        raise InvalidInputError(f"x must have {view.n} coordinates")
+    x = _as_points(x, view.n)
+    planes = tuple(plane) if x.ndim == 2 and isinstance(plane, (list, tuple)) else (plane,)
+    centres = x.reshape(-1, view.n)
+    if len(planes) != len(centres):
+        raise InvalidInputError(f"{len(centres)} centres need as many planes, got {len(planes)}")
+    if not planes:
+        return ()
+    if not all(isinstance(p, AffinePlane) and p.frame.shape == (planes[0].k, view.n) for p in planes):
+        raise InvalidInputError(f"planes must be AffinePlanes of one dimension in R^{view.n}")
     rho = 2.0 ** (-(view.level + 1))
-    points = _section_grid(x, plane.frame, rho, grid)
+    offsets = _section_offsets(planes[0].k, rho, grid)
+    points = centres[:, None, :] + offsets @ np.array([p.frame for p in planes])
     # a grid point y has |y - x| <= rho and d(y) <= d(x) + rho, so the subcube
     # nearest y lies within d(x) + 2 rho of x; the factor absorbs rounding
-    reach = (distance_to_family(view, x) + 2.0 * rho) * (1.0 + 1e-9)
-    if reach < float("inf"):
-        lo, hi = _family_boxes(view, x, reach)
-    else:
-        lo = hi = np.empty((0, view.n))
-    clearance = box_distances(points, lo, hi).min(axis=1, initial=np.inf)
-    best = int(np.argmax(clearance))
-    if clearance[best] < c_target * 2.0 ** (-view.level):
-        return None
-    return HoleWitness(tuple(float(c) for c in points[best]), float(clearance[best]), view.level)
+    reach = (distance_to_family(view, centres) + 2.0 * rho) * (1.0 + 1e-9)
+    swept = np.flatnonzero(reach < float("inf"))
+    owner, lo, hi = _family_boxes(view, centres[swept], reach[swept], np.full(len(swept), -1.0))
+    clearance = _clearances(points, swept[owner], lo, hi)
+    best = clearance.argmax(axis=1)
+    top = clearance[np.arange(len(centres)), best].tolist()
+    target = c_target * 2.0 ** (-view.level)
+    found = tuple(
+        None if c < target else HoleWitness(tuple(points[i, b].tolist()), c, view.level)
+        for i, (b, c) in enumerate(zip(best.tolist(), top))
+    )
+    return found[0] if x.ndim == 1 else found
 
 
 @dataclass(frozen=True)
@@ -709,10 +787,10 @@ def estimate_c0(ell: int, n: int, k: int, trials: int = 2000, grid: int = 24, se
     sub = 2.0 ** (-ell)
     offsets = np.array(list(product((-1.0, 0.0, 1.0), repeat=n)))
     centre = len(offsets) // 2  # the all-zero offset
-    worst = float("inf")
+    units, frames, lows = np.empty((trials, n)), np.empty((trials, k, n)), np.empty((trials, len(offsets), n))
     for trial in range(trials):
-        u = rng.random(n)
-        frame = random_orthonormal_frame(rng, n, k)
+        units[trial] = rng.random(n)
+        frames[trial] = random_orthonormal_frame(rng, n, k)
         style = trial % 3
         if style == 0:
             subs = rng.integers(0, 1 << ell, size=(len(offsets), n)).astype(float)
@@ -720,10 +798,17 @@ def estimate_c0(ell: int, n: int, k: int, trials: int = 2000, grid: int = 24, se
             subs = np.tile(rng.integers(0, 1 << ell, size=n).astype(float), (len(offsets), 1))
         else:
             subs = np.zeros((len(offsets), n))
-        lows = offsets + subs * sub
-        highs = lows + sub
-        points = _section_grid(lows[centre] + u * sub, frame, 0.5, grid)
-        worst = min(worst, float(box_distances(points, lows, highs).min(axis=1).max()))
+        lows[trial] = offsets + subs * sub
+    centres = lows[:, centre] + units * sub
+    grid_offsets = _section_offsets(k, 0.5, grid)
+    # trials in passes of at most HOLE_BLOCK (point, obstacle) pairs, each
+    # trial's best clearance the largest over its points of the nearest obstacle
+    per = max(1, HOLE_BLOCK // (len(grid_offsets) * len(offsets)))
+    worst = float("inf")
+    for a in range(0, trials, per):
+        points = centres[a : a + per, None, :] + grid_offsets @ frames[a : a + per]
+        clear = box_distances(points[:, :, None, :], lows[a : a + per, None], lows[a : a + per, None] + sub)
+        worst = min(worst, float(clear.min(axis=2).max(axis=1).min()))
     return C0Estimate(worst, trials, grid, ell, n, k, below)
 
 
@@ -753,6 +838,8 @@ def witness_unrectifiability(
     """
     if c0 < 0:
         raise InvalidInputError(f"c0 must be nonnegative, got {c0}")
+    if samples < 1:
+        raise InvalidInputError(f"samples must be >= 1, got {samples}")
     if isinstance(target, SparseConstruction):
         cert = target.certificate
         source = target
@@ -771,17 +858,26 @@ def witness_unrectifiability(
         raise InvalidInputError(f"cannot witness on {type(target).__name__}")
 
     rng = np.random.default_rng(seed)
+    centres, planes = np.empty((samples, n)), []
+    for i in range(samples):
+        centres[i] = draw(rng, 1)[0]
+        planes.append(AffinePlane(centres[i], random_orthonormal_frame(rng, n, k)))
+    # per scale, each sample's witness or None; a search takes WITNESS_BLOCK
+    # samples at a time, so that its memory does not grow with the samples
+    found: list[list[HoleWitness | None]] = []
+    for s_idx in range(len(cert.scales)):
+        found.append([])
+        for a in range(0, samples, WITNESS_BLOCK):
+            block = slice(a, a + WITNESS_BLOCK)
+            found[-1] += find_hole(source, s_idx, centres[block], planes[block], c0, grid)
     failures: list[tuple[int, int]] = []
     min_clear: dict[int, float] = {}
     for i in range(samples):
-        x = draw(rng, 1)[0]
-        plane = AffinePlane(x, random_orthonormal_frame(rng, n, k))
-        for s_idx, level in enumerate(cert.scales):
-            witness = find_hole(source, s_idx, x, plane, c0, grid)
-            if witness is None:
+        for level, witnesses in zip(cert.scales, found):
+            if witnesses[i] is None:
                 failures.append((i, level))
                 continue
-            min_clear[level] = min(min_clear.get(level, float("inf")), witness.clearance / 2.0 ** (-level))
+            min_clear[level] = min(min_clear.get(level, float("inf")), witnesses[i].clearance / 2.0 ** (-level))
     return WitnessReport(
         passed=not failures,
         samples=samples,

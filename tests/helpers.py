@@ -14,6 +14,7 @@ import numpy as np
 from gmtkit.carleson import EpsilonReport, sphere_points, unit_sphere_area
 from gmtkit.gauge import Gauge
 from gmtkit.lattice import CellSet
+from gmtkit.sparsify import random_orthonormal_frame
 
 
 def index_ancestor(index: tuple[int, ...], levels_up: int) -> tuple[int, ...]:
@@ -132,6 +133,44 @@ def brute_family_distance(cert, scale_index: int, y) -> float:
             squared += gap * gap
         best = min(best, math.sqrt(squared))
     return best
+
+
+def brute_hole(cert, scale_index: int, x, frame, c_target: float, grid: int):
+    """(point, clearance) of the first section grid point of largest clearance
+    through x at one scale of an explicit certificate, or None below the
+    target: every point of the `grid`-per-axis lattice of plane coordinates
+    in the closed 2^-(level+1)-ball, in `product` order, scored by
+    `brute_family_distance`."""
+    level = cert.families[scale_index].level
+    rho = 2.0 ** -(level + 1)
+    axis = np.linspace(-rho, rho, grid)
+    best = None
+    for t in product(axis.tolist(), repeat=len(frame)):
+        if sum(c * c for c in t) <= rho * rho * (1.0 + 1e-12):
+            y = np.asarray(x, dtype=float) + np.array(t) @ np.asarray(frame)
+            clearance = brute_family_distance(cert, scale_index, y)
+            if best is None or clearance > best[1]:
+                best = (tuple(y.tolist()), clearance)
+    return None if best[1] < c_target * 2.0 ** -level else best
+
+
+def loop_witness(draw, n: int, k: int, scales, hole, samples: int, seed: int):
+    """(failures, min clearance items) of a witness run by a per-sample loop:
+    for each sample a centre `draw(rng, 1)[0]` and a frame, then per scale
+    `hole(scale index, x, frame)`, a clearance or None; a scale level enters
+    the min clearances when its first witness passes."""
+    rng = np.random.default_rng(seed)
+    failures, min_clear = [], {}
+    for i in range(samples):
+        x = draw(rng, 1)[0]
+        frame = random_orthonormal_frame(rng, n, k)
+        for s, level in enumerate(scales):
+            clearance = hole(s, x, frame)
+            if clearance is None:
+                failures.append((i, level))
+            else:
+                min_clear[level] = min(min_clear.get(level, math.inf), clearance / 2.0 ** -level)
+    return failures, list(min_clear.items())
 
 
 def brute_follows(cert, level: int, idx: tuple[int, ...]) -> bool:
@@ -256,6 +295,19 @@ def brute_sparse_caps(cons, h: Gauge) -> tuple[float, float]:
                     value *= 2.0 ** (-n)
                 visit(level, value, amp)
     return ratio_h, ratio_k
+
+
+def brute_support_cells(sm, rng: np.random.Generator, count: int, level: int) -> np.ndarray:
+    """Mass-weighted support cells of a SparseMeasure at `level`: one choice of
+    nodes, then per level one `rng.integers(0, 2)` draw of n digits for each
+    row free there (zeros inside windows), rows in pick order."""
+    picks = rng.choice(len(sm.weights), size=count, p=sm.weights / sm.weights.sum())
+    t, idx = sm.levels[picks], sm.rows[picks]
+    cells = idx >> np.maximum(t - level, 0)[:, None] << np.maximum(level - t, 0)[:, None]
+    for l in range(int(t.min(initial=level)) + 1, level + 1):
+        free = np.flatnonzero([s < l and not _in_window(sm.windows, s, l) for s in t.tolist()])
+        cells[free] |= rng.integers(0, 2, size=(len(free), sm.n)) << (level - l)
+    return cells
 
 
 def brute_support_draw(sm, rng: np.random.Generator) -> np.ndarray:

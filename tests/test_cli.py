@@ -325,6 +325,20 @@ def test_exit_code_invalid_input(tmp_path, capsys):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--witness-samples", "0"), ("--witness-samples", "-3"),
+    ("--beta-centers", "0"), ("--beta-centers", "-3"), ("--beta-centers", "2049"), ("--beta-centers", "5000"),
+])
+def test_extract_core_rejects_counts_without_an_answer(tmp_path, capsys, flag, value):
+    # no samples make a vacuous witness pass; beta centres come from the 2048 beta points
+    cells_path = tmp_path / "cantor.json"
+    run(["generate", "--kind", "four-corner-cantor", "--depth", "6", "--out", str(cells_path)])
+    capsys.readouterr()
+    assert run(["extract-core", "--cells", str(cells_path), flag, value, "--outdir", str(tmp_path / "out")]) == 3
+    assert "invalid input" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_depth_budget(tmp_path, capsys):
     cells_path = tmp_path / "cantor.json"
     run(["generate", "--kind", "four-corner-cantor", "--depth", "8", "--out", str(cells_path)])

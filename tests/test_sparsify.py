@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from gmtkit import sparsify
 from gmtkit.corpus import GeneratorSpec, generate, random_sparse_with_certificate
 from gmtkit.errors import DepthBudgetError, InvalidInputError, VerificationError
 from gmtkit.frostman import CellMeasure, build_frostman
-from gmtkit.gauge import power_exp_gauge, power_gauge
+from gmtkit.gauge import parse_gauge, power_exp_gauge, power_gauge
 from gmtkit.lattice import CellSet, DyadicCube
 from gmtkit.sparsify import (
     AffinePlane,
@@ -41,8 +43,11 @@ from helpers import (
     brute_follows,
     brute_holder,
     brute_mass_at,
+    brute_hole,
     brute_sparse_caps,
+    brute_support_cells,
     brute_support_draw,
+    loop_witness,
 )
 
 H32 = power_exp_gauge(1, 0.5)  # h(r) = r^(3/2)
@@ -507,6 +512,55 @@ def test_single_support_draws_keep_the_random_stream(name, request):
         assert ours.bit_generator.state == oracle.bit_generator.state
 
 
+@given(antichain_stages(), st.integers(1, 3000), st.data())
+def test_support_cells_keep_the_per_level_stream(case, count, data):
+    # one draw per run of levels, cut into blocks, against one draw per level
+    stage = case[0]
+    level = data.draw(st.integers(0, stage.depth))
+    ours, oracle = (np.random.default_rng(data.draw(st.integers(0, 2**16))) for _ in range(2))
+    oracle.bit_generator.state = ours.bit_generator.state
+    if data.draw(st.booleans()):  # leave a spare 32-bit half in both generators
+        ours.integers(0, 2), oracle.integers(0, 2)
+    cells = stage._support_cells(ours, count, level)
+    assert cells.tobytes() == brute_support_cells(stage, oracle, count, level).tobytes()
+    assert ours.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["square_construction", "cube3_construction", "cantor_construction"])
+@pytest.mark.parametrize("count", [1, 7, 2048, 3000])
+def test_deep_support_cells_keep_the_per_level_stream(name, count, request):
+    out = request.getfixturevalue(name).result
+    ours, oracle = np.random.default_rng(count), np.random.default_rng(count)
+    cells = out._support_cells(ours, count, out.depth)
+    assert cells.tobytes() == brute_support_cells(out, oracle, count, out.depth).tobytes()
+    assert ours.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.fixture(scope="module")
+def cantor_construction():
+    """The four-corner Cantor set at depth 10 through the pipeline's k = 1 settings."""
+    cells = generate(GeneratorSpec(kind="four-corner-cantor", n=2, depth=10))
+    h = parse_gauge("powerexp:1:0.5")
+    return build_sparse_construction(build_frostman(cells, h).with_depth(40), h, 1, min_sparsity_parameter(2, 1))
+
+
+def _peak_bytes(fn) -> int:
+    """tracemalloc's peak while `fn` runs, after a first untraced call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_support_draw_memory_is_bounded(cantor_construction):
+    # digits come in blocks, not in one array for every level and point
+    out = cantor_construction.result
+    assert _peak_bytes(lambda: out.sample_support_points(np.random.default_rng(0), 2048)) <= 512 * 1024
+
+
 def test_sparse_measure_rollup_and_roundtrip(square_construction, tmp_path):
     out = square_construction.result
     roll = out.ancestor_rollup(2)
@@ -670,6 +724,26 @@ def test_estimate_c0_flags_small_ell():
     assert est.below_threshold
 
 
+# estimate_c0's values, pinned bit for bit
+C0_BITS = {
+    (1, 12, 0): "0x1.37abab28f77f4p-2", (1, 16, 0): "0x1.2c52a166d8cdbp-2", (1, 24, 0): "0x1.37c3be7a3f286p-2",
+    (1, 12, 1): "0x1.ecd4407e686fcp-3", (1, 16, 1): "0x1.ecd4407e686fcp-3", (1, 24, 1): "0x1.ecd4407e686fcp-3",
+    (1, 12, 2): "0x1.2393ea6503f7ap-2", (1, 16, 2): "0x1.1d7182c03fe4ap-2", (1, 24, 2): "0x1.20b9af0f16592p-2",
+    (1, 12, 3): "0x1.0bbd7482258ebp-2", (1, 16, 3): "0x1.2bf749ec66387p-2", (1, 24, 3): "0x1.2bf749ec66387p-2",
+    (2, 12, 0): "0x1.b066547ef4a80p-2", (2, 12, 1): "0x1.ad9aee0166346p-2", (2, 12, 2): "0x1.b37b80d3d2391p-2",
+    (2, 12, 3): "0x1.b44a5b196bf44p-2",
+}
+
+
+@pytest.mark.parametrize("k, grid, seed", sorted(C0_BITS))
+@pytest.mark.parametrize("block", [8192, 7])  # (point, obstacle) pairs per pass
+def test_estimate_c0_keeps_its_bits(k, grid, seed, block, monkeypatch):
+    # (4, 2, 1) with 300 trials and (4, 3, 2) with 64, trials in several blocks
+    monkeypatch.setattr(sparsify, "HOLE_BLOCK", block)
+    est = estimate_c0(4, k + 1, k, trials=300 if k == 1 else 64, grid=grid, seed=seed)
+    assert est.value.hex() == C0_BITS[(k, grid, seed)]
+
+
 def test_estimate_c0_validates():
     with pytest.raises(InvalidInputError):
         estimate_c0(4, 2, 1, trials=0)
@@ -722,6 +796,128 @@ def test_hole_search_matches_brute_force_oracle(case, grid):
         if sum(c * c for c in t) <= rho * rho * (1.0 + 1e-12)
     )
     assert _close(witness.clearance, best)
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or _close(a, b)
+
+
+@st.composite
+def explicit_hole_batches(draw):
+    """A one-scale explicit certificate, at times selecting nothing, and
+    centres in and around the unit cube, each with a frame of one dimension."""
+    n, k = draw(st.sampled_from([(2, 1), (3, 1), (3, 2)]))
+    level, ell = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    cube = st.tuples(*[st.integers(0, (1 << level) - 1)] * n)
+    cubes = draw(st.lists(cube, max_size=6, unique=True))
+    pairs = {q: tuple(draw(st.integers(i << ell, ((i + 1) << ell) - 1)) for i in q) for q in cubes}
+    cert = SparsityCertificate(n, ell, (level,), (ScaleFamily(level, ell, pairs),))
+    centre = st.tuples(*[st.one_of(st.floats(0.0, 1.0), st.floats(-0.5, 1.5))] * n)
+    xs = np.array(draw(st.lists(centre, min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return cert, xs, [random_orthonormal_frame(rng, n, k) for _ in xs]
+
+
+@given(explicit_hole_batches(), st.integers(8, 12), st.sampled_from([0.0, 0.2, 0.45]))
+def test_batched_hole_search_matches_per_point_oracles(case, grid, c):
+    cert, xs, frames = case
+    view = scale_family_view(cert, 0)
+    dist = distance_to_family(view, xs)
+    assert dist.tolist() == [distance_to_family(view, x) for x in xs]
+    assert all(_same(d, brute_family_distance(cert, 0, x)) for d, x in zip(dist.tolist(), xs))
+    planes = [AffinePlane(x, frame) for x, frame in zip(xs, frames)]
+    found = find_hole(cert, 0, xs, planes, c, grid)
+    assert found == tuple(find_hole(cert, 0, x, plane, c, grid) for x, plane in zip(xs, planes))
+    with pytest.MonkeyPatch.context() as patch:  # passes of a few pairs, grids cut across passes
+        patch.setattr(sparsify, "HOLE_BLOCK", 7)
+        assert find_hole(cert, 0, xs, planes, c, grid) == found
+        assert distance_to_family(view, xs).tolist() == dist.tolist()
+    target = c * 2.0 ** -cert.scales[0]
+    for witness, x, frame in zip(found, xs, frames):
+        point, best = brute_hole(cert, 0, x, frame, 0.0, grid)
+        if not _close(best, target):
+            assert (witness is None) == (best < target)
+        if witness is not None:
+            assert _same(witness.clearance, best)
+            assert _same(brute_family_distance(cert, 0, witness.point), best)
+
+
+@pytest.mark.parametrize("n, seed, c0", [(2, 0, 0.05), (2, 1, 0.3), (2, 2, 0.45), (3, 0, 0.2), (3, 1, 0.4)])
+def test_witness_matches_per_sample_loop_on_explicit_certificates(n, seed, c0):
+    cells, cert = random_sparse_with_certificate(GeneratorSpec(kind="random-sparse", n=n, depth=6, ell=2, seed=seed))
+    rep = witness_unrectifiability(cells, cert, c0, samples=6, seed=seed, grid=8)
+
+    def hole(s, x, frame):
+        found = brute_hole(cert, s, x, frame, c0, 8)
+        return None if found is None else found[1]
+
+    failures, clear = loop_witness(cells.sample_points, n, 1, cert.scales, hole, 6, seed)
+    assert rep.failures == tuple(failures)
+    assert list(rep.min_clearance) == [level for level, _ in clear]
+    assert all(_close(rep.min_clearance[level], value) for level, value in clear)
+
+
+@pytest.mark.parametrize("name, c0", [
+    ("square_construction", 0.25), ("square_construction", 0.47),
+    ("cube3_construction", 0.4), ("cube3_construction", 0.49),
+])
+@pytest.mark.parametrize("block", [256, 5])  # samples per hole search
+def test_witness_matches_per_sample_loop_on_constructions(name, c0, block, request, monkeypatch):
+    cons = request.getfixturevalue(name)
+    monkeypatch.setattr(sparsify, "WITNESS_BLOCK", block)
+    rep = witness_unrectifiability(cons, None, c0, samples=12, seed=2, grid=8)
+
+    def hole(s, x, frame):
+        witness = find_hole(cons, s, x, AffinePlane(x, frame), c0, 8)
+        return None if witness is None else witness.clearance
+
+    failures, clear = loop_witness(cons.result.sample_support_points, cons.base.n, cons.k, cons.certificate.scales,
+                                   hole, 12, 2)
+    assert (rep.failures, list(rep.min_clearance.items())) == (tuple(failures), clear)
+
+
+@pytest.fixture(scope="module")
+def sparse3_construction():
+    """A random sparse set in n = 3 through the pipeline's k = 2 settings."""
+    cells = generate(GeneratorSpec(kind="random-sparse", n=3, depth=9, ell=4, seed=0))
+    h = parse_gauge("powerexp:2:0.5")
+    return build_sparse_construction(build_frostman(cells, h).with_depth(40), h, 2, min_sparsity_parameter(3, 2))
+
+
+def test_witness_memory_is_bounded(sparse3_construction):
+    # (point, subcube) pairs go in blocks, not in one array for every sample
+    c0 = estimate_c0(sparse3_construction.ell, 3, 2, trials=64, grid=12, seed=0).value
+    peak = _peak_bytes(lambda: witness_unrectifiability(sparse3_construction, None, c0, samples=24, seed=0, grid=12))
+    assert peak <= 1024 * 1024
+
+
+def test_witness_rejects_no_samples(square_construction):
+    for samples in (0, -4):
+        with pytest.raises(InvalidInputError, match="samples"):
+            witness_unrectifiability(square_construction, None, 0.1, samples=samples)
+
+
+@pytest.mark.parametrize("x", [
+    [0.3], [0.1, 0.2, 0.3], [[[0.1, 0.2]]], [float("nan"), 0.5], [[0.5, 0.5], [float("inf"), 0.5]], "ab",
+])
+def test_hole_search_rejects_bad_points(x):
+    cert = SparsityCertificate(2, 2, (1,), (ScaleFamily(1, 2, {(0, 0): (0, 0)}),))
+    with pytest.raises(InvalidInputError):
+        distance_to_family(scale_family_view(cert, 0), x)
+    plane = AffinePlane(np.array([0.5, 0.5]), np.array([[1.0, 0.0]]))
+    planes = plane if np.ndim(x) == 1 else [plane] * len(x)
+    with pytest.raises(InvalidInputError):
+        find_hole(cert, 0, x, planes, 0.1, grid=8)
+
+
+def test_find_hole_rejects_mismatched_planes():
+    cert = SparsityCertificate(2, 2, (1,), (ScaleFamily(1, 2, {(0, 0): (0, 0)}),))
+    xs = np.array([[0.2, 0.2], [0.7, 0.4]])
+    line = AffinePlane(xs[0], np.array([[1.0, 0.0]]))
+    for planes in ([line], [line, AffinePlane(np.zeros(3), np.array([[1.0, 0.0, 0.0]]))], [line, None], line):
+        with pytest.raises(InvalidInputError):
+            find_hole(cert, 0, xs, planes, 0.1, grid=8)
+    assert len(find_hole(cert, 0, xs, [line, line], 0.1, grid=8)) == 2
 
 
 def test_witness_passes_on_square(square_construction):
