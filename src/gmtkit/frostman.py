@@ -197,34 +197,80 @@ class SparseMeasure:
         cell_level = int(self.levels[0]) if len(self.levels) else self.depth
         return CellMeasure(self.n, self.depth, (self.rows, self.weights), cell_level)
 
+    @cached_property
+    def _choice_table(self) -> np.ndarray:
+        """The cumulative table ``rng.choice(N, p=weights / weights.sum())``
+        builds: the running sum of p, divided by its last entry."""
+        cdf = (self.weights / self.weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
+    def _pick(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """`count` mass-weighted node indices, exactly as ``rng.choice`` with p
+        draws them: one ``rng.random(count)`` call, each uniform placed in the
+        table by ``searchsorted(side="right")``."""
+        if not len(self.weights):
+            raise InvalidInputError("cannot sample from the zero measure")
+        return self._choice_table.searchsorted(rng.random(count), side="right")
+
+    @cached_property
+    def _node_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct node levels, ascending, and each node's position among them."""
+        return np.unique(self.levels, return_inverse=True)
+
+    @cached_property
+    def _digit_plans(self) -> dict[int, tuple]:
+        return {}  # level -> its `_digit_plan`
+
+    def _digit_plan(self, level: int) -> tuple[np.ndarray, np.ndarray, list[int], list[np.ndarray]]:
+        """Which digits of a level-`level` support cell are drawn, per node
+        level: (digit levels, free, run starts, shifts).  free[u, i] says
+        whether a row whose node sits at the u-th node level draws its digit
+        at digit_levels[i]: the digit lies below the node and outside every
+        window.  The runs are the stretches of levels over which no node
+        level changes between free and not; shifts[u] holds level - l for
+        each free digit level l of the u-th node level.  Built once per
+        level."""
+        plan = self._digit_plans.get(level)
+        if plan is None:
+            node_levels = self._node_levels[0]
+            forced = np.array([_forced(self.windows, u, level) for u in node_levels.tolist()], dtype=np.int64)
+            digit_levels = np.arange(int(node_levels.min(initial=level)) + 1, level + 1)
+            free = (node_levels[:, None] < digit_levels) & ((forced[:, None] >> (level - digit_levels) & 1) == 0)
+            changes = np.flatnonzero((free[:, 1:] != free[:, :-1]).any(axis=0)) + 1
+            starts = [0, *changes.tolist()] if len(digit_levels) else []
+            plan = digit_levels, free, starts, [level - digit_levels[row] for row in free]
+            self._digit_plans[level] = plan
+        return plan
+
     def _support_cells(self, rng: np.random.Generator, count: int, level: int) -> np.ndarray:
         """Mass-weighted support cells at `level`, a (count, n) int64 array: one
-        choice of nodes, then the digits of the rows free at each level (zeros
+        pick of nodes, then the digits of the rows free at each level (zeros
         inside windows), level by level, then row by row.  Integer
         coordinates: a float round trip at deep levels can round a point
         across a cell boundary, off the support.
+
+        The pick (`_pick`) places one ``rng.random(count)`` draw in the
+        cached cumulative table ``_choice_table`` with
+        ``searchsorted(side="right")``.  ``rng.choice(N, size=count, p=p)``
+        with p = weights / weights.sum() builds that same table on every call
+        and then does exactly this, so the indices and the generator state
+        are those of ``rng.choice``, without its O(N) work per call.
 
         The digits take the random stream in the order of one
         ``rng.integers(0, 2)`` call per level, the order a single-row draw
         shares with a per-row descent, but come from one call per run of
         levels whose free rows agree, cut into blocks of at most
-        ``DRAW_BLOCK`` digits.  Each int64 digit of range 2
-        takes exactly one 32-bit output (Lemire's method never rejects there)
-        and the generator keeps its spare 32-bit half between calls, so
-        merging or cutting the calls leaves the stream as it was."""
-        if not len(self.weights):
-            raise InvalidInputError("cannot sample from the zero measure")
-        picks = rng.choice(len(self.weights), size=count, p=self.weights / self.weights.sum())
-        t, idx = self.levels[picks], self.rows[picks]
-        cells = idx >> np.maximum(t - level, 0)[:, None] << np.maximum(level - t, 0)[:, None]
-        # free[u, i]: does a row whose node sits at node_levels[u] take digits at digit_levels[i]
-        node_levels, which = np.unique(t, return_inverse=True)
-        forced = np.array([_forced(self.windows, u, level) for u in node_levels.tolist()], dtype=np.int64)
-        digit_levels = np.arange(int(t.min(initial=level)) + 1, level + 1)
-        free = (node_levels[:, None] < digit_levels) & ((forced[:, None] >> (level - digit_levels) & 1) == 0)
-        # the runs of levels over which the free rows stay the same
-        changes = np.flatnonzero((free[:, 1:] != free[:, :-1]).any(axis=0)) + 1
-        starts = [0, *changes.tolist()] if len(digit_levels) else []
+        ``DRAW_BLOCK`` digits.  Each int64 digit of range 2 takes exactly one
+        32-bit output (Lemire's method never rejects there) and the generator
+        keeps its spare 32-bit half between calls, so merging or cutting the
+        calls leaves the stream as it was.  Which digits are free comes from
+        `_digit_plan`, so a draw does no work that grows with the number of
+        nodes."""
+        picks = self._pick(rng, count)
+        cells = self._node_cells(picks, level)
+        digit_levels, free, starts, _ = self._digit_plan(level)
+        which = self._node_levels[1][picks]
         width = max(1, DRAW_BLOCK // self.n)  # rows per draw, at most
         for a, b in zip(starts, [*starts[1:], len(digit_levels)]):
             rows = np.flatnonzero(free[which, a])
@@ -238,6 +284,35 @@ class SparseMeasure:
                     bits = rng.integers(0, 2, size=(len(shifts), len(part), self.n))
                     bits <<= shifts
                     cells[part] |= bits.sum(axis=0)  # each level's digit sits on its own bit
+        return cells
+
+    def _node_cells(self, picks: np.ndarray, level: int) -> np.ndarray:
+        """The level-`level` cells at the corners of the nodes `picks`: their
+        first subcube, or the cube holding a node below `level`."""
+        t, idx = self.levels[picks], self.rows[picks]
+        return idx >> np.maximum(t - level, 0)[:, None] << np.maximum(level - t, 0)[:, None]
+
+    def _draw_cell(self, rng: np.random.Generator, level: int) -> tuple[int, np.ndarray]:
+        """The generator calls of ``_support_cells(rng, 1, level)``, and only
+        those: the node pick, then the row's free digits, an (F, n) array
+        level by level, from one call.  `_drawn_cells` turns a list of them
+        into the cells."""
+        pick = int(self._pick(rng, 1)[0])
+        free = self._digit_plan(level)[3][self._node_levels[1][pick]]
+        return pick, rng.integers(0, 2, size=(len(free), self.n))
+
+    def _drawn_cells(self, draws: list[tuple[int, np.ndarray]], level: int) -> np.ndarray:
+        """The (count, n) support cells of the `_draw_cell` results `draws`,
+        each row as ``_support_cells(rng, 1, level)`` returns it: the digits
+        are added one node level at a time."""
+        picks = np.array([pick for pick, _ in draws], dtype=np.int64)
+        cells, shifts = self._node_cells(picks, level), self._digit_plan(level)[3]
+        which = self._node_levels[1][picks]
+        for u, shift in enumerate(shifts):
+            rows = np.flatnonzero(which == u)
+            if len(rows) and len(shift):
+                bits = np.array([draws[i][1] for i in rows.tolist()])
+                cells[rows] |= (bits << shift[:, None]).sum(axis=1)
         return cells
 
     @cached_property
@@ -259,8 +334,12 @@ class SparseMeasure:
     def sample_support_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Mass-weighted points of the support: a support cell at the declared
         depth, then a uniform point inside it."""
-        cells = self._support_cells(rng, count, self.depth)
-        return cell_points(cells, self.depth, rng.random((count, self.n)))
+        return self._sample_points(rng, count, self.depth)
+
+    def _sample_points(self, rng: np.random.Generator, count: int, level: int) -> np.ndarray:
+        """Support cells at `level`, then a uniform point inside each."""
+        cells = self._support_cells(rng, count, level)
+        return cell_points(cells, level, rng.random((count, self.n)))
 
     @cached_property
     def _level_sums(self) -> tuple[Pyramid, list[np.ndarray]]:
@@ -363,10 +442,7 @@ class CellMeasure(SparseMeasure):
 
     def sample_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Mass-weighted sample: cell chosen with probability mass/total, uniform inside."""
-        if not len(self.rows):
-            raise InvalidInputError("cannot sample from the zero measure")
-        picks = rng.choice(len(self.weights), size=count, p=self.weights / self.weights.sum())
-        return cell_points(self.rows[picks], self.cell_level, rng.random((count, self.n)))
+        return self._sample_points(rng, count, self.cell_level)
 
     def to_json_obj(self) -> dict:
         obj = {

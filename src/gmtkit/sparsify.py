@@ -25,7 +25,7 @@ an ordinary :class:`~gmtkit.frostman.CellMeasure`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from math import sqrt
 
@@ -38,6 +38,7 @@ from gmtkit.lattice import (
     MAX_LEVEL,
     CellSet,
     box_distances,
+    cell_points,
     group_rows,
     index_rows,
     level_diameter,
@@ -68,9 +69,7 @@ class AffinePlane:
         frame = np.asarray(self.frame, dtype=float).copy()
         if frame.ndim != 2 or base.ndim != 1 or frame.shape[1] != base.shape[0]:
             raise InvalidInputError("frame must be (k, n) with a length-n base point")
-        gram = frame @ frame.T
-        if not np.allclose(gram, np.eye(frame.shape[0]), atol=1e-10):
-            raise InvalidInputError("frame rows must be orthonormal to 1e-10")
+        _check_orthonormal(frame)
         base.setflags(write=False)
         frame.setflags(write=False)
         object.__setattr__(self, "base", base)
@@ -88,14 +87,47 @@ class AffinePlane:
         return self.base + np.atleast_2d(coords) @ self.frame
 
 
+def _check_orthonormal(frames: np.ndarray) -> None:
+    """Raise unless the rows of each (k, n) frame, one or an (m, k, n) stack,
+    are orthonormal to 1e-10."""
+    gram = frames @ np.swapaxes(frames, -1, -2)
+    if not np.allclose(gram, np.eye(frames.shape[-2]), atol=1e-10):
+        raise InvalidInputError("frame rows must be orthonormal to 1e-10")
+
+
+def _planes(bases: np.ndarray, frames: np.ndarray) -> list[AffinePlane]:
+    """The AffinePlanes through the rows of the (m, n) array `bases` along
+    the (m, k, n) stack `frames`, whose orthonormality is checked once for
+    the whole stack; the planes hold read-only views of copies of the two."""
+    _check_orthonormal(frames)
+    bases, frames = bases.copy(), frames.copy()
+    planes = []
+    for base, frame in zip(bases, frames):
+        plane = object.__new__(AffinePlane)
+        object.__setattr__(plane, "base", base)
+        object.__setattr__(plane, "frame", frame)
+        planes.append(plane)
+    bases.setflags(write=False)
+    frames.setflags(write=False)
+    return planes
+
+
+def _orthonormal_frames(gauss: np.ndarray) -> np.ndarray:
+    """Haar-random k-frames in R^n from an (m, n, k) stack of Gaussian
+    matrices: one batched QR, each Q's columns sign-fixed so that R's
+    diagonal is nonnegative, returned as (m, k, n) rows.  Batched QR runs
+    the per-matrix LAPACK kernel on each matrix, so each frame has the bits
+    a QR of its matrix alone gives."""
+    q, r = np.linalg.qr(gauss)
+    signs = np.where(np.diagonal(r, axis1=1, axis2=2) >= 0.0, 1.0, -1.0)
+    return np.swapaxes(q * signs[:, None, :], 1, 2)
+
+
 def random_orthonormal_frame(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """Haar-random k-frame in R^n (Gaussian matrix, QR, sign-fixed)."""
     if not 1 <= k <= n:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    g = rng.standard_normal((n, k))
-    q, r = np.linalg.qr(g)
-    signs = np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    return (q * signs).T
+    return _orthonormal_frames(rng.standard_normal((1, n, k)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +747,10 @@ def find_hole(
 
     `x` is one centre, shape (n,), with one AffinePlane, or m centres, shape
     (m, n), with a sequence of m planes of one dimension k; the latter returns
-    a tuple of m results.  All centres go through one array pass: one
-    distance sweep, one sweep of the cubes within reach, and their section
-    grids scored against their own subcubes.
+    a tuple of m results.  Each plane must be based at its centre.  All
+    centres go through one array pass: one distance sweep, one sweep of the
+    cubes within reach, and their section grids scored against their own
+    subcubes.
     """
     if grid < 8:
         raise InvalidInputError(f"grid must be >= 8, got {grid}")
@@ -731,6 +764,11 @@ def find_hole(
         return ()
     if not all(isinstance(p, AffinePlane) and p.frame.shape == (planes[0].k, view.n) for p in planes):
         raise InvalidInputError(f"planes must be AffinePlanes of one dimension in R^{view.n}")
+    bases = np.array([p.base for p in planes])
+    moved = np.flatnonzero((bases != centres).any(axis=1))
+    if len(moved):
+        i = int(moved[0])
+        raise InvalidInputError(f"plane {i} is based at {bases[i].tolist()}, not at its centre {centres[i].tolist()}")
     rho = 2.0 ** (-(view.level + 1))
     offsets = _section_offsets(planes[0].k, rho, grid)
     points = centres[:, None, :] + offsets @ np.array([p.frame for p in planes])
@@ -787,18 +825,20 @@ def estimate_c0(ell: int, n: int, k: int, trials: int = 2000, grid: int = 24, se
     sub = 2.0 ** (-ell)
     offsets = np.array(list(product((-1.0, 0.0, 1.0), repeat=n)))
     centre = len(offsets) // 2  # the all-zero offset
-    units, frames, lows = np.empty((trials, n)), np.empty((trials, k, n)), np.empty((trials, len(offsets), n))
+    # per trial only the generator calls, in the order of a trial's draws:
+    # the unit offset, the frame's Gaussians, the subcube digits
+    units, gauss = np.empty((trials, n)), np.empty((trials, n, k))
+    subs = np.zeros((trials, len(offsets), n), dtype=np.int64)
     for trial in range(trials):
         units[trial] = rng.random(n)
-        frames[trial] = random_orthonormal_frame(rng, n, k)
+        gauss[trial] = rng.standard_normal((n, k))
         style = trial % 3
         if style == 0:
-            subs = rng.integers(0, 1 << ell, size=(len(offsets), n)).astype(float)
+            subs[trial] = rng.integers(0, 1 << ell, size=(len(offsets), n))
         elif style == 1:
-            subs = np.tile(rng.integers(0, 1 << ell, size=n).astype(float), (len(offsets), 1))
-        else:
-            subs = np.zeros((len(offsets), n))
-        lows[trial] = offsets + subs * sub
+            subs[trial] = rng.integers(0, 1 << ell, size=n)  # one placement for every unit cube
+    frames = np.ascontiguousarray(_orthonormal_frames(gauss))
+    lows = offsets + subs * sub
     centres = lows[:, centre] + units * sub
     grid_offsets = _section_offsets(k, 0.5, grid)
     # trials in passes of at most HOLE_BLOCK (point, obstacle) pairs, each
@@ -822,6 +862,34 @@ class WitnessReport:
     failures: tuple[tuple[int, int], ...]  # (sample index, scale level)
 
 
+def _witness_draws(target, k: int, samples: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Centres, (samples, n), and k-frames, (samples, k, n), of the witness
+    samples on `target`: a SparseConstruction, whose result's support points
+    are the centres, or a CellMeasure or CellSet, whose `sample_points` draw
+    them.
+
+    Each sample makes the generator calls of a one-point draw followed by
+    ``random_orthonormal_frame``, in that order: its support cell, the
+    centre's offset inside the cell, then the frame's Gaussian matrix.  The
+    loop makes only those calls; the cells, the centres and the frames (one
+    batched QR) follow in array passes."""
+    if isinstance(target, CellSet):
+        level, draw, cells_of = target.depth, partial(target._sample_cells, count=1), np.concatenate
+    else:
+        if isinstance(target, SparseConstruction):
+            target, level = target.result, target.result.depth
+        else:
+            level = target.cell_level
+        draw, cells_of = partial(target._draw_cell, level=level), partial(target._drawn_cells, level=level)
+    n = target.n
+    draws, units, gauss = [], np.empty((samples, n)), np.empty((samples, n, k))
+    for i in range(samples):
+        draws.append(draw(rng))
+        units[i] = rng.random(n)
+        gauss[i] = rng.standard_normal((n, k))
+    return cell_points(cells_of(draws), level, units), _orthonormal_frames(gauss)
+
+
 def witness_unrectifiability(
     target,
     cert: SparsityCertificate | None,
@@ -843,25 +911,18 @@ def witness_unrectifiability(
     if isinstance(target, SparseConstruction):
         cert = target.certificate
         source = target
-        n = target.base.n
         k = target.k
-        draw = target.result.sample_support_points
     elif isinstance(target, (CellSet, CellMeasure)):
         if cert is None:
             raise InvalidInputError("an explicit certificate is required with a cell target")
         source = cert
-        n = target.n
         # explicit-cell callers probe with lines; higher k needs a construction
         k = 1
-        draw = target.sample_points
     else:
         raise InvalidInputError(f"cannot witness on {type(target).__name__}")
 
-    rng = np.random.default_rng(seed)
-    centres, planes = np.empty((samples, n)), []
-    for i in range(samples):
-        centres[i] = draw(rng, 1)[0]
-        planes.append(AffinePlane(centres[i], random_orthonormal_frame(rng, n, k)))
+    centres, frames = _witness_draws(target, k, samples, np.random.default_rng(seed))
+    planes = _planes(centres, frames)
     # per scale, each sample's witness or None; a search takes WITNESS_BLOCK
     # samples at a time, so that its memory does not grow with the samples
     found: list[list[HoleWitness | None]] = []

@@ -14,7 +14,6 @@ import numpy as np
 from gmtkit.carleson import EpsilonReport, sphere_points, unit_sphere_area
 from gmtkit.gauge import Gauge
 from gmtkit.lattice import CellSet
-from gmtkit.sparsify import random_orthonormal_frame
 
 
 def index_ancestor(index: tuple[int, ...], levels_up: int) -> tuple[int, ...]:
@@ -154,16 +153,40 @@ def brute_hole(cert, scale_index: int, x, frame, c_target: float, grid: int):
     return None if best[1] < c_target * 2.0 ** -level else best
 
 
+def brute_frame(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """A Haar-random k-frame in R^n: one QR of one (n, k) Gaussian matrix,
+    each column of Q sign-fixed so that R's diagonal is nonnegative."""
+    q, r = np.linalg.qr(rng.standard_normal((n, k)))
+    return (q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)).T
+
+
+def brute_point_draw(draw):
+    """The per-draw oracle of a library one-point draw `draw(rng, 1)`, a bound
+    method: `brute_support_draw` for a measure's `sample_support_points`,
+    `brute_cell_draw` over the sorted cells for a CellMeasure's or CellSet's
+    `sample_points`."""
+    target = draw.__self__
+    if draw.__name__ == "sample_support_points":
+        return lambda rng: brute_support_draw(target, rng)
+    if hasattr(target, "masses"):  # a CellMeasure, sampled at its cell level
+        keys = sorted(target.masses)
+        return lambda rng: brute_cell_draw(keys, [target.masses[c] for c in keys], target.cell_level, rng)
+    keys = sorted(target.cells)
+    return lambda rng: brute_cell_draw(keys, None, target.depth, rng)
+
+
 def loop_witness(draw, n: int, k: int, scales, hole, samples: int, seed: int):
     """(failures, min clearance items) of a witness run by a per-sample loop:
-    for each sample a centre `draw(rng, 1)[0]` and a frame, then per scale
-    `hole(scale index, x, frame)`, a clearance or None; a scale level enters
-    the min clearances when its first witness passes."""
+    for each sample a centre from the oracle of `draw` (`brute_point_draw`)
+    and a frame (`brute_frame`), then per scale `hole(scale index, x,
+    frame)`, a clearance or None; a scale level enters the min clearances
+    when its first witness passes."""
     rng = np.random.default_rng(seed)
+    draw = brute_point_draw(draw)
     failures, min_clear = [], {}
     for i in range(samples):
-        x = draw(rng, 1)[0]
-        frame = random_orthonormal_frame(rng, n, k)
+        x = draw(rng)
+        frame = brute_frame(rng, n, k)
         for s, level in enumerate(scales):
             clearance = hole(s, x, frame)
             if clearance is None:
@@ -322,10 +345,28 @@ def brute_support_draw(sm, rng: np.random.Generator) -> np.ndarray:
     for level in range(t + 1, sm.depth + 1):
         bits = [0] * sm.n if _in_window(sm.windows, t, level) else rng.integers(0, 2, size=sm.n).tolist()
         coords = [2 * c + b for c, b in zip(coords, bits)]
-    side = 2.0 ** (-sm.depth)
+    return _brute_cell_point(coords, sm.depth, rng)
+
+
+def brute_cell_draw(cells, weights, level: int, rng: np.random.Generator) -> np.ndarray:
+    """One point of the level-`level` cells `cells`, a list of index tuples:
+    a cell picked by `rng.choice` with p = weights / sum (by `rng.integers`
+    when `weights` is None), then a uniform offset inside it."""
+    if weights is None:
+        i = rng.integers(0, len(cells), size=1)[0]
+    else:
+        w = np.array(weights, dtype=float)
+        i = rng.choice(len(cells), size=1, p=w / w.sum())[0]
+    return _brute_cell_point(cells[i], level, rng)
+
+
+def _brute_cell_point(coords, level: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform point of the level-`level` cell `coords`, pulled back inside
+    the half-open cell when rounding lands it on the upper face."""
+    side = 2.0 ** (-level)
     base = np.array(coords, dtype=float) * side
-    point = base + rng.random(sm.n) * side
-    for i in range(sm.n):
+    point = base + rng.random(len(coords)) * side
+    for i in range(len(coords)):
         if point[i] >= base[i] + side:
             point[i] = np.nextafter(base[i] + side, base[i])
     return point

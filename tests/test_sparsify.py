@@ -35,15 +35,18 @@ from gmtkit.sparsify import (
     witness_unrectifiability,
     _apply_scale,
     _follows,
+    _witness_draws,
 )
 
 from helpers import (
     brute_apply_scale,
     brute_family_distance,
     brute_follows,
+    brute_frame,
     brute_holder,
     brute_mass_at,
     brute_hole,
+    brute_point_draw,
     brute_sparse_caps,
     brute_support_cells,
     brute_support_draw,
@@ -536,6 +539,70 @@ def test_deep_support_cells_keep_the_per_level_stream(name, count, request):
     assert ours.bit_generator.state == oracle.bit_generator.state
 
 
+@pytest.mark.parametrize("weights", [
+    [1.0], [0.3], np.geomspace(1e-300, 1.0, 301), [1e-300, 1.0, 1e-300], np.random.default_rng(5).random(4096) + 1e-3,
+])
+@pytest.mark.parametrize("count", [1, 2048])
+def test_cached_choice_table_keeps_the_stream(weights, count):
+    # a pick from the cached table against Generator.choice with p, three picks in a row
+    mu = CellMeasure(1, 12, (np.arange(len(weights))[:, None], weights))
+    ours, oracle = np.random.default_rng(count), np.random.default_rng(count)
+    for _ in range(3):
+        picks = mu._pick(ours, count)
+        assert picks.tolist() == oracle.choice(len(weights), size=count, p=mu.weights / mu.weights.sum()).tolist()
+        assert ours.bit_generator.state == oracle.bit_generator.state
+
+
+@st.composite
+def witness_targets(draw):
+    """(target, k): a sparse construction, a CellMeasure with masses from
+    1e-300 to 1, declared at times below its cells, or a CellSet, in
+    n = 2..4, with a plane dimension k < n."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n - 1))
+    depth = draw(st.integers(1, {2: 8, 3: 5, 4: 3}[n]))
+    cell = st.tuples(*[st.integers(0, (1 << depth) - 1)] * n)
+    cells = CellSet(n, depth, frozenset(draw(st.lists(cell, min_size=1, max_size=8, unique=True))))
+    kind = draw(st.sampled_from(["construction", "measure", "cells"]))
+    if kind == "cells":
+        return cells, k
+    if kind == "measure":
+        masses = {c: draw(st.floats(1e-300, 1.0)) for c in sorted(cells.cells)}
+        return CellMeasure(n, draw(st.integers(depth, depth + 12)), masses, depth), k
+    h = power_exp_gauge(k, 1.0)  # h(r) = r^(k+1)
+    return build_sparse_construction(build_frostman(cells, h).with_depth(draw(st.integers(16, 24))), h, k, 1), k
+
+
+@given(witness_targets(), st.integers(1, 300), st.integers(0, 2**16))
+def test_witness_draws_keep_the_stream(case, samples, seed):
+    # centres and frames drawn by the per-sample loop, finished as array passes,
+    # against one oracle draw and one QR per sample
+    target, k = case
+    if isinstance(target, sparsify.SparseConstruction):
+        point = brute_point_draw(target.result.sample_support_points)
+    else:
+        point = brute_point_draw(target.sample_points)
+    ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    centres, frames = _witness_draws(target, k, samples, ours)
+    for i in range(samples):
+        assert centres[i].tobytes() == point(oracle).tobytes()
+        assert frames[i].tobytes() == np.ascontiguousarray(brute_frame(oracle, centres.shape[1], k)).tobytes()
+    assert ours.bit_generator.state == oracle.bit_generator.state
+
+
+def test_single_support_draws_do_no_work_per_node():
+    # the choice table and the digit plan are built once, not on every draw
+    grid = np.indices((256, 256)).reshape(2, -1).T
+    mu = CellMeasure(2, 8, (grid, np.random.default_rng(0).random(len(grid)) + 0.5)).with_depth(40)
+    rng = np.random.default_rng(1)
+
+    def draws():
+        for _ in range(100):
+            mu.sample_support_points(rng, 1)
+
+    assert _peak_bytes(draws) < 64 * 1024
+
+
 @pytest.fixture(scope="module")
 def cantor_construction():
     """The four-corner Cantor set at depth 10 through the pipeline's k = 1 settings."""
@@ -914,10 +981,19 @@ def test_find_hole_rejects_mismatched_planes():
     cert = SparsityCertificate(2, 2, (1,), (ScaleFamily(1, 2, {(0, 0): (0, 0)}),))
     xs = np.array([[0.2, 0.2], [0.7, 0.4]])
     line = AffinePlane(xs[0], np.array([[1.0, 0.0]]))
-    for planes in ([line], [line, AffinePlane(np.zeros(3), np.array([[1.0, 0.0, 0.0]]))], [line, None], line):
+    for planes in ([line], [line, AffinePlane(np.zeros(3), np.array([[1.0, 0.0, 0.0]]))], [line, None], line,
+                   [line, line]):
         with pytest.raises(InvalidInputError):
             find_hole(cert, 0, xs, planes, 0.1, grid=8)
-    assert len(find_hole(cert, 0, xs, [line, line], 0.1, grid=8)) == 2
+    assert len(find_hole(cert, 0, xs, [line, AffinePlane(xs[1], line.frame)], 0.1, grid=8)) == 2
+
+
+def test_find_hole_rejects_a_plane_based_off_its_centre():
+    # the section runs through the centre, so a plane based elsewhere would be moved
+    cert = SparsityCertificate(2, 2, (1,), (ScaleFamily(1, 2, {(0, 0): (0, 0)}),))
+    with pytest.raises(InvalidInputError, match="not at its centre"):
+        find_hole(cert, 0, [0.2, 0.2], AffinePlane([0.9, 0.9], [[1, 0]]), 0.0, 8)
+    assert find_hole(cert, 0, [0.2, 0.2], AffinePlane([0.2, 0.2], [[1, 0]]), 0.0, 8).point == (0.45, 0.2)
 
 
 def test_witness_passes_on_square(square_construction):
