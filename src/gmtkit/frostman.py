@@ -222,25 +222,19 @@ class SparseMeasure:
     def _digit_plans(self) -> dict[int, tuple]:
         return {}  # level -> its `_digit_plan`
 
-    def _digit_plan(self, level: int) -> tuple[np.ndarray, np.ndarray, list[int], list[np.ndarray]]:
+    def _digit_plan(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Which digits of a level-`level` support cell are drawn, per node
-        level: (digit levels, free, run starts, shifts).  free[u, i] says
-        whether a row whose node sits at the u-th node level draws its digit
-        at digit_levels[i]: the digit lies below the node and outside every
-        window.  The runs are the stretches of levels over which no node
-        level changes between free and not; shifts[u] holds level - l for
-        each free digit level l of the u-th node level.  Built once per
-        level."""
+        level: (digit levels, free).  free[u, i] says whether a row whose
+        node sits at the u-th node level draws its digit at digit_levels[i]:
+        the digit lies below the node and outside every window.  Built once
+        per level."""
         plan = self._digit_plans.get(level)
         if plan is None:
             node_levels = self._node_levels[0]
             forced = np.array([_forced(self.windows, u, level) for u in node_levels.tolist()], dtype=np.int64)
             digit_levels = np.arange(int(node_levels.min(initial=level)) + 1, level + 1)
             free = (node_levels[:, None] < digit_levels) & ((forced[:, None] >> (level - digit_levels) & 1) == 0)
-            changes = np.flatnonzero((free[:, 1:] != free[:, :-1]).any(axis=0)) + 1
-            starts = [0, *changes.tolist()] if len(digit_levels) else []
-            plan = digit_levels, free, starts, [level - digit_levels[row] for row in free]
-            self._digit_plans[level] = plan
+            plan = self._digit_plans[level] = digit_levels, free
         return plan
 
     def _support_cells(self, rng: np.random.Generator, count: int, level: int) -> np.ndarray:
@@ -260,59 +254,36 @@ class SparseMeasure:
         The digits take the random stream in the order of one
         ``rng.integers(0, 2)`` call per level, the order a single-row draw
         shares with a per-row descent, but come from one call per run of
-        levels whose free rows agree, cut into blocks of at most
-        ``DRAW_BLOCK`` digits.  Each int64 digit of range 2 takes exactly one
-        32-bit output (Lemire's method never rejects there) and the generator
-        keeps its spare 32-bit half between calls, so merging or cutting the
-        calls leaves the stream as it was.  Which digits are free comes from
-        `_digit_plan`, so a draw does no work that grows with the number of
-        nodes."""
+        levels whose drawing rows agree, cut into blocks of at most
+        ``DRAW_BLOCK`` digits; levels at which no picked row draws are
+        skipped, so a single row takes all its digits in one call.  Each
+        int64 digit of range 2 takes exactly one 32-bit output (Lemire's
+        method never rejects there) and the generator keeps its spare 32-bit
+        half between calls, so merging or cutting the calls leaves the stream
+        as it was.  Which digits are free comes from `_digit_plan`, so a draw
+        does no work that grows with the number of nodes."""
         picks = self._pick(rng, count)
-        cells = self._node_cells(picks, level)
-        digit_levels, free, starts, _ = self._digit_plan(level)
+        t, idx = self.levels[picks], self.rows[picks]
+        cells = idx >> np.maximum(t - level, 0)[:, None] << np.maximum(level - t, 0)[:, None]
+        digit_levels, free = self._digit_plan(level)
         which = self._node_levels[1][picks]
+        # the levels at which some picked row draws, in runs over which the
+        # drawing rows stay the same
+        drawn = free[np.bincount(which, minlength=len(free)) > 0]
+        cols = np.flatnonzero(drawn.any(axis=0))
+        changes = np.flatnonzero((drawn[:, cols[1:]] != drawn[:, cols[:-1]]).any(axis=0)) + 1
+        starts = [0, *changes.tolist()] if len(cols) else []
         width = max(1, DRAW_BLOCK // self.n)  # rows per draw, at most
-        for a, b in zip(starts, [*starts[1:], len(digit_levels)]):
-            rows = np.flatnonzero(free[which, a])
-            if not len(rows):
-                continue
+        for a, b in zip(starts, [*starts[1:], len(cols)]):
+            rows = np.flatnonzero(free[which, cols[a]])
             step = max(1, width // len(rows))  # levels per draw
             for l in range(a, b, step):
-                shifts = (level - digit_levels[l : min(l + step, b)])[:, None, None]
+                shifts = (level - digit_levels[cols[l : min(l + step, b)]])[:, None, None]
                 for r in range(0, len(rows), width):
                     part = rows[r : r + width]
                     bits = rng.integers(0, 2, size=(len(shifts), len(part), self.n))
                     bits <<= shifts
                     cells[part] |= bits.sum(axis=0)  # each level's digit sits on its own bit
-        return cells
-
-    def _node_cells(self, picks: np.ndarray, level: int) -> np.ndarray:
-        """The level-`level` cells at the corners of the nodes `picks`: their
-        first subcube, or the cube holding a node below `level`."""
-        t, idx = self.levels[picks], self.rows[picks]
-        return idx >> np.maximum(t - level, 0)[:, None] << np.maximum(level - t, 0)[:, None]
-
-    def _draw_cell(self, rng: np.random.Generator, level: int) -> tuple[int, np.ndarray]:
-        """The generator calls of ``_support_cells(rng, 1, level)``, and only
-        those: the node pick, then the row's free digits, an (F, n) array
-        level by level, from one call.  `_drawn_cells` turns a list of them
-        into the cells."""
-        pick = int(self._pick(rng, 1)[0])
-        free = self._digit_plan(level)[3][self._node_levels[1][pick]]
-        return pick, rng.integers(0, 2, size=(len(free), self.n))
-
-    def _drawn_cells(self, draws: list[tuple[int, np.ndarray]], level: int) -> np.ndarray:
-        """The (count, n) support cells of the `_draw_cell` results `draws`,
-        each row as ``_support_cells(rng, 1, level)`` returns it: the digits
-        are added one node level at a time."""
-        picks = np.array([pick for pick, _ in draws], dtype=np.int64)
-        cells, shifts = self._node_cells(picks, level), self._digit_plan(level)[3]
-        which = self._node_levels[1][picks]
-        for u, shift in enumerate(shifts):
-            rows = np.flatnonzero(which == u)
-            if len(rows) and len(shift):
-                bits = np.array([draws[i][1] for i in rows.tolist()])
-                cells[rows] |= (bits << shift[:, None]).sum(axis=1)
         return cells
 
     @cached_property

@@ -69,7 +69,9 @@ class AffinePlane:
         frame = np.asarray(self.frame, dtype=float).copy()
         if frame.ndim != 2 or base.ndim != 1 or frame.shape[1] != base.shape[0]:
             raise InvalidInputError("frame must be (k, n) with a length-n base point")
-        _check_orthonormal(frame)
+        gram = frame @ frame.T
+        if not np.allclose(gram, np.eye(frame.shape[0]), atol=1e-10):
+            raise InvalidInputError("frame rows must be orthonormal to 1e-10")
         base.setflags(write=False)
         frame.setflags(write=False)
         object.__setattr__(self, "base", base)
@@ -85,31 +87,6 @@ class AffinePlane:
 
     def points(self, coords: np.ndarray) -> np.ndarray:
         return self.base + np.atleast_2d(coords) @ self.frame
-
-
-def _check_orthonormal(frames: np.ndarray) -> None:
-    """Raise unless the rows of each (k, n) frame, one or an (m, k, n) stack,
-    are orthonormal to 1e-10."""
-    gram = frames @ np.swapaxes(frames, -1, -2)
-    if not np.allclose(gram, np.eye(frames.shape[-2]), atol=1e-10):
-        raise InvalidInputError("frame rows must be orthonormal to 1e-10")
-
-
-def _planes(bases: np.ndarray, frames: np.ndarray) -> list[AffinePlane]:
-    """The AffinePlanes through the rows of the (m, n) array `bases` along
-    the (m, k, n) stack `frames`, whose orthonormality is checked once for
-    the whole stack; the planes hold read-only views of copies of the two."""
-    _check_orthonormal(frames)
-    bases, frames = bases.copy(), frames.copy()
-    planes = []
-    for base, frame in zip(bases, frames):
-        plane = object.__new__(AffinePlane)
-        object.__setattr__(plane, "base", base)
-        object.__setattr__(plane, "frame", frame)
-        planes.append(plane)
-    bases.setflags(write=False)
-    frames.setflags(write=False)
-    return planes
 
 
 def _orthonormal_frames(gauss: np.ndarray) -> np.ndarray:
@@ -871,23 +848,24 @@ def _witness_draws(target, k: int, samples: int, rng: np.random.Generator) -> tu
     Each sample makes the generator calls of a one-point draw followed by
     ``random_orthonormal_frame``, in that order: its support cell, the
     centre's offset inside the cell, then the frame's Gaussian matrix.  The
-    loop makes only those calls; the cells, the centres and the frames (one
-    batched QR) follow in array passes."""
+    loop draws one cell, an offset and a Gaussian matrix per sample (a cell
+    draw reads the measure's cached tables); the centres (one `cell_points`)
+    and the frames (one batched QR) follow in array passes."""
     if isinstance(target, CellSet):
-        level, draw, cells_of = target.depth, partial(target._sample_cells, count=1), np.concatenate
+        level, draw = target.depth, partial(target._sample_cells, count=1)
     else:
         if isinstance(target, SparseConstruction):
             target, level = target.result, target.result.depth
         else:
             level = target.cell_level
-        draw, cells_of = partial(target._draw_cell, level=level), partial(target._drawn_cells, level=level)
+        draw = partial(target._support_cells, count=1, level=level)
     n = target.n
-    draws, units, gauss = [], np.empty((samples, n)), np.empty((samples, n, k))
+    cells, units, gauss = np.empty((samples, n), dtype=np.int64), np.empty((samples, n)), np.empty((samples, n, k))
     for i in range(samples):
-        draws.append(draw(rng))
+        cells[i] = draw(rng)[0]
         units[i] = rng.random(n)
         gauss[i] = rng.standard_normal((n, k))
-    return cell_points(cells_of(draws), level, units), _orthonormal_frames(gauss)
+    return cell_points(cells, level, units), _orthonormal_frames(gauss)
 
 
 def witness_unrectifiability(
@@ -922,7 +900,7 @@ def witness_unrectifiability(
         raise InvalidInputError(f"cannot witness on {type(target).__name__}")
 
     centres, frames = _witness_draws(target, k, samples, np.random.default_rng(seed))
-    planes = _planes(centres, frames)
+    planes = [AffinePlane(centre, frame) for centre, frame in zip(centres, frames)]
     # per scale, each sample's witness or None; a search takes WITNESS_BLOCK
     # samples at a time, so that its memory does not grow with the samples
     found: list[list[HoleWitness | None]] = []
