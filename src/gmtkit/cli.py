@@ -35,7 +35,7 @@ from gmtkit.sparsify import (
     verify_sparse_construction,
     witness_unrectifiability,
 )
-from gmtkit.utils import fmt_float, load_json, write_canonical
+from gmtkit.utils import dumps_canonical, fmt_float, load_json, write_canonical
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -300,18 +300,19 @@ def _load_measure(path) -> CellMeasure:
     return CellMeasure.from_json_obj(obj)
 
 
-def _profile_out(profile, fmt: str, out: str | None) -> None:
-    if fmt == "csv":
-        n = len(profile.center)
-        text = _profiles_csv([profile], n)
-    else:
-        from gmtkit.utils import dumps_canonical
-
-        text = dumps_canonical(profile.to_json_obj()) + "\n"
+def _emit(text: str, out: str | None) -> None:
+    """Write `text` to the file `out`, or to stdout when no file is given."""
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _profile_out(profile, fmt: str, out: str | None) -> None:
+    if fmt == "csv":
+        _emit(_profiles_csv([profile], len(profile.center)), out)
+    else:
+        _emit(dumps_canonical(profile.to_json_obj()) + "\n", out)
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +376,10 @@ def cmd_content(args) -> int:
     if args.profile:
         values = measure_profile(cells, h)
         if args.format == "csv":
-            text = "min_level,cost\n" + "\n".join(
-                f"{i},{fmt_float(v)}" for i, v in enumerate(values)
-            ) + "\n"
+            lines = "\n".join(f"{i},{fmt_float(v)}" for i, v in enumerate(values))
+            _emit("min_level,cost\n" + lines + "\n", args.out)
         else:
-            from gmtkit.utils import dumps_canonical
-
-            text = dumps_canonical({"gauge": h.label, "profile": values}) + "\n"
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+            _emit(dumps_canonical({"gauge": h.label, "profile": values}) + "\n", args.out)
         return EXIT_OK
     sol = dyadic_cover_cost(cells, h, args.min_level)
     if args.out:

@@ -56,6 +56,8 @@ def _grid(n: int, side: int) -> np.ndarray:
 
 def _corner_cantor(n: int, depth: int, a: int) -> CellSet:
     """The set that keeps, per generation of `a` levels, the 2^n corner subcubes."""
+    if n * (depth // a) > 22:
+        raise InvalidInputError("corner Cantor set too large to enumerate")
     picks = _grid(n, 2) * ((1 << a) - 1)
     cells = np.zeros((1, n), dtype=np.int64)
     for _ in range(depth // a):

@@ -318,15 +318,6 @@ class SparseMeasure:
         pyramid = Pyramid(self.n, self.depth, self.rows, self.levels)
         return pyramid, pyramid.rollup(self.weights)
 
-    def ancestor_rollup(self, max_level: int) -> dict[tuple[int, tuple[int, ...]], float]:
-        """Aggregated masses of every cube at level <= max_level containing a node."""
-        pyramid, sums = self._level_sums
-        return {
-            (level, idx): mass
-            for level in range(min(max_level, self.depth) + 1)
-            for idx, mass in zip(map(tuple, pyramid.cubes[level].tolist()), sums[level].tolist())
-        }
-
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
@@ -375,7 +366,7 @@ class CellMeasure(SparseMeasure):
         return *super()._key(), self.cell_level
 
     def __repr__(self) -> str:
-        return f"CellMeasure({self.n}, {self.depth}, {self.masses}, {self.cell_level})"
+        return f"<CellMeasure n={self.n} depth={self.depth} cell_level={self.cell_level} cells={len(self.rows)} total={self.total!r}>"
 
     @cached_property
     def masses(self) -> dict[tuple[int, ...], float]:

@@ -137,15 +137,3 @@ def ratio_vanishes(h: Gauge, k: int, levels: int = 40, eps: float = 0.05, n: int
     verdict = nonincreasing and ratios[-1] <= eps
     return RatioReport(h.label, k, eps, tuple(vals), verdict)
 
-
-def grid_monotone(h: Gauge, levels: int = 40, n: int = 1) -> bool:
-    """h must be nondecreasing on the dyadic diameter grid and vanish at 0."""
-    if h(0.0) != 0.0:
-        return False
-    prev = 0.0
-    for j in range(levels, -1, -1):
-        cur = h(level_diameter(n, j))
-        if cur < prev:
-            return False
-        prev = cur
-    return True

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from math import floor, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -96,51 +95,6 @@ def level_diameter(n: int, level: int) -> float:
     Scaling by a power of two is exact, so every caller gets the same bits.
     """
     return sqrt(n) * 2.0 ** (-level)
-
-
-def cube_at(point, level: int, n: int | None = None) -> DyadicCube:
-    """The level-j cube containing a point of [0,1)^n.
-
-    Scaling by 2^level is exact for double inputs, so the floor is unambiguous
-    at representable coordinates.
-    """
-    p = np.asarray(point, dtype=float)
-    if p.ndim != 1:
-        raise InvalidInputError("point must be a flat coordinate vector")
-    if n is None:
-        n = p.shape[0]
-    if p.shape[0] != n:
-        raise InvalidInputError(f"point has {p.shape[0]} coordinates, expected {n}")
-    _check_level(level)
-    if np.any(p < 0.0) or np.any(p >= 1.0):
-        raise InvalidInputError(f"point {p.tolist()} outside [0,1)^n")
-    scale = float(1 << level)
-    index = tuple(int(floor(c * scale)) for c in p)
-    return DyadicCube(n, level, index)
-
-
-def children(cube: DyadicCube) -> list[DyadicCube]:
-    """All 2^n children, in lexicographic index order."""
-    if cube.level >= MAX_LEVEL:
-        raise InvalidInputError(f"cannot descend below level {MAX_LEVEL}")
-    out = []
-    for bits in product((0, 1), repeat=cube.n):
-        idx = tuple(2 * i + b for i, b in zip(cube.index, bits))
-        out.append(DyadicCube(cube.n, cube.level + 1, idx))
-    out.sort(key=lambda c: c.index)
-    return out
-
-
-def descendants(cube: DyadicCube, dlevel: int) -> list[DyadicCube]:
-    """All 2^(n*dlevel) descendants `dlevel` levels down, lexicographically ordered."""
-    if dlevel < 0:
-        raise InvalidInputError(f"dlevel must be >= 0, got {dlevel}")
-    _check_level(cube.level + dlevel)
-    step = 1 << dlevel
-    ranges = [range(i * step, (i + 1) * step) for i in cube.index]
-    out = [DyadicCube(cube.n, cube.level + dlevel, idx) for idx in product(*ranges)]
-    out.sort(key=lambda c: c.index)
-    return out
 
 
 def box_distances(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -338,7 +292,7 @@ class CellSet:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"CellSet({self.n}, {self.depth}, {self.sorted_cells()})"
+        return f"<CellSet n={self.n} depth={self.depth} cells={len(self)}>"
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -353,18 +307,6 @@ class CellSet:
     def centers(self) -> np.ndarray:
         """The cell centres, an (N, n) float array in ``rows`` order."""
         return (self.rows + 0.5) * 2.0 ** (-self.depth)
-
-    def cubes(self) -> list[DyadicCube]:
-        return [DyadicCube(self.n, self.depth, c) for c in self.sorted_cells()]
-
-    def contains_cell(self, index: tuple[int, ...]) -> bool:
-        return tuple(index) in self.cells
-
-    def occupied_ancestors(self, level: int) -> set[tuple[int, ...]]:
-        """Indices of level-`level` cubes meeting the set (level <= depth)."""
-        if level > self.depth:
-            raise InvalidInputError(f"level {level} deeper than cell depth {self.depth}")
-        return set(map(tuple, self.pyramid().cubes[level].tolist()))
 
     def pyramid(self) -> "Pyramid":
         """The occupied cube tree above the cells, built once per set."""

@@ -70,7 +70,7 @@ class AffinePlane:
         if frame.ndim != 2 or base.ndim != 1 or frame.shape[1] != base.shape[0]:
             raise InvalidInputError("frame must be (k, n) with a length-n base point")
         gram = frame @ frame.T
-        if not np.allclose(gram, np.eye(frame.shape[0]), atol=1e-10):
+        if not np.allclose(gram, np.eye(frame.shape[0]), rtol=0.0, atol=1e-10):
             raise InvalidInputError("frame rows must be orthonormal to 1e-10")
         base.setflags(write=False)
         frame.setflags(write=False)
@@ -818,14 +818,15 @@ def estimate_c0(ell: int, n: int, k: int, trials: int = 2000, grid: int = 24, se
     lows = offsets + subs * sub
     centres = lows[:, centre] + units * sub
     grid_offsets = _section_offsets(k, 0.5, grid)
-    # trials in passes of at most HOLE_BLOCK (point, obstacle) pairs, each
-    # trial's best clearance the largest over its points of the nearest obstacle
-    per = max(1, HOLE_BLOCK // (len(grid_offsets) * len(offsets)))
+    # WITNESS_BLOCK trials per pass of the hole search's kernel, each trial's
+    # best clearance the largest over its points of the nearest obstacle
     worst = float("inf")
-    for a in range(0, trials, per):
-        points = centres[a : a + per, None, :] + grid_offsets @ frames[a : a + per]
-        clear = box_distances(points[:, :, None, :], lows[a : a + per, None], lows[a : a + per, None] + sub)
-        worst = min(worst, float(clear.min(axis=2).max(axis=1).min()))
+    for a in range(0, trials, WITNESS_BLOCK):
+        block = slice(a, a + WITNESS_BLOCK)
+        points = centres[block, None, :] + grid_offsets @ frames[block]
+        owner = np.repeat(np.arange(len(points)), len(offsets))
+        lo = lows[block].reshape(-1, n)
+        worst = min(worst, float(_clearances(points, owner, lo, lo + sub).max(axis=1).min()))
     return C0Estimate(worst, trials, grid, ell, n, k, below)
 
 

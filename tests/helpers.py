@@ -24,9 +24,16 @@ def _diam(n: int, level: int) -> float:
     return math.sqrt(n) * 2.0 ** (-level)
 
 
-def _child_indices(idx: tuple[int, ...]) -> list[tuple[int, ...]]:
+def child_indices(idx: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The indices of the 2^n children of cube `idx`, in lexicographic order."""
     n = len(idx)
     return [tuple(2 * idx[i] + b[i] for i in range(n)) for b in product((0, 1), repeat=n)]
+
+
+def grid_monotone(h: Gauge, levels: int = 40, n: int = 1) -> bool:
+    """Is h zero at 0 and nondecreasing on the diameters sqrt(n) * 2^-j, j <= levels?"""
+    values = [0.0] + [h(_diam(n, j)) for j in range(levels, -1, -1)]
+    return h(0.0) == 0.0 and all(a <= b for a, b in zip(values, values[1:]))
 
 
 def enumerate_cover_costs(cells: CellSet, h: Gauge, min_level: int = 0) -> float:
@@ -49,7 +56,7 @@ def enumerate_cover_costs(cells: CellSet, h: Gauge, min_level: int = 0) -> float
         if level >= min_level:
             options.append(h(_diam(n, level)))
         if level < depth:
-            parts = [covers(level + 1, c) for c in _child_indices(idx)]
+            parts = [covers(level + 1, c) for c in child_indices(idx)]
             options.extend(sum(combo) for combo in product(*parts))
         return options
 
@@ -237,6 +244,18 @@ def brute_mass_at(sm, level: int, idx: tuple[int, ...]) -> tuple[bool, float]:
                     fraction = 0.0
             occupied, total = occupied or fraction > 0.0, total + w * fraction
     return occupied, total
+
+
+def brute_rollup(sm, max_level: int) -> dict:
+    """Per cube at level <= `max_level` containing a node of the SparseMeasure
+    `sm`, keyed (level, index), the masses of the nodes inside it added node
+    by node in (level, index) order."""
+    out: dict = {}
+    for t, idx in sorted(sm.nodes):
+        for level in range(min(t, max_level) + 1):
+            key = (level, index_ancestor(idx, t - level))
+            out[key] = out.get(key, 0.0) + sm.nodes[(t, idx)]
+    return out
 
 
 def brute_holder(nodes) -> tuple[int, tuple[int, ...]] | None:

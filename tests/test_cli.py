@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,22 @@ def test_generate_is_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     cells = CellSet.load(a)
     assert len(cells.sorted_cells()) == 256
+
+
+@pytest.mark.parametrize("kind", ["four-corner-cantor", "product-cantor"])
+@pytest.mark.parametrize("depth", ["40", "60"])
+def test_generate_rejects_huge_cantor_sets_before_enumerating(tmp_path, capsys, kind, depth):
+    out = tmp_path / "cells.json"
+    tracemalloc.start()
+    try:
+        code = run(["generate", "--kind", kind, "--depth", depth, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "too large to enumerate" in capsys.readouterr().err
+    assert peak < 1 << 20
+    assert not out.exists()
 
 
 def test_generate_random_sparse_with_certificate(tmp_path):

@@ -94,7 +94,7 @@ def test_dp_beats_random_covers():
     h = BARE
     best = dyadic_cover_cost(cells, h, 0).cost
     rng = np.random.default_rng(0)
-    occupied = [set(map(tuple, cells.occupied_ancestors(lvl))) for lvl in range(7)]
+    occupied = [{index_ancestor(c, 6 - lvl) for c in cells.cells} for lvl in range(7)]
 
     def random_cover_cost(level, idx):
         if idx not in occupied[level]:

@@ -21,9 +21,9 @@ from gmtkit.frostman import (
     verify_frostman,
 )
 from gmtkit.gauge import power_exp_gauge, power_gauge, scaled_gauge, vanishing_gauge
-from gmtkit.lattice import CellSet, DyadicCube, Pyramid, children, level_diameter, union
+from gmtkit.lattice import CellSet, DyadicCube, Pyramid, level_diameter, union
 
-from helpers import brute_ball_check, brute_cube_mass, brute_frostman_max_ratio
+from helpers import brute_ball_check, brute_cube_mass, brute_frostman_max_ratio, child_indices
 
 BARE = power_exp_gauge(1, 0.0)  # h(r) = r
 
@@ -139,7 +139,7 @@ def brute_saturated_levels(mu: CellMeasure, h) -> list[int]:
             found.append(level)
             return
         if level < mu.cell_level:
-            for child in sorted(c.index for c in children(DyadicCube(mu.n, level, idx))):
+            for child in child_indices(idx):
                 walk(level + 1, child)
 
     walk(0, (0,) * mu.n)
@@ -411,3 +411,10 @@ def test_measure_json_rejects_a_cell_listed_twice(tmp_path):
         CellMeasure(2, 2, (np.array([[1, 0], [0, 1], [1, 0]]), [0.0, 0.5, 0.0]))
     # a cell set is a set: repeated cells collapse
     assert CellSet.from_json_obj({"n": 2, "depth": 2, "cells": [[0, 0], [0, 0]]}) == CellSet(2, 2, {(0, 0)})
+
+
+def test_repr_summarises_without_building_the_dict():
+    rows = np.indices((256, 256)).reshape(2, -1).T
+    mu = CellMeasure(2, 8, (rows, np.full(len(rows), 2.0**-16)))
+    assert repr(mu) == "<CellMeasure n=2 depth=8 cell_level=8 cells=65536 total=1.0>"
+    assert "masses" not in mu.__dict__

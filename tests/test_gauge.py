@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from gmtkit.errors import InvalidInputError
 from gmtkit.gauge import (
-    grid_monotone,
     parse_gauge,
     power_exp_gauge,
     power_gauge,
@@ -16,6 +15,8 @@ from gmtkit.gauge import (
     vanishing_gauge,
 )
 from gmtkit.lattice import level_diameter
+
+from helpers import grid_monotone
 
 SHIPPED = [
     power_gauge(1),

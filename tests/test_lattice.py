@@ -1,4 +1,5 @@
 import random
+from math import floor
 
 import numpy as np
 import pytest
@@ -12,9 +13,6 @@ from gmtkit.lattice import (
     DyadicCube,
     Pyramid,
     cell_points,
-    children,
-    cube_at,
-    descendants,
     group_rows,
     level_diameter,
     locate,
@@ -23,42 +21,31 @@ from gmtkit.lattice import (
 )
 from gmtkit.utils import dumps_canonical
 
-from helpers import index_ancestor
+from helpers import child_indices, index_ancestor
 
 
-def test_cube_at_floors_coordinates():
-    assert cube_at((0.3, 0.7), 1).index == (0, 1)
-    assert cube_at((0.0, 0.0), 0).index == (0, 0)
-    assert cube_at((0.26, 0.51), 2).index == (1, 2)
-
-
-def test_cube_at_rejects_bad_input():
-    with pytest.raises(InvalidInputError):
-        cube_at((1.0, 0.5), 1)
-    with pytest.raises(InvalidInputError):
-        cube_at((-0.1, 0.5), 1)
-    with pytest.raises(InvalidInputError):
-        cube_at((0.5, 0.5), -1)
+def descendants(n: int, level: int, index: tuple[int, ...], dlevel: int) -> list[DyadicCube]:
+    """The cubes `dlevel` levels below cube `index`, through ``CellSet.refined``."""
+    return [DyadicCube(n, level + dlevel, c) for c in CellSet(n, level, [index]).refined(level + dlevel).sorted_cells()]
 
 
 def test_children_of_root():
-    got = {c.index for c in children(DyadicCube(2, 0, (0, 0)))}
+    got = {c.index for c in descendants(2, 0, (0, 0), 1)}
     assert got == {(0, 0), (1, 0), (0, 1), (1, 1)}
-    assert len(children(DyadicCube(3, 0, (0, 0, 0)))) == 8
+    assert len(descendants(3, 0, (0, 0, 0), 1)) == 8
 
 
 def test_children_compose_to_descendants():
-    root = DyadicCube(2, 0, (0, 0))
-    two_steps = {g.index for c in children(root) for g in children(c)}
-    direct = {d.index for d in descendants(root, 2)}
+    two_steps = {g.index for c in descendants(2, 0, (0, 0), 1) for g in descendants(2, 1, c.index, 1)}
+    direct = {d.index for d in descendants(2, 0, (0, 0), 2)}
     assert two_steps == direct
     assert len(direct) == 16
 
 
 def test_descendants_identity_and_count():
     c = DyadicCube(2, 1, (1, 0))
-    assert descendants(c, 0) == [c]
-    assert len(descendants(c, 2)) == 16
+    assert descendants(2, 1, (1, 0), 0) == [c]
+    assert len(descendants(2, 1, (1, 0), 2)) == 16
 
 
 def test_descendants_cover_parent_pointwise():
@@ -66,7 +53,7 @@ def test_descendants_cover_parent_pointwise():
     rng = np.random.default_rng(0)
     lo, hi = c.lower(), c.upper()
     pts = lo + rng.random((10_000, 2)) * (hi - lo)
-    ds = descendants(c, 2)
+    ds = descendants(2, 1, (1, 0), 2)
     for p in pts:
         assert sum(d.contains_point(p) for d in ds) == 1
 
@@ -92,13 +79,13 @@ def test_geometry_is_exact_at_every_admitted_level(n, rnd):
             cube = DyadicCube(n, level, idx)
             assert np.all(cube.lower() < cube.upper())
             assert cube.contains_point(cube.center())
-            assert cube_at(cube.center(), level) == cube
+            assert tuple(floor(c * 2**level) for c in cube.center()) == idx
     with pytest.raises(InvalidInputError):
         DyadicCube(n, MAX_LEVEL + 1, (0,) * n)
 
 
 def test_half_open_disjointness_on_boundary():
-    cubes = descendants(DyadicCube(1, 0, (0,)), 1)
+    cubes = [DyadicCube(1, 1, (0,)), DyadicCube(1, 1, (1,))]
     containing = [c for c in cubes if c.contains_point(np.array([0.5]))]
     assert len(containing) == 1
     assert containing[0].index == (1,)
@@ -112,8 +99,8 @@ def test_half_open_disjointness_on_boundary():
 def test_parent_of_child_roundtrip(n, level, rnd):
     idx = tuple(rnd.randrange(2**level) for _ in range(n))
     c = DyadicCube(n, level, idx)
-    for child in children(c):
-        assert child.parent() == c
+    for child in child_indices(idx):
+        assert DyadicCube(n, level + 1, child).parent() == c
 
 
 @given(
@@ -122,14 +109,14 @@ def test_parent_of_child_roundtrip(n, level, rnd):
 )
 def test_cube_at_contains_its_point(coords, level):
     p = np.array(coords)
-    assert cube_at(p, level).contains_point(p)
+    assert DyadicCube(2, level, tuple(floor(c * 2**level) for c in p)).contains_point(p)
 
 
 @given(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2))
 def test_descendants_compose(a, b):
     c = DyadicCube(2, 1, (0, 1))
-    direct = {d.index for d in descendants(c, a + b)}
-    stepped = {g.index for d in descendants(c, a) for g in descendants(d, b)}
+    direct = {d.index for d in descendants(2, 1, c.index, a + b)}
+    stepped = {g.index for d in descendants(2, 1, c.index, a) for g in descendants(2, 1 + a, d.index, b)}
     assert direct == stepped
 
 
@@ -162,7 +149,7 @@ def test_cellset_refined_and_ancestors():
     fine = cs.refined(3)
     assert fine.depth == 3
     assert len(fine.cells) == 16
-    anc = cs.occupied_ancestors(0)
+    anc = set(map(tuple, cs.pyramid().cubes[0].tolist()))
     assert anc == {(0, 0)}
 
 
@@ -364,3 +351,7 @@ def test_cellset_centers_are_the_cell_midpoints():
     cs = CellSet(2, 2, [(3, 0), (1, 2)])
     assert cs.centers().tolist() == [[0.375, 0.625], [0.875, 0.125]]
     assert CellSet(3, 4, []).centers().shape == (0, 3)
+
+
+def test_cellset_repr_summarises():
+    assert repr(CellSet(2, 8, np.indices((256, 256)).reshape(2, -1).T)) == "<CellSet n=2 depth=8 cells=65536>"
