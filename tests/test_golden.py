@@ -4,8 +4,10 @@
 and byte length.  The set is what the benchmark workers write at seed 0: the
 generated inputs (one per generator kind, plus the random-sparse
 certificate), the five `extract-core` artifacts of the `core_cantor_k1` and
-`core_sparse3_k2` runs, and the nine `measure_tools` outputs.  The test
-regenerates them in-process through `gmtkit.cli.main` and compares.
+`core_sparse3_k2` runs, and the nine `measure_tools` outputs; beside them,
+`sparsify` on the dense Frostman measure (result measure, certificate and
+report) and `beta --measure` on the same measure.  The test regenerates them
+in-process through `gmtkit.cli.main` and compares.
 
 The hashes hold for numpy 2.4 and Python 3.11; other versions may round
 floats or draw random numbers differently.  A change that alters bytes on
@@ -34,7 +36,7 @@ GENERATE = {
 def _commands(pairs: Path, i: Path, o: Path) -> list[list]:
     """The CLI calls behind the set: domain pairs in `pairs`, generated inputs
     in `i`, the other artifacts under `o`."""
-    measure = o / "measure_tools"
+    measure, sparse = o / "measure_tools", o / "sparsify"
     return [
         *(["generate", *spec, "--out", i / f"{name}.json"] for name, spec in GENERATE.items()),
         ["generate", *GENERATE["core_sparse"], "--out", i / "core_sparse.json", "--cert-out", i / "core_sparse_cert.json"],
@@ -52,6 +54,10 @@ def _commands(pairs: Path, i: Path, o: Path) -> list[list]:
          "--samples", 100000, "--seed", 0, "--out", measure / "epsilon_halfspace.json"],
         ["epsilon", "--pair", pairs / "ball.json", "--center", "0.5,0.75", "--scales", "2:6",
          "--seed", 0, "--out", measure / "epsilon_ball.json"],
+        ["sparsify", "--measure", measure / "dense_measure.json", "--gauge", "powerexp:1:0.5", "--k", 1, "--ell", 4,
+         "--depth", 40, "--out", sparse / "measure.json", "--cert", sparse / "certificate.json",
+         "--report", sparse / "report.json", "--seed", 0],
+        ["beta", "--measure", measure / "dense_measure.json", "--k", 1, "--out", sparse / "beta_dense_measure.json"],
     ]
 
 
@@ -61,6 +67,7 @@ def golden_artifacts(root: Path) -> dict:
     pairs.mkdir()
     (out / "inputs").mkdir(parents=True)
     (out / "measure_tools").mkdir()
+    (out / "sparsify").mkdir()
     (pairs / "halfspace.json").write_text('{"kind":"halfspace","normal":[0.0,1.0],"point":[0.5,0.5]}\n')
     (pairs / "ball.json").write_text('{"kind":"ball","center":[0.5,0.5],"radius":0.25}\n')
     for argv in _commands(pairs, out / "inputs", out):
