@@ -52,7 +52,7 @@ from gmtkit.lattice import (
     locate,
     pack,
 )
-from gmtkit.utils import load_json, write_canonical
+from gmtkit.utils import Table, load_json, write_canonical
 
 CAP_TOLERANCE = 1e-9
 BALL_BLOCK = 1 << 16  # (point, cube) pairs per array pass of the ball check
@@ -322,7 +322,7 @@ class SparseMeasure:
         return {
             "n": self.n,
             "depth": self.depth,
-            "nodes": [list(node) for node in zip(self.levels.tolist(), self.rows.tolist(), self.weights.tolist())],
+            "nodes": Table(self.levels, self.rows, self.weights),
             "windows": [list(w) for w in self.windows],
         }
 
@@ -410,7 +410,7 @@ class CellMeasure(SparseMeasure):
         obj = {
             "n": self.n,
             "depth": self.depth,
-            "masses": [[idx, m] for idx, m in zip(self.rows.tolist(), self.weights.tolist())],
+            "masses": Table(self.rows, self.weights),
         }
         if self.cell_level != self.depth:
             obj["cell_level"] = self.cell_level

@@ -337,7 +337,7 @@ class CellSet:
         return self.rows[rng.integers(0, len(self), size=count)]
 
     def to_json_obj(self) -> dict:
-        return {"n": self.n, "depth": self.depth, "cells": self.rows.tolist()}
+        return {"n": self.n, "depth": self.depth, "cells": self.rows}
 
     @staticmethod
     def from_json_obj(obj: dict) -> "CellSet":

@@ -45,7 +45,7 @@ from gmtkit.lattice import (
     locate,
     pack,
 )
-from gmtkit.utils import load_json, write_canonical
+from gmtkit.utils import Table, load_json, write_canonical
 
 PRESERVE_TOL = 1e-12
 CAP_TOL = 1e-9
@@ -218,7 +218,7 @@ class SparsityCertificate:
 
     def to_json_obj(self) -> dict:
         fams = [
-            {"scale": fam.level, "pairs": np.stack([fam.cubes, fam.selections], axis=1).tolist()}
+            {"scale": fam.level, "pairs": Table(fam.cubes, fam.selections)}
             | ({"pattern": "lex-first"} if fam.pattern else {})
             for fam in self.families
         ]

@@ -1,9 +1,14 @@
 """Canonical serialization and small shared helpers.
 
-Every artifact file written by this package goes through ``write_canonical``
+Every JSON artifact written by this package goes through ``write_canonical``
 so that reruns with identical inputs produce byte-identical output: keys are
 sorted, floats carry 17 significant digits (enough to round-trip a double),
-and no timestamps or environment data leak into the files.
+and no timestamps or environment data leak into the files.  The CSV outputs
+(`extract-core`'s ``beta.csv`` and the ``--format csv`` profiles) are written
+by the CLI, with every float through ``fmt_float``.  Arrays, and ``Table``s of
+array columns, take one table path: each column is turned into text in one
+pass, floats once per distinct bit pattern, and the rows joined from those
+texts, with the same bytes as writing every element on its own.
 
 ``ScaleProfile`` holds coefficients across dyadic scales with their
 ln2-weighted square sum; it is both ``beta.BetaProfile`` and
@@ -34,8 +39,58 @@ def fmt_float(value: float) -> str:
     return text
 
 
+class Table:
+    """Equal-length columns written as one JSON list of rows, row i holding
+    every column's i-th entry: ``Table(levels, rows, weights)`` with a 1-D
+    int, a 2-D int and a 1-D float array writes ``[[level,[i,j],w],...]``."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+
+_compact = json.JSONEncoder(separators=(",", ":")).encode  # ints, bools and nested lists of them
+
+
+def _texts(column) -> list[str]:
+    """The canonical text of each entry of `column` along its first axis."""
+    if isinstance(column, np.ndarray) and column.ndim:
+        kind, rank = column.dtype.kind, column.ndim
+        if kind == "f" and rank == 1:
+            # one fmt_float per distinct bit pattern: grouping by value would merge -0.0 with 0.0
+            bits, inverse = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
+            texts = list(map(fmt_float, bits.view(np.float64).tolist()))
+            return list(map(texts.__getitem__, inverse.tolist()))
+        if kind in "iu" and rank == 1:
+            return list(map(str, column.tolist()))
+        if kind in "iu" and rank == 2 and column.shape[1]:
+            return list(map(_row_format(column.shape[1]).format, *column.T.tolist()))
+        if kind in "biu":
+            return list(map(_compact, column.tolist()))
+    return list(map(dumps_canonical, column))
+
+
+def _row_format(width: int) -> str:
+    return "[" + ",".join(["{}"] * width) + "]"
+
+
+TABLE_CHUNK = 1 << 16  # rows turned into text per pass of the table path
+
+
 def _encode(obj: Any, out: list[str]) -> None:
-    if obj is None:
+    if isinstance(obj, (np.ndarray, Table)):
+        # an array is a table of one column whose rows are its entries
+        columns, row = ((obj,), "{}") if isinstance(obj, np.ndarray) else (obj.columns, _row_format(len(obj.columns)))
+        lengths = {len(column) for column in columns}
+        if len(lengths) != 1:
+            raise ValueError(f"a table needs columns of one length, got {[len(c) for c in columns]}")
+        out.append("[")
+        for a in range(0, lengths.pop(), TABLE_CHUNK):
+            texts = [_texts(column[a : a + TABLE_CHUNK]) for column in columns]
+            out.append(("," if a else "") + ",".join(map(row.format, *texts)))
+        out.append("]")
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         out.append("true" if obj else "false")
@@ -45,10 +100,9 @@ def _encode(obj: Any, out: list[str]) -> None:
         out.append(fmt_float(float(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+    elif isinstance(obj, (list, tuple)):
         out.append("[")
-        for i, item in enumerate(seq):
+        for i, item in enumerate(obj):
             if i:
                 out.append(",")
             _encode(item, out)
@@ -77,7 +131,11 @@ def dumps_canonical(obj: Any) -> str:
 def write_canonical(path: str | Path, obj: Any) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_canonical(obj) + "\n", encoding="ascii")
+    parts: list[str] = []
+    _encode(obj, parts)
+    with path.open("w", encoding="ascii") as f:  # the parts as they are, never joined into one copy
+        f.writelines(parts)
+        f.write("\n")
     return path
 
 

@@ -37,6 +37,7 @@ from gmtkit.sparsify import (
     _follows,
     _witness_draws,
 )
+from gmtkit.utils import dumps_canonical
 
 from helpers import (
     brute_apply_scale,
@@ -273,7 +274,7 @@ def test_sparse_measure_from_dict_equals_shuffled_triple():
     triple = ([t for t, _ in keys], np.array([idx for _, idx in keys]), [nodes[key] for key in keys])
     a, b = SparseMeasure(2, 6, nodes, ((3, 2),)), SparseMeasure(2, 6, triple, ((3, 2),))
     assert a == b
-    assert a.to_json_obj() == b.to_json_obj()
+    assert dumps_canonical(a.to_json_obj()) == dumps_canonical(b.to_json_obj())
     assert a.total.hex() == b.total.hex() == sum(nodes[key] for key in sorted(nodes)).hex()
     assert a.nodes == nodes
 
