@@ -6,8 +6,10 @@ enumeration, no tree tricks.  Oracles are only run on small instances.
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import product
+from typing import Any
 
 import numpy as np
 
@@ -477,3 +479,57 @@ def full_matrix_epsilon_report(dp, x, r: float, normals: int, sphere_samples: in
             best_frac, best_u = float(fracs.min()), perturbed[int(np.argmin(fracs))]
         minima.append(area * best_frac)
     return EpsilonReport(area * best_frac, tuple(minima), normals, sphere_samples, r)
+
+
+def oracle_float(value: float) -> str:
+    """A float as canonical JSON writes it: 17 significant digits, always
+    with a '.' or an exponent; non-finite values are refused."""
+    v = float(value)
+    if math.isnan(v) or math.isinf(v):
+        raise ValueError("non-finite values cannot be serialized")
+    text = format(v, ".17g")
+    if "." not in text and "e" not in text and "E" not in text:
+        text += ".0"
+    return text
+
+
+def _oracle_encode(obj: Any, out: list[str]) -> None:
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(oracle_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        out.append("[")
+        for i, item in enumerate(seq):
+            if i:
+                out.append(",")
+            _oracle_encode(item, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj.keys())):
+            if not isinstance(key, str):
+                raise TypeError(f"canonical JSON requires string keys, got {key!r}")
+            if i:
+                out.append(",")
+            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(":")
+            _oracle_encode(obj[key], out)
+        out.append("}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def oracle_dumps_canonical(obj: Any) -> str:
+    """Canonical JSON one element at a time: sorted keys, every int, float and
+    list entry written on its own, recursively."""
+    parts: list[str] = []
+    _oracle_encode(obj, parts)
+    return "".join(parts)
