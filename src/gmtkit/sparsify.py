@@ -818,11 +818,13 @@ def estimate_c0(ell: int, n: int, k: int, trials: int = 2000, grid: int = 24, se
     lows = offsets + subs * sub
     centres = lows[:, centre] + units * sub
     grid_offsets = _section_offsets(k, 0.5, grid)
-    # WITNESS_BLOCK trials per pass of the hole search's kernel, each trial's
-    # best clearance the largest over its points of the nearest obstacle
+    # trials in blocks of at most HOLE_BLOCK section points (one trial at
+    # least) through the hole search's kernel, each trial's best clearance
+    # the largest over its points of the nearest obstacle
+    step = max(1, HOLE_BLOCK // len(grid_offsets))
     worst = float("inf")
-    for a in range(0, trials, WITNESS_BLOCK):
-        block = slice(a, a + WITNESS_BLOCK)
+    for a in range(0, trials, step):
+        block = slice(a, a + step)
         points = centres[block, None, :] + grid_offsets @ frames[block]
         owner = np.repeat(np.arange(len(points)), len(offsets))
         lo = lows[block].reshape(-1, n)

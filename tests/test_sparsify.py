@@ -807,12 +807,23 @@ C0_BITS = {
 @pytest.mark.parametrize("k, grid, seed", sorted(C0_BITS))
 @pytest.mark.parametrize("block", [8192, 7])  # (point, obstacle) pairs per pass
 def test_estimate_c0_keeps_its_bits(k, grid, seed, block, monkeypatch):
-    # (4, 2, 1) with 300 trials and (4, 3, 2) with 64, trials in several blocks
+    # (4, 2, 1) with 300 trials and (4, 3, 2) with 64: all trials in one block
+    # at 8192, one trial per block at 7
     monkeypatch.setattr(sparsify, "HOLE_BLOCK", block)
-    if block == 7:  # and 29 trials per pass of the clearance kernel
-        monkeypatch.setattr(sparsify, "WITNESS_BLOCK", 29)
     est = estimate_c0(4, k + 1, k, trials=300 if k == 1 else 64, grid=grid, seed=seed)
     assert est.value.hex() == C0_BITS[(k, grid, seed)]
+
+
+def test_estimate_c0_keeps_its_bits_on_wide_sections():
+    # section grids of 1,736 and 452 points, so a few trials per block
+    assert estimate_c0(4, 4, 3, trials=256, grid=16).value.hex() == "0x1.cf1032065ed66p-2"
+    assert estimate_c0(4, 3, 2, trials=2000, grid=24).value.hex() == "0x1.bbc8522060d58p-2"
+
+
+def test_estimate_c0_memory_does_not_grow_with_the_section_grid():
+    # trials go in blocks of at most HOLE_BLOCK section points: 32 trials of
+    # 1,736 points each held at once would take 1.8 MB for the points alone
+    assert _peak_bytes(lambda: estimate_c0(4, 4, 3, trials=32, grid=16)) <= 1.5 * 2**20
 
 
 def test_estimate_c0_validates():
