@@ -1,14 +1,16 @@
 """Canonical serialization and small shared helpers.
 
-Every JSON artifact written by this package goes through ``write_canonical``
-so that reruns with identical inputs produce byte-identical output: keys are
-sorted, floats carry 17 significant digits (enough to round-trip a double),
-and no timestamps or environment data leak into the files.  The CSV outputs
-(`extract-core`'s ``beta.csv`` and the ``--format csv`` profiles) are written
-by the CLI, with every float through ``fmt_float``.  Arrays, and ``Table``s of
-array columns, take one table path: each column is turned into text in one
-pass, floats once per distinct bit pattern, and the rows joined from those
-texts, with the same bytes as writing every element on its own.
+Every JSON artifact is canonical, so that reruns with identical inputs
+produce byte-identical output: keys are sorted, floats carry 17 significant
+digits (enough to round-trip a double), and no timestamps or environment data
+leak into the files.  Files go through ``write_canonical``; the profile
+commands, which may print to stdout instead, write ``dumps_canonical``'s text.
+The CSV outputs (`extract-core`'s ``beta.csv`` and the ``--format csv``
+profiles) are written by the CLI, every float through ``fmt_float``.  Arrays,
+and ``Table``s of array columns, take one table path: each column becomes
+text in one pass, 65,536 rows at a time (floats through ``fmt_float`` once per
+distinct bit pattern), and the rows are joined from those texts, with the
+bytes of writing every element on its own.
 
 ``ScaleProfile`` holds coefficients across dyadic scales with their
 ln2-weighted square sum; it is both ``beta.BetaProfile`` and
@@ -39,6 +41,9 @@ def fmt_float(value: float) -> str:
     return text
 
 
+TABLE_CHUNK = 1 << 16  # rows turned into text per pass of the table path
+
+
 class Table:
     """Equal-length columns written as one JSON list of rows, row i holding
     every column's i-th entry: ``Table(levels, rows, weights)`` with a 1-D
@@ -50,32 +55,25 @@ class Table:
         self.columns = columns
 
 
-_compact = json.JSONEncoder(separators=(",", ":")).encode  # ints, bools and nested lists of them
-
-
-def _texts(column) -> list[str]:
-    """The canonical text of each entry of `column` along its first axis."""
-    if isinstance(column, np.ndarray) and column.ndim:
-        kind, rank = column.dtype.kind, column.ndim
-        if kind == "f" and rank == 1:
-            # one fmt_float per distinct bit pattern: grouping by value would merge -0.0 with 0.0
-            bits, inverse = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
-            texts = list(map(fmt_float, bits.view(np.float64).tolist()))
-            return list(map(texts.__getitem__, inverse.tolist()))
-        if kind in "iu" and rank == 1:
-            return list(map(str, column.tolist()))
-        if kind in "iu" and rank == 2 and column.shape[1]:
-            return list(map(_row_format(column.shape[1]).format, *column.T.tolist()))
-        if kind in "biu":
-            return list(map(_compact, column.tolist()))
-    return list(map(dumps_canonical, column))
-
-
 def _row_format(width: int) -> str:
     return "[" + ",".join(["{}"] * width) + "]"
 
 
-TABLE_CHUNK = 1 << 16  # rows turned into text per pass of the table path
+def _texts(column) -> list[str]:
+    """The canonical text of each entry of `column` along its first axis:
+    1-D float and int arrays and 2-D int arrays in one pass, anything else
+    entry by entry."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        if column.dtype.kind == "f" and column.ndim == 1:
+            # grouped by bit pattern: grouping by value would merge -0.0 with 0.0
+            bits, inverse = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
+            texts = list(map(fmt_float, bits.view(np.float64).tolist()))
+            return list(map(texts.__getitem__, inverse.tolist()))
+        if column.dtype.kind in "iu" and column.ndim == 1:
+            return list(map(str, column.tolist()))
+        if column.dtype.kind in "iu" and column.ndim == 2 and column.shape[1]:
+            return list(map(_row_format(column.shape[1]).format, *column.T.tolist()))
+    return list(map(dumps_canonical, column))
 
 
 def _encode(obj: Any, out: list[str]) -> None:
