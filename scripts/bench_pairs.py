@@ -50,12 +50,17 @@ def build_tree(rev: str, dest: Path) -> str:
 
 
 def parse_workload(text: str) -> tuple[str, list[int]]:
-    """`name:a-b` or `name:s1,s2,...` -> (name, seeds)."""
+    """`name:a-b` or `name:s1,s2,...` -> (name, seeds), at least two seeds,
+    since quartiles need two runs a side."""
     name, _, seeds = text.partition(":")
     if "-" in seeds:
         a, b = seeds.split("-")
-        return name, list(range(int(a), int(b) + 1))
-    return name, [int(s) for s in seeds.split(",")]
+        seed_list = list(range(int(a), int(b) + 1))
+    else:
+        seed_list = [int(s) for s in seeds.split(",")]
+    if len(seed_list) < 2:
+        raise argparse.ArgumentTypeError(f"{text}: a workload needs at least two seeds")
+    return name, seed_list
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:

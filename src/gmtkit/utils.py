@@ -47,12 +47,19 @@ TABLE_CHUNK = 1 << 16  # rows turned into text per pass of the table path
 class Table:
     """Equal-length columns written as one JSON list of rows, row i holding
     every column's i-th entry: ``Table(levels, rows, weights)`` with a 1-D
-    int, a 2-D int and a 1-D float array writes ``[[level,[i,j],w],...]``."""
+    int, a 2-D int and a 1-D float array writes ``[[level,[i,j],w],...]``.
+    Iterating it yields those rows as lists, as loading the text back would."""
 
     __slots__ = ("columns",)
 
     def __init__(self, *columns):
         self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def __iter__(self):
+        return map(list, zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns)))
 
 
 def _row_format(width: int) -> str:
@@ -65,7 +72,8 @@ def _texts(column) -> list[str]:
     entry by entry."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
         if column.dtype.kind == "f" and column.ndim == 1:
-            # grouped by bit pattern: grouping by value would merge -0.0 with 0.0
+            # masses mostly repeat, so each distinct bit pattern is formatted
+            # once; grouping by value would merge -0.0 with 0.0
             bits, inverse = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
             texts = list(map(fmt_float, bits.view(np.float64).tolist()))
             return list(map(texts.__getitem__, inverse.tolist()))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import re
@@ -180,6 +181,24 @@ def test_certificate_roundtrip(square_construction, tmp_path):
     assert back.scales == cert.scales
     assert back.ell == cert.ell
     assert all(f1.pattern == f2.pattern for f1, f2 in zip(back.families, cert.families))
+
+
+def test_to_json_obj_round_trips_in_memory(square_construction):
+    """`from_json_obj` takes the arrays and Tables that `to_json_obj` hands
+    the writer, and a Table iterates as the rows its text holds."""
+    cells = CellSet(2, 0, frozenset({(0, 0)})).refined(3)
+    mu = build_frostman(cells, H32)
+    sparse, cert = square_construction.result, square_construction.certificate
+    for x in (cells, CellSet(2, 3, []), mu, mu.with_depth(9), CellMeasure(2, 3, {}), sparse):
+        obj = x.to_json_obj()
+        assert type(x).from_json_obj(obj) == x
+        for key in {"masses", "nodes"} & obj.keys():
+            assert list(obj[key]) == json.loads(dumps_canonical(obj))[key]
+    back = SparsityCertificate.from_json_obj(cert.to_json_obj())
+    assert dumps_canonical(back.to_json_obj()) == dumps_canonical(cert.to_json_obj())
+    assert [list(fam["pairs"]) for fam in cert.to_json_obj()["families"]] == [
+        fam["pairs"] for fam in json.loads(dumps_canonical(cert.to_json_obj()))["families"]
+    ]
 
 
 def test_explicit_certificate_roundtrip(tmp_path):

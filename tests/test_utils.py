@@ -49,6 +49,7 @@ def test_table_path_writes_the_oracles_bytes(table):
             assert dumps_canonical(array) == oracle_dumps_canonical(array.tolist())
         for columns in ((rows, weights), (levels, rows, weights), (rows, rows), (levels,)):
             assert dumps_canonical(Table(*columns)) == oracle_dumps_canonical(_as_lists(*columns))
+            assert list(Table(*columns)) == _as_lists(*columns) and len(Table(*columns)) == len(levels)
         obj = {"n": rows.shape[1], "nodes": Table(levels, rows, weights), "cells": rows, "w": [weights]}
         want = {"n": rows.shape[1], "nodes": _as_lists(levels, rows, weights), "cells": rows.tolist(), "w": [weights.tolist()]}
         assert dumps_canonical(obj) == oracle_dumps_canonical(want)
