@@ -44,13 +44,13 @@ def _points_weights(source) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _restricted_moment_value(
-    pts: np.ndarray, w: np.ndarray, x: np.ndarray, r: float, k: int
+    pts: np.ndarray, w: np.ndarray, d2: np.ndarray, r: float, k: int
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Barycenter, top-k frame, and the attained minimum inside the closed ball.
+    """Barycenter, top-k frame, and the attained minimum inside the closed ball
+    of radius r about the centre whose squared distances to `pts` are `d2`.
 
     None when the ball carries no mass.
     """
-    d2 = ((pts - x) ** 2).sum(axis=1)
     # closed ball, with slack for points placed at distance exactly r whose
     # computed distance carries one ulp of noise
     mask = d2 <= r * r * (1.0 + 1e-12)
@@ -86,7 +86,7 @@ def best_affine_fit(source, x, r: float, k: int) -> tuple[AffinePlane, float]:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise InvalidInputError(f"center must have {n} coordinates")
-    got = _restricted_moment_value(pts, w, x, r, k)
+    got = _restricted_moment_value(pts, w, ((pts - x) ** 2).sum(axis=1), r, k)
     if got is None:
         raise InvalidInputError(f"no mass in the closed ball of radius {r}")
     bary, frame, value = got
@@ -116,10 +116,11 @@ def square_function(source, x, k: int, j_min: int, j_max: int) -> BetaProfile:
     if not 1 <= k < n:
         raise InvalidInputError(f"need 1 <= k < n, got k={k}, n={n}")
     x = np.asarray(x, dtype=float)
+    d2 = ((pts - x) ** 2).sum(axis=1)  # one distance pass serves every scale
     values = []
     for j in range(j_min, j_max + 1):
         r = 2.0 ** (-j)
-        got = _restricted_moment_value(pts, w, x, r, k)
+        got = _restricted_moment_value(pts, w, d2, r, k)
         values.append(0.0 if got is None else sqrt(got[2] * r ** (-(k + 2))))
     return BetaProfile.of(x, range(j_min, j_max + 1), values)
 
@@ -179,15 +180,20 @@ def content_beta(
     bary = centers.mean(axis=0)
     gauge = power_exp_gauge(k, 0.0)
     ts = [r * 2.0 ** (-i) for i in range(t_grid + 1)]
+    cuts = np.array(ts)[:, None]
+    bands = [hi * hi - lo * lo for hi, lo in zip(ts, ts[1:])]
 
     def plane_value(frame: np.ndarray) -> float:
+        # every threshold's superlevel set priced in one content call, then
+        # the weighted terms added in threshold order, the tail segment first
         dists = _plane_distances(centers, bary, frame)
-        acc = 0.0
         top = float(dists.max())
-        if top > ts[0]:
-            acc += content(inside, gauge, dists > ts[0]) * (top * top - ts[0] * ts[0])
-        for hi, lo in zip(ts, ts[1:]):
-            acc += content(inside, gauge, dists > lo) * (hi * hi - lo * lo)
+        first = 0 if top > ts[0] else 1  # the tail segment only when a centre lies beyond r
+        weights = [top * top - ts[0] * ts[0], *bands][first:]
+        prices = content(inside, gauge, dists > cuts[first:])
+        acc = 0.0
+        for price, weight in zip(prices.tolist(), weights):
+            acc += price * weight
         return acc * r ** (-(k + 2))
 
     if n == 2 and k == 1:

@@ -303,7 +303,9 @@ def _load_measure(path) -> CellMeasure:
 def _emit(text: str, out: str | None) -> None:
     """Write `text` to the file `out`, or to stdout when no file is given."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 

@@ -37,11 +37,12 @@ class CoverSolution:
 def _cover_dp(pyramid: Pyramid, h: Gauge, selected=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per level, each occupied cube's optimal cover cost with no size cap, and
     whether covering it by itself attains that cost.  Leaves outside the boolean
-    mask `selected` cost 0.0; adding 0.0 is exact, so this is the DP on the selected leaves bit for bit."""
+    mask `selected` cost 0.0; adding 0.0 is exact, so this is the DP on the selected leaves bit for bit.
+    A (T, N) stack of masks runs T such DPs in one pass, with (T, m) arrays per level."""
     n, m = pyramid.n, pyramid.depth
     leaf = h(level_diameter(n, m))
     cost = [np.full(len(pyramid.cubes[m]), leaf) if selected is None else np.where(selected, leaf, 0.0)]
-    here = [np.ones(len(pyramid.cubes[m]), dtype=bool)]
+    here = [np.ones(cost[0].shape, dtype=bool)]
     for level in range(m - 1, -1, -1):  # the lists grow at the front, from the bottom up
         below = pyramid.sum_up(level + 1, cost[0])
         price = h(level_diameter(n, level))
@@ -50,11 +51,12 @@ def _cover_dp(pyramid: Pyramid, h: Gauge, selected=None) -> tuple[list[np.ndarra
     return cost, here
 
 
-def _summed_to_root(pyramid: Pyramid, values: np.ndarray, level: int) -> float:
-    """Total of level-`level` cube values, summed one level at a time."""
+def _summed_to_root(pyramid: Pyramid, values: np.ndarray, level: int):
+    """Total of level-`level` cube values, summed one level at a time; one
+    total per row of a (T, m) stack."""
     for up in range(level, 0, -1):
         values = pyramid.sum_up(up, values)
-    return float(values.sum())
+    return values.sum(axis=-1)
 
 
 def dyadic_cover_cost(cells: CellSet, h: Gauge, min_level: int = 0) -> CoverSolution:
@@ -67,16 +69,22 @@ def dyadic_cover_cost(cells: CellSet, h: Gauge, min_level: int = 0) -> CoverSolu
     # the cover: the first cube on each branch, from min_level down, covered by itself
     chosen = sorted(pyramid.topmost([here[level] & (level >= min_level) for level in range(cells.depth + 1)]))
     cover = tuple(DyadicCube(cells.n, level, idx) for level, idx in chosen)
-    return CoverSolution(_summed_to_root(pyramid, cost[min_level], min_level), cover, min_level)
+    return CoverSolution(float(_summed_to_root(pyramid, cost[min_level], min_level)), cover, min_level)
 
 
-def content(cells: CellSet, h: Gauge, selected=None) -> float:
+def content(cells: CellSet, h: Gauge, selected=None):
     """h-content: unconstrained optimal dyadic cover cost (min_level = 0) of the cells
-    that the boolean array `selected` marks, in ``cells.rows`` order; None marks all."""
-    if selected is not None and (np.asarray(selected).dtype != bool or np.shape(selected) != (len(cells),)):
-        raise InvalidInputError(f"selected must be a boolean array over the {len(cells)} cells")
+    that the boolean array `selected` marks, in ``cells.rows`` order; None marks all.
+
+    A (T, N) boolean `selected` prices T subsets in one DP pass and gives a
+    (T,) array, each entry bit for bit the float of its row's 1-D call."""
+    if selected is not None:
+        selected = np.asarray(selected)
+        if selected.dtype != bool or selected.ndim not in (1, 2) or selected.shape[-1] != len(cells):
+            raise InvalidInputError(f"selected must be a boolean array, or a stack of them, over {len(cells)} cells")
     pyramid = cells.pyramid()
-    return _summed_to_root(pyramid, _cover_dp(pyramid, h, selected)[0][0], 0)
+    total = _summed_to_root(pyramid, _cover_dp(pyramid, h, selected)[0][0], 0)
+    return total if total.ndim else float(total)
 
 
 def measure_profile(cells: CellSet, h: Gauge) -> list[float]:
@@ -84,4 +92,4 @@ def measure_profile(cells: CellSet, h: Gauge) -> list[float]:
     admissible cube sizes only removes covers.  One DP serves every entry."""
     pyramid = cells.pyramid()
     cost, _ = _cover_dp(pyramid, h)
-    return [_summed_to_root(pyramid, cost[level], level) for level in range(cells.depth + 1)]
+    return [float(_summed_to_root(pyramid, cost[level], level)) for level in range(cells.depth + 1)]

@@ -224,8 +224,17 @@ class Pyramid:
         return locate(self._keys[level], level, rows)
 
     def sum_up(self, level: int, values: np.ndarray) -> np.ndarray:
-        """Per level-(`level` - 1) cube, the sum of its children's `values`."""
-        return np.bincount(self.parents[level], weights=values, minlength=len(self.cubes[level - 1]))
+        """Per level-(`level` - 1) cube, the sum of its children's `values`.
+
+        A (T, m) stack of value rows gives a (T, m_above) stack: one
+        ``bincount`` over parent positions shifted by row, each row's sums
+        added in the order the 1-D call adds them."""
+        parents, size = self.parents[level], len(self.cubes[level - 1])
+        if values.ndim == 1:
+            return np.bincount(parents, weights=values, minlength=size)
+        rows = len(values)
+        slots = (parents + size * np.arange(rows)[:, None]).ravel()
+        return np.bincount(slots, weights=values.ravel(), minlength=rows * size).reshape(rows, size)
 
     def rollup(self, values) -> list[np.ndarray]:
         """Per level, each cube's sum of the values of the nodes inside it.

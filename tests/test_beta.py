@@ -198,6 +198,20 @@ def test_beta_nonnegative_and_finite(seed, m):
     assert math.isfinite(v)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 40), st.integers(0, 3), st.integers(0, 8))
+def test_square_function_equals_beta2_at_each_scale(seed, n, m, j_min, span):
+    # beta2 measures its own distances, so it checks the distance pass shared across scales
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, size=(m, n))
+    w = rng.uniform(0.0, 1.0, size=m) * (rng.uniform(size=m) < 0.8)
+    x = pts[0] if seed % 2 else rng.uniform(0.0, 1.0, size=n)
+    for k in range(1, n):
+        prof = square_function((pts, w), x, k, j_min, j_min + span)
+        want = [beta2((pts, w), x, 2.0 ** (-j), k) for j in range(j_min, j_min + span + 1)]
+        assert list(prof.values) == want  # the same bits, not only the same value
+
+
 def brute_content_beta_two_d(cells, x, r, k, t_grid, angles):
     """Angle scan over lines through the barycenter, same layer-cake grid."""
     from gmtkit.content import content
@@ -286,3 +300,29 @@ def test_content_beta_builds_one_pyramid_per_call(monkeypatch):
     cube = CellSet(3, 0, frozenset({(0, 0, 0)})).refined(3)
     assert content_beta(cube, [0.5, 0.5, 0.5], 0.3, 2, plane_grid=8, t_grid=4) > 0.0
     assert len(built) == 2
+
+
+def test_content_beta_keeps_its_bits_with_one_content_call_per_plane(monkeypatch):
+    # values of the per-threshold loop that priced each superlevel set in its own DP
+    import gmtkit.beta
+
+    calls = []
+    batched = gmtkit.beta.content
+    monkeypatch.setattr(gmtkit.beta, "content", lambda *a: calls.append(np.shape(a[2])) or batched(*a))
+    square = CellSet(2, 0, frozenset({(0, 0)})).refined(4)
+    cantor = generate(GeneratorSpec(kind="four-corner-cantor", n=2, depth=6))
+    cube = CellSet(3, 0, frozenset({(0, 0, 0)})).refined(3)
+    sparse = generate(GeneratorSpec(kind="random-sparse", n=3, depth=6, ell=4, seed=0))
+    cases = [
+        ((square, [0.5, 0.5], 0.5, 1), dict(plane_grid=12, t_grid=6), "0x1.ae7c85100d9fap+0"),
+        ((cantor, [0.4, 0.6], 0.3, 1), dict(plane_grid=12, t_grid=6), "0x1.85f1a32f59140p-5"),
+        ((cube, [0.5, 0.5, 0.5], 0.3, 2), dict(plane_grid=8, t_grid=4, seed=3), "0x1.6d836a18a24dbp+1"),
+        ((sparse, [0.5, 0.5, 0.5], 0.4, 1), dict(plane_grid=8, t_grid=5, seed=1), "0x1.178daf051ee94p-3"),
+    ]
+    for args, kw, want in cases:
+        calls.clear()
+        assert content_beta(*args, **kw).hex() == want
+        # one (T, N) stack per plane: every threshold, and the tail segment when it is there
+        assert {shape[0] for shape in calls} <= {kw["t_grid"], kw["t_grid"] + 1}
+        if args[0].n == 2:  # the angle grid, two golden-section starts and 40 steps
+            assert len(calls) == kw["plane_grid"] + 42

@@ -129,6 +129,18 @@ def test_content_profile_csv(tmp_path):
     assert costs == sorted(costs)  # deeper floors never get cheaper
 
 
+@pytest.mark.parametrize("command", [
+    ["content", "--gauge", "powerexp:1:0.5", "--profile"],
+    ["beta", "--k", "1"],
+])
+def test_text_outputs_create_a_missing_directory(tmp_path, command):
+    cells = write_square(tmp_path, depth=3)
+    existing, fresh = tmp_path / "out.json", tmp_path / "new" / "dir" / "out.json"
+    for out in (existing, fresh):
+        assert run([command[0], "--cells", str(cells), *command[1:], "--out", str(out)]) == 0
+    assert fresh.read_bytes() == existing.read_bytes()
+
+
 def test_sparsify_command(tmp_path, capsys):
     cells = write_square(tmp_path)
     mu_path = tmp_path / "mu.json"

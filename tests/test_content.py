@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmtkit.content import content, dyadic_cover_cost, measure_profile
@@ -191,10 +191,48 @@ def test_masked_content_is_the_content_of_the_subset(case, h):
         assert got == 0.0
 
 
+@st.composite
+def mask_stacks(draw):
+    """(cells, masks): a small set with n in 2..4, depth up to 3, and a (T, N)
+    stack of leaf masks over its sorted cells, T in 1..5, perhaps with one row
+    all false."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    depth = draw(st.integers(min_value=0, max_value=3))
+    top = (1 << depth) - 1
+    picks = draw(st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=1, max_size=10))
+    cells = CellSet(n, depth, frozenset(picks))
+    rows = draw(st.integers(min_value=1, max_value=5))
+    masks = np.array(draw(st.lists(st.booleans(), min_size=rows * len(cells), max_size=rows * len(cells))),
+                     dtype=bool).reshape(rows, len(cells))
+    blank = draw(st.integers(min_value=-1, max_value=rows - 1))
+    if blank >= 0:
+        masks[blank] = False
+    return cells, masks
+
+
+@given(mask_stacks(), st.sampled_from([power_gauge(1), vanishing_gauge(1), power_exp_gauge(1, 0.0),
+                                       power_exp_gauge(2, 0.0)]))
+@example((CellSet(3, 2, frozenset({(0, 1, 2), (3, 3, 0)})), np.array([[True, False]])), power_gauge(1))
+@example((CellSet(2, 2, frozenset({(0, 1), (1, 1), (3, 2)})), np.array([[True, True, False], [False] * 3])),
+         power_exp_gauge(1, 0.0))
+@settings(max_examples=150, deadline=None)
+def test_a_stack_of_masks_is_priced_row_by_row(case, h):
+    cells, masks = case
+    got = content(cells, h, masks)
+    assert isinstance(got, np.ndarray) and got.shape == (len(masks),)
+    singles = [content(cells, h, row) for row in masks]
+    assert all(type(v) is float for v in singles)
+    assert got.tolist() == singles  # the same bits, not only the same value
+    for row, value in zip(masks, singles):
+        subset = CellSet(cells.n, cells.depth, [c for c, s in zip(cells.sorted_cells(), row) if s])
+        assert value == pytest.approx(enumerate_cover_costs(subset, h), rel=1e-12, abs=1e-12)
+
+
 def test_masked_content_rejects_a_bad_mask():
     cells = CellSet(2, 2, frozenset({(0, 0), (1, 3), (2, 2)}))
     for bad in ([True, False], np.ones(4, dtype=bool), np.ones((3, 1), dtype=bool), np.array([1, 0, 1]),
-                np.array([1.0, 0.0, 1.0])):
+                np.array([1.0, 0.0, 1.0]), np.ones((2, 4), dtype=bool), np.ones((2, 3), dtype=np.int64),
+                np.ones((1, 2, 3), dtype=bool), np.True_):
         with pytest.raises(InvalidInputError):
             content(cells, BARE, bad)
     assert content(cells, BARE, [True, False, True]) == content(CellSet(2, 2, frozenset({(0, 0), (2, 2)})), BARE)
