@@ -67,8 +67,9 @@ def dyadic_cover_cost(cells: CellSet, h: Gauge, min_level: int = 0) -> CoverSolu
     cost, here = _cover_dp(pyramid, h)
 
     # the cover: the first cube on each branch, from min_level down, covered by itself
-    chosen = sorted(pyramid.topmost([here[level] & (level >= min_level) for level in range(cells.depth + 1)]))
-    cover = tuple(DyadicCube(cells.n, level, idx) for level, idx in chosen)
+    levels, rows = pyramid.topmost([here[level] & (level >= min_level) for level in range(cells.depth + 1)])
+    order = np.lexsort((*rows.T[::-1], levels))  # by level, then index
+    cover = tuple(DyadicCube(cells.n, level, idx) for level, idx in zip(levels[order].tolist(), rows[order].tolist()))
     return CoverSolution(float(_summed_to_root(pyramid, cost[min_level], min_level)), cover, min_level)
 
 
@@ -79,7 +80,10 @@ def content(cells: CellSet, h: Gauge, selected=None):
     A (T, N) boolean `selected` prices T subsets in one DP pass and gives a
     (T,) array, each entry bit for bit the float of its row's 1-D call."""
     if selected is not None:
-        selected = np.asarray(selected)
+        try:
+            selected = np.asarray(selected)
+        except ValueError as exc:  # a ragged nested list
+            raise InvalidInputError(f"selected is not an array: {exc}") from exc
         if selected.dtype != bool or selected.ndim not in (1, 2) or selected.shape[-1] != len(cells):
             raise InvalidInputError(f"selected must be a boolean array, or a stack of them, over {len(cells)} cells")
     pyramid = cells.pyramid()

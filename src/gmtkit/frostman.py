@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -56,6 +55,7 @@ from gmtkit.utils import Table, load_json, write_canonical
 
 CAP_TOLERANCE = 1e-9
 BALL_BLOCK = 1 << 16  # (point, cube) pairs per array pass of the ball check
+BALL_BAND = 1e-12  # relative distance to r*r within which the ball check's np.dot kernel decides
 DRAW_BLOCK = 1 << 13  # digits per random draw of the support sampler
 
 
@@ -507,8 +507,8 @@ def verify_frostman(measure: CellMeasure, h: Gauge) -> FrostmanReport:
                 max_ratio, worst = ratio, (level, deep)
 
     # maximal saturated cubes, added up in the order a walk from the root meets them
-    saturated = pyramid.topmost([m >= cap * (1.0 - CAP_TOLERANCE) for m, cap in zip(mass, caps)])
-    cost = float(sum(caps[level] for level, _ in saturated))
+    saturated = pyramid.topmost([m >= cap * (1.0 - CAP_TOLERANCE) for m, cap in zip(mass, caps)])[0]
+    cost = float(np.cumsum(np.asarray(caps)[saturated])[-1]) if len(saturated) else 0.0  # left to right
     return FrostmanReport(
         gauge_label=h.label,
         max_ratio=max_ratio,
@@ -538,12 +538,18 @@ def ball_frostman_check(measure: CellMeasure, k: int, samples: int = 256, seed: 
     cap check with h(r) = r^k forces a dimensional-constant bound here.
 
     Each level is one array pass over all sample points and the cubes of
-    their bounding boxes, exact against a per-cube loop: a cube meets the
-    ball when its squared gap, summed by the ``np.dot`` kernel (the stacked
-    matmul below runs it), is at most r*r, with no square root; the box
-    offsets run in ``itertools.product`` order, and ``np.cumsum`` adds the
-    masses along them one after another, the cubes that miss adding an exact
-    0.0.  The worst ball is the first largest ratio in (point, level) order.
+    their bounding boxes, exact against a per-cube loop that counts a cube
+    when its squared gap, summed by ``np.dot``, is at most r*r, with no square
+    root.  A cube's gap along an axis depends only on the point and the
+    cube's offset along that axis, so the gaps are taken per axis, inf past
+    the box's far end, and their squares added one axis after another over
+    the box, in ``itertools.product`` order.  ``np.dot`` may fuse a multiply
+    into its add, so its sum can differ from that one in the last bits: the
+    pairs whose sum lies within ``BALL_BAND`` * r*r of r*r are decided again
+    by the ``np.dot`` kernel (the stacked matmul below runs it) on their gap
+    rows.  Only the cubes that meet the ball are looked up, and each point's
+    masses are added one after another in box order, as the loop adds them.
+    The worst ball is the first largest ratio in (point, level) order.
     """
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
@@ -552,27 +558,39 @@ def ball_frostman_check(measure: CellMeasure, k: int, samples: int = 256, seed: 
     n = measure.n
     rng = np.random.default_rng(seed)
     drawn = rng.random((max(1, samples // 2), n))
-    pts = np.concatenate([drawn, measure.support().centers()[: samples - len(drawn)]])
+    centers = (measure.rows[: samples - len(drawn)] + 0.5) * 2.0 ** (-measure.cell_level)  # the first cells'
+    pts = np.concatenate([drawn, centers])
 
     radii = tuple(level_diameter(n, j) for j in range(measure.depth + 1))
     if radii[-1] ** k == 0.0:
         raise InvalidInputError(f"r^{k} underflows to 0.0 at depth {measure.depth}; no ratio is defined")
     ratios = np.empty((len(pts), len(radii)))
     for level, r in enumerate(radii):
-        scale = 1 << level
+        scale, side, r2, edge = 1 << level, 1.0 / (1 << level), r * r, BALL_BAND * r * r
         lo = np.maximum(np.floor((pts - r) * scale).astype(np.int64), 0)
         hi = np.minimum(np.floor((pts + r) * scale).astype(np.int64), scale - 1)
-        box = np.array(list(product(range(int((hi - lo).max()) + 1), repeat=n)))
+        width = int((hi - lo).max()) + 1
+        box = np.indices((width,) * n).reshape(n, -1).T  # the offsets in itertools.product order
+        # gap[i, w, p]: from point p to the cubes at offset w along axis i
+        idx = lo.T[:, None, :] + np.arange(width)[:, None]
+        low = idx * side
+        gap = np.maximum(np.maximum(low - pts.T[:, None, :], pts.T[:, None, :] - (low + side)), 0.0)
+        gap[idx > hi.T[:, None, :]] = np.inf
+        square = gap * gap
         step = max(1, BALL_BLOCK // len(box))
         for s in range(0, len(pts), step):
-            x, idx = pts[s : s + step, None, :], lo[s : s + step, None, :] + box
-            low = idx * (1.0 / scale)
-            gap = np.maximum(np.maximum(low - x, x - (low + 1.0 / scale)), 0.0)
-            meets = (gap[..., None, :] @ gap[..., :, None])[..., 0, 0] <= r * r
-            meets &= (idx <= hi[s : s + step, None, :]).all(axis=2)
-            mass = np.zeros(meets.shape)
-            mass[meets] = measure._lookup(level, idx[meets])[1]
-            ratios[s : s + step, level] = np.cumsum(mass, axis=1)[:, -1] / r**k
+            m = min(step, len(pts) - s)  # points in this pass
+            sums = square[0, :, s : s + m]
+            for axis in range(1, n):  # a (box, point) table of summed squares
+                sums = (sums[:, None, :] + square[axis, :, s : s + m]).reshape(-1, m)
+            pos = np.flatnonzero(sums <= r2 + edge)  # the pairs that meet, or lie too near r*r to tell
+            band = np.flatnonzero(sums.flat[pos] >= r2 - edge)
+            b, p = np.divmod(pos[band], m)
+            rows = gap[np.arange(n), box[b], s + p[:, None]]
+            pos = np.delete(pos, band[(rows[:, None, :] @ rows[:, :, None])[:, 0, 0] > r2])
+            b, p = np.divmod(pos, m)  # box-major, so each point's cubes come in box order
+            mass = measure._lookup(level, lo[s + p] + box[b])[1]
+            ratios[s : s + m, level] = np.bincount(p, weights=mass, minlength=m) / r**k
 
     top = int(np.argmax(ratios))
     best = float(ratios.flat[top])

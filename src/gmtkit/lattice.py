@@ -252,15 +252,17 @@ class Pyramid:
                 pos[inside] = self.parents[level][pos[inside]]
         return sums[::-1]
 
-    def topmost(self, flags: list[np.ndarray]) -> list[tuple[int, tuple[int, ...]]]:
-        """(level, index) of each flagged cube below no flagged cube, in the order
-        a depth-first walk from the root meets them, children in lexicographic
-        order.  `flags` holds one boolean array per level."""
+    def topmost(self, flags: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The flagged cubes below no flagged cube, in the order a depth-first
+        walk from the root meets them, children in lexicographic order: their
+        levels, an int64 array, and their index rows, an (m, n) int64 array.
+        `flags` holds one boolean array per level, from level 0 down."""
         size = [np.ones(len(c), dtype=np.int64) for c in self.cubes]  # cubes in each subtree
         for level in range(self.depth, 0, -1):
             size[level - 1] += self.sum_up(level, size[level]).astype(np.int64)
         rank = np.zeros(len(self.cubes[0]), dtype=np.int64)  # cubes the walk meets earlier
-        found, clear = [], np.ones(len(self.cubes[0]), dtype=bool)  # clear: no flagged ancestor
+        clear = np.ones(len(self.cubes[0]), dtype=bool)  # no flagged ancestor
+        ranks, levels, rows = [], [], []
         for level, flag in enumerate(flags):
             if level:  # a child follows its parent and the subtrees of its earlier siblings
                 order = np.argsort(self.parents[level], kind="stable")
@@ -270,8 +272,11 @@ class Pyramid:
                 rank[order] = above[parent] + 1 + before - before[np.searchsorted(parent, parent)]
                 clear = (clear & ~flags[level - 1])[self.parents[level]]
             hit = np.flatnonzero(clear & flag)
-            found += zip(rank[hit].tolist(), [level] * len(hit), map(tuple, self.cubes[level][hit].tolist()))
-        return [(level, idx) for _, level, idx in sorted(found)]
+            ranks.append(rank[hit])
+            levels.append(np.full(len(hit), level, dtype=np.int64))
+            rows.append(self.cubes[level][hit])
+        walk = np.argsort(np.concatenate(ranks))  # ranks are distinct
+        return np.concatenate(levels)[walk], np.concatenate(rows)[walk]
 
 
 class CellSet:

@@ -11,7 +11,9 @@ import pytest
 
 import gmtkit
 from gmtkit.cli import main
+from gmtkit.content import dyadic_cover_cost
 from gmtkit.frostman import CellMeasure
+from gmtkit.gauge import parse_gauge
 from gmtkit.lattice import CellSet
 from gmtkit.sparsify import SparsityCertificate
 
@@ -100,6 +102,59 @@ def test_frostman_ball_check_needs_a_report(tmp_path, capsys):
     assert run(["frostman", "--cells", str(cells), "--out", str(out), "--ball-check", "256"]) == 3
     assert not out.exists()
     assert "--ball-check" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, args, gauge", [
+    ("plane", ["--kind", "plane-patch", "--n", "3", "--k", "2", "--depth", "6"], "power:2"),
+    ("dense", ["--kind", "random-dense", "--n", "2", "--depth", "6", "--seed", "1"], "power:2"),
+    ("cantor", ["--kind", "four-corner-cantor", "--n", "2", "--depth", "8"], "power:1"),
+])
+def test_frostman_report_cover_cost_is_the_optimal_cover_cost_bit_for_bit(tmp_path, capsys, kind, args, gauge):
+    cells, report = tmp_path / f"{kind}.json", tmp_path / "report.json"
+    assert run(["generate", *args, "--out", str(cells)]) == 0
+    assert run(["frostman", "--cells", str(cells), "--gauge", gauge, "--out", str(tmp_path / "mu.json"),
+                "--report", str(report)]) == 0
+    want = dyadic_cover_cost(CellSet.load(cells), parse_gauge(gauge)).cost
+    assert json.loads(report.read_text())["cover_cost"].hex() == want.hex()
+
+
+def test_consecutive_calls_share_no_parser_state(tmp_path, capsys):
+    cells, measure = write_square(tmp_path), tmp_path / "mu.json"
+    assert run(["frostman", "--cells", str(cells), "--out", str(measure)]) == 0
+    frostman = ["frostman", "--cells", str(cells), "--out", str(measure), "--report"]
+    beta = ["beta", "--cells", str(cells), "--k", "1", "--out"]
+    calls = [
+        ([*frostman, str(tmp_path / "checked.json"), "--ball-check", "256"], 0, None),
+        ([*frostman, str(tmp_path / "report.json")], 0, "report.json"),
+        (["beta", "--measure", str(measure), "--k", "1", "--out", str(tmp_path / "beta_measure.json")], 0, None),
+        ([*beta, str(tmp_path / "beta.json")], 0, "beta.json"),
+        ([*frostman, str(tmp_path / "bad.json"), "--no-such-flag"], 3, None),
+        ([*beta, str(tmp_path / "after_bad.json")], 0, "after_bad.json"),
+    ]
+    gmtkit.cli._parser.cache_clear()
+    outputs = {}
+    for argv, code, output in calls:
+        assert run(argv) == code
+        if output:
+            outputs[output] = (tmp_path / output).read_bytes()
+    assert gmtkit.cli._parser.cache_info().misses == 1  # built once for all six calls
+    assert "ball_constant" not in json.loads(outputs["report.json"])
+    assert outputs["beta.json"] == outputs["after_bad.json"]
+    for argv, _, output in calls:  # each call again, on a parser of its own
+        if output:
+            gmtkit.cli._parser.cache_clear()
+            assert run(argv) == 0
+            assert (tmp_path / output).read_bytes() == outputs[output]
+    assert json.loads(outputs["beta.json"]) != json.loads((tmp_path / "beta_measure.json").read_text())
+
+
+def test_importing_the_cli_builds_no_parser(tmp_path):
+    code = "import gmtkit.cli; print(gmtkit.cli._parser.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=imported_package_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_content_cost_and_cover(tmp_path):

@@ -232,7 +232,7 @@ def test_masked_content_rejects_a_bad_mask():
     cells = CellSet(2, 2, frozenset({(0, 0), (1, 3), (2, 2)}))
     for bad in ([True, False], np.ones(4, dtype=bool), np.ones((3, 1), dtype=bool), np.array([1, 0, 1]),
                 np.array([1.0, 0.0, 1.0]), np.ones((2, 4), dtype=bool), np.ones((2, 3), dtype=np.int64),
-                np.ones((1, 2, 3), dtype=bool), np.True_):
+                np.ones((1, 2, 3), dtype=bool), np.True_, [[True, False, True], [True]]):
         with pytest.raises(InvalidInputError):
             content(cells, BARE, bad)
     assert content(cells, BARE, [True, False, True]) == content(CellSet(2, 2, frozenset({(0, 0), (2, 2)})), BARE)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import gmtkit
+import gmtkit.frostman
 import gmtkit.sparsify
 from gmtkit.cli import main
 from gmtkit.content import dyadic_cover_cost
@@ -224,6 +226,34 @@ def ball_cases(draw):
 def test_ball_check_matches_per_cube_loop(case):
     mu, k, samples, seed = case
     rep = ball_frostman_check(mu, k, samples=samples, seed=seed)
+    assert (rep.constant, rep.worst, rep.centers, rep.radii) == brute_ball_check(mu, k, samples, seed)
+
+
+# Measures declared below their cells: every cell centre is a corner of the
+# deeper grids, so cubes sit at gaps (1, 1) or (1, 1, 1) in units of their side
+# and squared gaps tie with r*r up to its rounding (2.0000000000000004 and
+# 2.9999999999999996 units); those pairs are decided by the np.dot kernel.
+BAND_TIES = [
+    (CellMeasure(2, 2, {(0, 0): 1.0, (1, 1): 1.0}, 1), 2, 4, 0),  # the diagonal cube meets the ball
+    (CellMeasure(2, 3, {(0, 0): 1.0, (1, 1): 1.0}, 1), 2, 4, 0),
+    (CellMeasure(3, 3, {(0, 0, 0): 1.0, (1, 1, 1): 1.0}, 1), 2, 4, 0),  # the diagonal cube misses it
+]
+
+
+@pytest.mark.parametrize("case", BAND_TIES)
+def test_ball_check_decides_ties_with_r_squared_as_the_per_cube_loop(case):
+    mu, k, samples, seed = case
+    rep = ball_frostman_check(mu, k, samples=samples, seed=seed)
+    assert (rep.constant, rep.worst, rep.centers, rep.radii) == brute_ball_check(mu, k, samples, seed)
+
+
+@given(ball_cases(), st.integers(min_value=1, max_value=40))
+@example(BAND_TIES[0], 3)
+@example(BAND_TIES[2], 1)
+def test_ball_check_in_small_passes_matches_per_cube_loop(case, block):
+    mu, k, samples, seed = case
+    with mock.patch.object(gmtkit.frostman, "BALL_BLOCK", block):
+        rep = ball_frostman_check(mu, k, samples=samples, seed=seed)
     assert (rep.constant, rep.worst, rep.centers, rep.radii) == brute_ball_check(mu, k, samples, seed)
 
 

@@ -263,7 +263,9 @@ def test_pyramid_matches_plain_ancestor_loops(case, rnd):
 
     for root in cubes[0]:
         visit(0, root)
-    assert pyramid.topmost(flags) == stops
+    levels, rows = pyramid.topmost(flags)
+    assert levels.dtype == rows.dtype == np.int64 and rows.shape == (len(levels), n)
+    assert list(zip(levels.tolist(), map(tuple, rows.tolist()))) == stops
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=MAX_LEVEL), st.randoms(use_true_random=False))
