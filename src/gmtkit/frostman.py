@@ -558,7 +558,7 @@ def ball_frostman_check(measure: CellMeasure, k: int, samples: int = 256, seed: 
     n = measure.n
     rng = np.random.default_rng(seed)
     drawn = rng.random((max(1, samples // 2), n))
-    centers = (measure.rows[: samples - len(drawn)] + 0.5) * 2.0 ** (-measure.cell_level)  # the first cells'
+    centers = (measure.rows[: samples - len(drawn)] + 0.5) * 2.0 ** (-measure.cell_level)  # of the first cells
     pts = np.concatenate([drawn, centers])
 
     radii = tuple(level_diameter(n, j) for j in range(measure.depth + 1))
