@@ -99,7 +99,8 @@ def halfspace_pair(normal, point) -> DomainPair:
 
     def classify(pts):
         s = (np.atleast_2d(pts) - point) @ normal
-        return np.where(s > 0.0, 1, np.where(s < 0.0, -1, 0)).astype(int)
+        # the sign in one pass; +-0.0 and NaN compare neither way, label 0
+        return (s > 0.0).astype(int) - (s < 0.0)
 
     return DomainPair(normal.shape[0], classify, "halfspace")
 
@@ -128,7 +129,7 @@ def ball_pair(center, radius: float) -> DomainPair:
     def classify(pts):
         d2 = ((np.atleast_2d(pts) - center) ** 2).sum(axis=1)
         r2 = radius * radius
-        return np.where(d2 < r2, 1, np.where(d2 > r2, -1, 0)).astype(int)
+        return (d2 < r2).astype(int) - (d2 > r2)
 
     return DomainPair(center.shape[0], classify, "ball")
 
@@ -199,8 +200,9 @@ class EpsilonReport:
 # samples per block of the scoring product: a block's (rows, normals) product
 # takes at most BLOCK_ROWS * normals floats, whatever the sample count
 BLOCK_ROWS = 8192
-# relative and absolute widening of a refinement band, far above the d * 1e-16
-# rounding error of a d-term dot product of unit vectors
+# relative and absolute widening of a refinement band, and the angle by which
+# a half-circle's ends are widened in the plane: far above the d * 1e-16
+# rounding error of a d-term dot product of unit vectors and of np.arctan2
 BAND_MARGIN = 1e-9
 
 
@@ -213,15 +215,77 @@ def _band_reach(us: np.ndarray, centre: np.ndarray) -> float:
 
 def _upper_counts(table: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Per row of `us`, the number of rows of `table` strictly above its plane
-    (dot product > 0.0), counted as integers over blocks of BLOCK_ROWS rows."""
-    counts = np.zeros(len(us), dtype=np.int64)
+    (dot product > 0.0), counted as integers over blocks of BLOCK_ROWS rows.
+
+    numpy computes a product with one row or one column on its matrix-vector
+    path, whose rounding differs from the matrix-matrix path's and can put an
+    exact tie on the other side of the plane; so a block or a candidate set of
+    one row is doubled, and every row's signs come from one kind of product
+    whatever the block boundaries."""
+    def two(a):
+        return np.concatenate([a, a]) if len(a) == 1 else a
+
+    m = len(us)
+    ut = two(us).T
+    counts = np.zeros(m, dtype=np.int64)
     for start in range(0, len(table), BLOCK_ROWS):
-        counts += np.count_nonzero(table[start : start + BLOCK_ROWS] @ us.T > 0.0, axis=0)
+        block = table[start : start + BLOCK_ROWS]
+        counts += np.count_nonzero((two(block) @ ut)[: len(block), :m] > 0.0, axis=0)
+    return counts
+
+
+def _arc_order(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The angles of the rows of a (rows, 2) table, sorted, and the order that
+    sorts them.  The circle's samples are two increasing runs of angle, which
+    the stable (merge) sort takes in linear time."""
+    angles = np.arctan2(table[:, 1], table[:, 0])
+    order = np.argsort(angles, kind="stable")
+    return angles[order], order
+
+
+def _arc_upper_counts(table: np.ndarray, arcs: tuple[np.ndarray, np.ndarray], us: np.ndarray) -> np.ndarray:
+    """`_upper_counts` for a (rows, 2) table of unit samples, read off the
+    circle: `arcs` is the table's `_arc_order`.
+
+    A unit sample at angle t lies above the plane of a unit candidate at angle
+    p when cos(t - p) > 0, that is when t lies in the open half-circle
+    (p - pi/2, p + pi/2), taken modulo 2 pi.  Each arc end, pulled in and pushed
+    out by BAND_MARGIN, is found by `searchsorted` on the sorted angles, its
+    turn around the circle counted as an integer, so the rows between the
+    pulled-in ends are counted without a product.  np.arctan2 and the two-term
+    dot product both err by a few 1e-16, and a sample more than BAND_MARGIN
+    from an arc end has |cos(t - p)| > 0.99e-9, so the product puts it on the
+    same side.  The rows within BAND_MARGIN of an arc end are decided by the
+    product itself, gathered against every candidate as in `_upper_counts`.
+    A candidate that is not of unit length (a zero one has angle 0 but no row
+    above it) is scored by `_upper_counts` over the whole table."""
+    angles, order = arcs
+    n = len(angles)
+    counts = np.zeros(len(us), dtype=np.int64)
+    if n == 0:
+        return counts
+    unit = np.abs((us * us).sum(axis=1) - 1.0) <= BAND_MARGIN
+    q = pi / 2.0
+    ends = np.arctan2(us[:, 1], us[:, 0])[:, None] + np.array([-q - BAND_MARGIN, -q + BAND_MARGIN, q - BAND_MARGIN, q + BAND_MARGIN])
+    turns = np.floor((ends + pi) / (2.0 * pi))
+    # position of each end in the angles repeated once per turn
+    pos = turns.astype(np.int64) * n + np.searchsorted(angles, ends - turns * (2.0 * pi))
+    counts[unit] = pos[unit, 2] - pos[unit, 1]
+    for c in np.flatnonzero(unit & ((pos[:, 1] > pos[:, 0]) | (pos[:, 3] > pos[:, 2]))):
+        edge = np.concatenate([np.arange(pos[c, 0], pos[c, 1]), np.arange(pos[c, 2], pos[c, 3])]) % n
+        counts[c] += _upper_counts(table[order[edge]], us)[c]
+    if not unit.all():
+        counts[~unit] = _upper_counts(table, us)[~unit]
     return counts
 
 
 def _miss_fractions(
-    plus: np.ndarray, minus: np.ndarray, count: int, us: np.ndarray, centre: np.ndarray | None = None
+    plus: np.ndarray,
+    minus: np.ndarray,
+    count: int,
+    us: np.ndarray,
+    centre: np.ndarray | None = None,
+    arcs: list | None = None,
 ) -> np.ndarray:
     """Miss fraction per candidate normal, over `count` unit samples of which
     `plus` and `minus` are the +1- and -1-labelled rows.
@@ -232,15 +296,25 @@ def _miss_fractions(
     and divided once by `count`: the same float that the mean of the 0/1 miss
     matrix gives, whose float sum is exact too.
 
-    With `centre`, every candidate lies within reach = `_band_reach(us,
-    centre)` of it.  A unit sample o with o.centre > reach then lies above
-    every candidate's plane (o.u >= o.centre - |u - centre| > 0), and one with
-    o.centre < -reach below all of them.  The band's margin is far above the
-    rounding of either product, so the computed signs agree too, and only the
-    band |o.centre| <= reach goes through the (rows, normals) product.  A zero
-    candidate makes reach >= 1, a band of every sample.
+    With `arcs`, the `_arc_order` of `plus` and of `minus` in the plane, the
+    rows above each candidate are counted on the circle by
+    `_arc_upper_counts`: a sample lies above a unit candidate's plane exactly
+    when its angle lies in the open half-circle around the candidate's angle,
+    so only the rows within BAND_MARGIN of that half-circle's ends go through a
+    product, and `centre` is not needed.
+
+    Otherwise, with `centre`, every candidate lies within reach =
+    `_band_reach(us, centre)` of it.  A unit sample o with o.centre > reach
+    then lies above every candidate's plane (o.u >= o.centre - |u - centre| >
+    0), and one with o.centre < -reach below all of them.  The band's margin
+    is far above the rounding of either product, so the computed signs agree
+    too, and only the band |o.centre| <= reach goes through the (rows,
+    normals) product.  A zero candidate makes reach >= 1, a band of every
+    sample.
     """
-    if centre is None:
+    if arcs is not None:
+        above = [_arc_upper_counts(table, arc, us) for table, arc in zip((plus, minus), arcs)]
+    elif centre is None:
         above = [_upper_counts(table, us) for table in (plus, minus)]
     else:
         reach = _band_reach(us, centre)
@@ -267,9 +341,18 @@ def epsilon_report(
     perturb the running best normal with a step that halves each round,
     starting at the grid spacing; the default round count carries the step
     below the sample resolution at 10^5 samples.  The samples are split once
-    by label; the grid is scored over all of them in blocks, and each round
-    only over the band of samples near the best normal's plane (see
-    `_miss_fractions`), so no (samples, normals) array is ever formed.
+    by label, and `dp.classify` must give each one a label in {-1, 0, 1}.
+
+    In the plane each label's samples are sorted once by angle, and the grid
+    and every round count the samples above each candidate by where the ends
+    of its half-circle fall among those angles: a unit sample lies above a
+    unit candidate's plane exactly when its angle is within pi/2 of the
+    candidate's.  Only the samples within BAND_MARGIN of an end, far above
+    the few 1e-16 by which np.arctan2 and a two-term dot product err, go
+    through the product, so no round passes over all samples.  In higher
+    dimensions the grid is scored over all samples in blocks, and each round
+    only over the band of samples near the best normal's plane.  See
+    `_miss_fractions`; no (samples, normals) array is ever formed.
     """
     if not (isfinite(r) and r > 0):
         raise InvalidInputError(f"radius must be finite and positive, got {r}")
@@ -281,12 +364,16 @@ def epsilon_report(
     if not np.isfinite(x).all():
         raise InvalidInputError(f"center must be finite, got {x.tolist()}")
     offsets = sphere_points(dp.dim, sphere_samples)
-    labels = np.asarray(dp.classify(x + r * offsets)).astype(int)
+    labels = np.asarray(dp.classify(x + r * offsets))
+    if labels.shape != (sphere_samples,) or not np.isin(labels, (-1, 0, 1)).all():
+        raise InvalidInputError(f"classify must give each of the {sphere_samples} samples one label in {{-1, 0, 1}}")
+    labels = labels.astype(int)
     plus, minus, count = offsets[labels == 1], offsets[labels == -1], len(labels)
+    arcs = [_arc_order(plus), _arc_order(minus)] if dp.dim == 2 else None
     area = unit_sphere_area(dp.dim)
 
     candidates = sphere_points(dp.dim, normals)
-    fracs = _miss_fractions(plus, minus, count, candidates)
+    fracs = _miss_fractions(plus, minus, count, candidates, arcs=arcs)
     best = int(np.argmin(fracs))
     best_frac = float(fracs[best])
     best_u = candidates[best]
@@ -300,7 +387,7 @@ def epsilon_report(
         norms = np.sqrt((perturbed * perturbed).sum(axis=1))
         norms[norms == 0.0] = 1.0
         perturbed /= norms[:, None]
-        fracs = _miss_fractions(plus, minus, count, perturbed, best_u)
+        fracs = _miss_fractions(plus, minus, count, perturbed, best_u, arcs)
         cand = int(np.argmin(fracs))
         if float(fracs[cand]) < best_frac:
             best_frac = float(fracs[cand])

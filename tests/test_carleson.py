@@ -7,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmtkit.beta import BetaProfile
+import gmtkit.carleson
 from gmtkit.carleson import (
+    _arc_order,
     _band_reach,
     _miss_fractions,
+    _upper_counts,
+    DomainPair,
     EpsilonProfile,
     ball_pair,
     empty_pair,
@@ -25,7 +29,7 @@ from gmtkit.carleson import (
 )
 from gmtkit.errors import InvalidInputError
 
-from helpers import brute_miss_fractions, full_matrix_epsilon_report
+from helpers import brute_miss_fractions, full_matrix_epsilon_report, full_matrix_miss_fractions
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,6 +104,140 @@ def test_band_miss_fractions_match_per_sample_loop(dim, monkeypatch):
             got = _miss_fractions(plus, minus, len(labels), cands, centre)
             assert np.array_equal(got, brute_miss_fractions(offsets, labels, cands))
             assert np.array_equal(got, _miss_fractions(plus, minus, len(labels), cands))
+
+
+def tie_rich_table(dim: int, us: np.ndarray, per: int, seed: int) -> np.ndarray:
+    """`per` unit rows orthogonal to each row of `us`, up to rounding: their
+    products with it are ties whose sign is a rounding's."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for u in us:
+        v = rng.standard_normal((per, dim))
+        v -= (v @ u)[:, None] * u
+        rows.append(v / np.sqrt((v * v).sum(axis=1))[:, None])
+    return np.concatenate(rows)
+
+
+# sphere_points(2, 2404) and sphere_points(2, 4) are orthogonal at row 901 and
+# the first normal; the matrix-vector product gives +1.01e-17 there, every
+# product of two or more rows and columns -1.01e-17
+PINNED_ROWS, PINNED_NORMALS = 2404, 4
+
+
+def test_pinned_tie_is_a_matrix_vector_rounding():
+    table, us = sphere_points(2, PINNED_ROWS), sphere_points(2, PINNED_NORMALS)
+    assert (table[901:902] @ us.T)[0, 0] > 0.0
+    assert (table[900:902] @ us.T)[1, 0] < 0.0
+    assert np.count_nonzero(table @ us.T > 0.0, axis=0).tolist() == [1202] * 4
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_upper_counts_do_not_depend_on_block_rows(dim, monkeypatch):
+    tables = [(tie_rich_table(dim, sphere_points(dim, 5), 200, dim), sphere_points(dim, 5))]
+    if dim == 2:
+        tables.append((sphere_points(2, PINNED_ROWS), sphere_points(2, PINNED_NORMALS)))
+    for table, us in tables:
+        counts = []
+        for rows in (1, 2, 7, 8192):
+            monkeypatch.setattr("gmtkit.carleson.BLOCK_ROWS", rows)
+            counts.append(_upper_counts(table, us).tolist())
+            # one candidate at a time is a one-column product
+            counts.append([int(_upper_counts(table, us[i : i + 1])[0]) for i in range(len(us))])
+        assert all(c == counts[0] for c in counts)
+        assert counts[0] == np.count_nonzero(table @ us.T > 0.0, axis=0).tolist()
+
+
+def arcs_of(plus, minus):
+    return [_arc_order(plus), _arc_order(minus)]
+
+
+def test_arc_counts_take_the_pinned_tie_from_the_product():
+    table, us = sphere_points(2, PINNED_ROWS), sphere_points(2, PINNED_NORMALS)
+    labels = np.resize([1, -1, 0], len(table))
+    plus, minus = table[labels == 1], table[labels == -1]
+    got = _miss_fractions(plus, minus, len(table), us, arcs=arcs_of(plus, minus))
+    assert np.array_equal(got, _miss_fractions(plus, minus, len(table), us))
+    assert np.array_equal(got, brute_miss_fractions(table, labels, us))
+    # every sample +1: the first normal's misses are the 1,202 rows below it
+    every = DomainPair(2, lambda pts: np.ones(len(pts), dtype=int))
+    case = (every, [0.5, 0.5], 0.25, PINNED_NORMALS, PINNED_ROWS, 0, 0)
+    rep = epsilon_report(*case)
+    assert rep == full_matrix_epsilon_report(*case)
+    assert rep.value == unit_sphere_area(2) * (1202 / 2404)
+
+
+def test_arc_counts_at_the_branch_cut_and_on_ties():
+    rng = np.random.default_rng(5)
+    cut = np.array([[-1.0, 0.0], [-1.0, -0.0]])  # angles +pi and -pi
+    assert np.arctan2(cut[:, 1], cut[:, 0]).tolist() == [math.pi, -math.pi]
+    axes = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-0.0, 1.0]])
+    us = np.concatenate([sphere_points(2, 8), cut, axes, rng.standard_normal((6, 2))])
+    us /= np.sqrt((us * us).sum(axis=1))[:, None]
+    exact = np.concatenate([sphere_points(2, 500), cut, cut, axes])  # products with the axes and the cut are exact
+    for offsets in (exact, np.concatenate([exact, tie_rich_table(2, us, 3, 6)])):
+        labels = rng.integers(-1, 2, size=len(offsets))
+        plus, minus = offsets[labels == 1], offsets[labels == -1]
+        for cands in (us, np.concatenate([us, np.zeros((1, 2))]), np.zeros((2, 2))):  # zero candidates: atan2 says 0, no row above
+            got = _miss_fractions(plus, minus, len(labels), cands, arcs=arcs_of(plus, minus))
+            # a tie's sign is the product's, which a sum of rounded terms need not share
+            assert np.array_equal(got, full_matrix_miss_fractions(offsets, labels, cands))
+            assert np.array_equal(got, _miss_fractions(plus, minus, len(labels), cands))
+            if offsets is exact:
+                assert np.array_equal(got, brute_miss_fractions(offsets, labels, cands))
+
+
+def test_arc_counts_with_an_empty_table():
+    offsets = sphere_points(2, 300)
+    us = sphere_points(2, 9)
+    for labels in (np.ones(300, dtype=int), -np.ones(300, dtype=int), np.zeros(300, dtype=int)):
+        plus, minus = offsets[labels == 1], offsets[labels == -1]
+        got = _miss_fractions(plus, minus, len(labels), us, arcs=arcs_of(plus, minus))
+        assert np.array_equal(got, brute_miss_fractions(offsets, labels, us))
+
+
+def test_plane_report_sends_only_edge_rows_through_the_product(monkeypatch):
+    sizes = []
+
+    def spy(table, us):
+        sizes.append(len(table))
+        return _upper_counts(table, us)
+
+    monkeypatch.setattr(gmtkit.carleson, "_upper_counts", spy)
+    dp = ball_pair([0.5, 0.5], 0.25)
+    rep = epsilon_report(dp, [0.5, 0.75], 0.25, normals=64, sphere_samples=100_000, rounds=12, seed=1)
+    monkeypatch.undo()
+    assert rep == full_matrix_epsilon_report(dp, [0.5, 0.75], 0.25, 64, 100_000, 12, 1)
+    assert sum(sizes) <= 8
+
+
+def test_epsilon_report_checks_the_labels():
+    two = DomainPair(2, lambda pts: np.full(len(pts), 2))
+    with pytest.raises(InvalidInputError):
+        epsilon_report(two, [0.5, 0.5], 0.25, sphere_samples=64)
+    three = DomainPair(2, lambda pts: np.array([1, -1, 0]))
+    with pytest.raises(InvalidInputError):
+        epsilon_report(three, [0.5, 0.5], 0.25, sphere_samples=64)
+    half = DomainPair(2, lambda pts: np.full(len(pts), 0.5))
+    with pytest.raises(InvalidInputError):
+        epsilon_report(half, [0.5, 0.5], 0.25, sphere_samples=64)
+
+
+def test_sign_classifiers_match_the_nested_comparisons():
+    rng = np.random.default_rng(3)
+    # grid points fall exactly on the plane and, at radius 1/4, on the circle
+    pts = np.concatenate([rng.integers(0, 17, (400, 2)) / 16, rng.random((400, 2)), [[np.nan, 0.5], [0.5, np.nan]]])
+    point, normal = np.array([0.5, 0.5]), np.array([0.0, 1.0])
+    s = (pts - point) @ normal
+    d2 = ((pts - point) ** 2).sum(axis=1)
+    for labels, want in (
+        (halfspace_pair(normal, point).classify(pts), np.where(s > 0.0, 1, np.where(s < 0.0, -1, 0))),
+        (ball_pair(point, 0.25).classify(pts), np.where(d2 < 0.0625, 1, np.where(d2 > 0.0625, -1, 0))),
+    ):
+        assert labels.dtype == int
+        assert labels.tolist() == want.tolist()
+        assert set(labels[:400].tolist()) == {-1, 0, 1}
+    # -0.0 lies on the plane too
+    assert halfspace_pair(normal, point).classify(np.array([[0.5, -0.0 + 0.5], [0.0, 0.5]])).tolist() == [0, 0]
 
 
 @st.composite
