@@ -245,20 +245,13 @@ def _arc_order(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _arc_upper_counts(table: np.ndarray, arcs: tuple[np.ndarray, np.ndarray], us: np.ndarray) -> np.ndarray:
     """`_upper_counts` for a (rows, 2) table of unit samples, read off the
-    circle: `arcs` is the table's `_arc_order`.
-
-    A unit sample at angle t lies above the plane of a unit candidate at angle
-    p when cos(t - p) > 0, that is when t lies in the open half-circle
-    (p - pi/2, p + pi/2), taken modulo 2 pi.  Each arc end, pulled in and pushed
-    out by BAND_MARGIN, is found by `searchsorted` on the sorted angles, its
-    turn around the circle counted as an integer, so the rows between the
-    pulled-in ends are counted without a product.  np.arctan2 and the two-term
-    dot product both err by a few 1e-16, and a sample more than BAND_MARGIN
-    from an arc end has |cos(t - p)| > 0.99e-9, so the product puts it on the
-    same side.  The rows within BAND_MARGIN of an arc end are decided by the
-    product itself, gathered against every candidate as in `_upper_counts`.
-    A candidate that is not of unit length (a zero one has angle 0 but no row
-    above it) is scored by `_upper_counts` over the whole table."""
+    circle from its `_arc_order`, `arcs` (see `_miss_fractions`).  Each end of
+    a unit candidate's half-circle, pulled in and pushed out by BAND_MARGIN, is
+    found by `searchsorted`, its turn around the circle counted as an integer.
+    The rows between the pulled-in ends count without a product; the rows
+    between a pulled-in and a pushed-out end go through `_upper_counts`
+    against every candidate.  A candidate not of unit length (a zero one has
+    angle 0 but no row above it) is scored over the whole table."""
     angles, order = arcs
     n = len(angles)
     counts = np.zeros(len(us), dtype=np.int64)
@@ -297,11 +290,15 @@ def _miss_fractions(
     matrix gives, whose float sum is exact too.
 
     With `arcs`, the `_arc_order` of `plus` and of `minus` in the plane, the
-    rows above each candidate are counted on the circle by
-    `_arc_upper_counts`: a sample lies above a unit candidate's plane exactly
-    when its angle lies in the open half-circle around the candidate's angle,
-    so only the rows within BAND_MARGIN of that half-circle's ends go through a
-    product, and `centre` is not needed.
+    counts are read off the circle by `_arc_upper_counts` and `centre` is not
+    needed.  A unit sample at angle t lies above the plane of a unit
+    candidate at angle p exactly when cos(t - p) > 0, that is when t lies in
+    the open half-circle (p - pi/2, p + pi/2), modulo 2 pi.  np.arctan2 and a
+    two-term dot product of unit vectors each err by a few 1e-16, and a
+    sample more than BAND_MARGIN from an end of that half-circle has
+    |cos(t - p)| > 0.99e-9, so the product puts it on the side its angle
+    says; only the samples within BAND_MARGIN of an end go through the
+    product.
 
     Otherwise, with `centre`, every candidate lies within reach =
     `_band_reach(us, centre)` of it.  A unit sample o with o.centre > reach
@@ -344,15 +341,15 @@ def epsilon_report(
     by label, and `dp.classify` must give each one a label in {-1, 0, 1}.
 
     In the plane each label's samples are sorted once by angle, and the grid
-    and every round count the samples above each candidate by where the ends
-    of its half-circle fall among those angles: a unit sample lies above a
-    unit candidate's plane exactly when its angle is within pi/2 of the
-    candidate's.  Only the samples within BAND_MARGIN of an end, far above
-    the few 1e-16 by which np.arctan2 and a two-term dot product err, go
-    through the product, so no round passes over all samples.  In higher
-    dimensions the grid is scored over all samples in blocks, and each round
-    only over the band of samples near the best normal's plane.  See
-    `_miss_fractions`; no (samples, normals) array is ever formed.
+    and every round count the samples above a candidate by where the ends of
+    its half-circle fall among those angles, since a unit sample lies above a
+    unit candidate's plane exactly when their angles differ by less than
+    pi/2.  Only the samples within BAND_MARGIN of an end, far above the
+    rounding of np.arctan2 and of the product, go through the product, so no
+    round passes over all samples.  In higher dimensions the grid is scored
+    over all samples in blocks, and each round only over the band of samples
+    near the best normal's plane.  See `_miss_fractions`; no (samples,
+    normals) array is ever formed.
     """
     if not (isfinite(r) and r > 0):
         raise InvalidInputError(f"radius must be finite and positive, got {r}")
