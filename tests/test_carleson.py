@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmtkit.beta import BetaProfile
-import gmtkit.carleson
 from gmtkit.carleson import (
     _arc_order,
     _band_reach,
@@ -202,7 +201,7 @@ def test_plane_report_sends_only_edge_rows_through_the_product(monkeypatch):
         sizes.append(len(table))
         return _upper_counts(table, us)
 
-    monkeypatch.setattr(gmtkit.carleson, "_upper_counts", spy)
+    monkeypatch.setattr("gmtkit.carleson._upper_counts", spy)
     dp = ball_pair([0.5, 0.5], 0.25)
     rep = epsilon_report(dp, [0.5, 0.75], 0.25, normals=64, sphere_samples=100_000, rounds=12, seed=1)
     monkeypatch.undo()
