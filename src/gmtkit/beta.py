@@ -13,7 +13,7 @@ plane infimum is approximated by a direction grid with local refinement.
 from __future__ import annotations
 
 from itertools import combinations
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -74,34 +74,44 @@ def _restricted_moment_value(
     return bary, frame, value
 
 
+def _checked_center(n: int, x, r: float, k: int) -> np.ndarray:
+    """The centre as an array, once the beta layer's inputs hold: 1 <= k < n,
+    a finite radius r > 0, and a centre of n finite coordinates."""
+    if not 1 <= k < n:
+        raise InvalidInputError(f"need 1 <= k < n, got k={k}, n={n}")
+    if not (isfinite(r) and r > 0):
+        raise InvalidInputError(f"radius must be finite and > 0, got {r}")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,) or not np.isfinite(x).all():
+        raise InvalidInputError(f"center must be {n} finite coordinates")
+    return x
+
+
+def _ball_fit(source, x, r: float, k: int) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """`_restricted_moment_value` for the ball B_r(x); None when it carries no mass."""
+    pts, w = _points_weights(source)
+    x = _checked_center(pts.shape[1], x, r, k)
+    return _restricted_moment_value(pts, w, ((pts - x) ** 2).sum(axis=1), r, k)
+
+
+def _beta_value(fit, r: float, k: int) -> float:
+    """(r^(-k-2) * best fit value)^(1/2); zero on an empty ball by convention."""
+    return 0.0 if fit is None else sqrt(fit[2] * r ** (-(k + 2)))
+
+
 def best_affine_fit(source, x, r: float, k: int) -> tuple[AffinePlane, float]:
     """Optimal affine k-plane for the ball B_r(x) and the attained weighted
     sum of squared distances.  Raises on an empty ball."""
-    pts, w = _points_weights(source)
-    n = pts.shape[1]
-    if not 1 <= k < n:
-        raise InvalidInputError(f"need 1 <= k < n, got k={k}, n={n}")
-    if r <= 0:
-        raise InvalidInputError(f"radius must be positive, got {r}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise InvalidInputError(f"center must have {n} coordinates")
-    got = _restricted_moment_value(pts, w, ((pts - x) ** 2).sum(axis=1), r, k)
-    if got is None:
+    fit = _ball_fit(source, x, r, k)
+    if fit is None:
         raise InvalidInputError(f"no mass in the closed ball of radius {r}")
-    bary, frame, value = got
+    bary, frame, value = fit
     return AffinePlane(bary, frame), value
 
 
 def beta2(source, x, r: float, k: int) -> float:
     """(r^(-k-2) * best fit value)^(1/2); zero on empty balls by convention."""
-    try:
-        _, value = best_affine_fit(source, x, r, k)
-    except InvalidInputError as exc:
-        if "no mass" in str(exc):
-            return 0.0
-        raise
-    return sqrt(value * r ** (-(k + 2)))
+    return _beta_value(_ball_fit(source, x, r, k), r, k)
 
 
 BetaProfile = ScaleProfile
@@ -112,16 +122,10 @@ def square_function(source, x, k: int, j_min: int, j_max: int) -> BetaProfile:
     if j_min < 0 or j_max < j_min:
         raise InvalidInputError(f"need 0 <= j_min <= j_max, got {j_min}, {j_max}")
     pts, w = _points_weights(source)
-    n = pts.shape[1]
-    if not 1 <= k < n:
-        raise InvalidInputError(f"need 1 <= k < n, got k={k}, n={n}")
-    x = np.asarray(x, dtype=float)
+    x = _checked_center(pts.shape[1], x, 2.0 ** (-j_max), k)  # the smallest radius
     d2 = ((pts - x) ** 2).sum(axis=1)  # one distance pass serves every scale
-    values = []
-    for j in range(j_min, j_max + 1):
-        r = 2.0 ** (-j)
-        got = _restricted_moment_value(pts, w, d2, r, k)
-        values.append(0.0 if got is None else sqrt(got[2] * r ** (-(k + 2))))
+    radii = [2.0 ** (-j) for j in range(j_min, j_max + 1)]
+    values = [_beta_value(_restricted_moment_value(pts, w, d2, r, k), r, k) for r in radii]
     return BetaProfile.of(x, range(j_min, j_max + 1), values)
 
 
@@ -163,14 +167,10 @@ def content_beta(
     come from a grid with local refinement (angle golden-section for lines
     in the plane, seeded frame perturbation otherwise).
     """
-    if r <= 0:
-        raise InvalidInputError(f"radius must be positive, got {r}")
     if plane_grid < 4 or t_grid < 2:
         raise InvalidInputError("plane_grid >= 4 and t_grid >= 2 required")
     n = cells.n
-    if not 1 <= k < n:
-        raise InvalidInputError(f"need 1 <= k < n, got k={k}, n={n}")
-    x = np.asarray(x, dtype=float)
+    x = _checked_center(n, x, r, k)
     centers = cells.centers()
     mask = ((centers - x) ** 2).sum(axis=1) <= r * r
     if not np.any(mask):

@@ -91,6 +91,8 @@ def pipeline_extract_core(
     if not 1 <= beta_centers <= BETA_POINTS:
         raise InvalidInputError(f"beta centers must lie in [1, {BETA_POINTS}], got {beta_centers}")
     n = cells.n
+    if not 1 <= k < n:
+        raise InvalidInputError(f"need 1 <= k < n, got k={k}, n={n}")
     label = gauge_label or f"powerexp:{k}:0.5"
     h = parse_gauge(label)
 
@@ -109,8 +111,6 @@ def pipeline_extract_core(
         )
 
     if ell is None:
-        if k >= n:
-            raise InvalidInputError("ell must be given explicitly when k >= n")
         ell = min_sparsity_parameter(n, k, "ball-bound")
     working = mu.with_depth(depth) if depth > mu.depth else mu
     try:
@@ -121,14 +121,9 @@ def pipeline_extract_core(
     if not sp_rep.passed:
         raise VerificationError("sparse construction failed verification", stage="sparsify")
 
-    if k < n:
-        c0_est = estimate_c0(ell, n, k, trials=c0_trials, grid=C0_GRID, seed=seed)
-        c0 = c0_est.value
-    else:
-        c0_est = None
-        c0 = 0.0
+    c0_est = estimate_c0(ell, n, k, trials=c0_trials, grid=C0_GRID, seed=seed)
     wit_rep = witness_unrectifiability(
-        cons, None, max(c0, 0.0), samples=witness_samples, seed=seed, grid=WITNESS_GRID
+        cons, None, c0_est.value, samples=witness_samples, seed=seed, grid=WITNESS_GRID
     )
     if not wit_rep.passed:
         (sample, level), count = wit_rep.failures[0], len(wit_rep.failures)
@@ -145,12 +140,8 @@ def pipeline_extract_core(
         square_function((pts, weights), c, k, BETA_J_MIN, min(BETA_J_MAX, depth)) for c in centers
     )
 
-    flat_value = float("nan")
-    flat = False
-    if k < n:
-        bary = cells.centers().mean(axis=0)
-        flat_value = content_beta(cells, bary, 0.25, k, plane_grid=24, t_grid=8, seed=seed)
-        flat = flat_value < FLAT_THRESHOLD
+    bary = cells.centers().mean(axis=0)
+    flat_value = content_beta(cells, bary, 0.25, k, plane_grid=24, t_grid=8, seed=seed)
 
     params = {
         "n": n,
@@ -181,7 +172,7 @@ def pipeline_extract_core(
         witness_report=wit_rep,
         beta_profiles=profiles,
         content_flatness=flat_value,
-        flat_input=flat,
+        flat_input=flat_value < FLAT_THRESHOLD,
         passed=passed,
     )
 
@@ -234,9 +225,7 @@ def write_bundle(bundle: CoreBundle, outdir) -> dict:
             "rescale_constant": sp.rescale_constant,
             "passed": sp.passed,
         },
-        "c0": None
-        if bundle.c0_estimate is None
-        else {
+        "c0": {
             "value": bundle.c0_estimate.value,
             "trials": bundle.c0_estimate.trials,
             "grid": bundle.c0_estimate.grid,
@@ -434,16 +423,11 @@ def cmd_sparsify(args) -> int:
 def cmd_beta(args) -> int:
     if args.measure:
         source = _load_measure(args.measure)
-        n = source.n
         pts, _ = source.centers_and_weights()
     else:
-        cells = CellSet.load(args.cells)
-        n = cells.n
-        pts = cells.centers()
+        pts = CellSet.load(args.cells).centers()
         source = (pts, np.ones(pts.shape[0]))
     center = _parse_point(args.center) if args.center else tuple(pts.mean(axis=0))
-    if len(center) != n:
-        raise InvalidInputError(f"center needs {n} coordinates")
     j_min, j_max = _parse_span(args.scales)
     profile = square_function(source, center, args.k, j_min, j_max)
     _profile_out(profile, args.format, args.out)

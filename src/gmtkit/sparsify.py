@@ -70,7 +70,7 @@ class AffinePlane:
         if frame.ndim != 2 or base.ndim != 1 or frame.shape[1] != base.shape[0]:
             raise InvalidInputError("frame must be (k, n) with a length-n base point")
         gram = frame @ frame.T
-        if not np.allclose(gram, np.eye(frame.shape[0]), rtol=0.0, atol=1e-10):
+        if not np.abs(gram - np.eye(frame.shape[0])).max(initial=0.0) <= 1e-10:
             raise InvalidInputError("frame rows must be orthonormal to 1e-10")
         base.setflags(write=False)
         frame.setflags(write=False)
@@ -401,8 +401,8 @@ def build_sparse_construction(
 ) -> SparseConstruction:
     if ell < 1:
         raise InvalidInputError(f"ell must be >= 1, got {ell}")
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
+    if not 1 <= k < measure.n:
+        raise InvalidInputError(f"need 1 <= k < n, got k={k}, n={measure.n}")
     original_total = measure.total
     if original_total <= 0:
         raise InvalidInputError("cannot sparsify the zero measure")

@@ -89,6 +89,31 @@ def brute_frostman_max_ratio(masses: dict, n: int, cell_level: int, h: Gauge) ->
     return worst
 
 
+def brute_frostman_worst(masses: dict, n: int, cell_level: int, depth: int, h: Gauge):
+    """The max over every cube meeting the support, down to `depth`, of
+    mass(Q)/h(diam Q), and the first cube attaining it by level, then index.
+    Below `cell_level` each cell's mass is spread evenly over its subcubes,
+    which are enumerated one by one."""
+    worst, where = 0.0, None
+    for level in range(depth + 1):
+        cap = h(_diam(n, level))
+        if level <= cell_level:
+            shift = cell_level - level
+            seen = {tuple(c >> shift for c in cell) for cell in masses}
+            cube_masses = {idx: brute_cube_mass(masses, cell_level, level, idx) for idx in seen}
+        else:
+            below = level - cell_level
+            cube_masses = {
+                tuple((c << below) + o for c, o in zip(cell, offset)): mass * 2.0 ** (-n * below)
+                for cell, mass in masses.items()
+                for offset in product(range(1 << below), repeat=n)
+            }
+        for idx in sorted(cube_masses):
+            if cube_masses[idx] / cap > worst:
+                worst, where = cube_masses[idx] / cap, (level, idx)
+    return worst, where
+
+
 def brute_ball_mass(points: np.ndarray, weights: np.ndarray, x, r: float) -> float:
     """Closed-ball restricted mass with the library's boundary slack."""
     x = np.asarray(x, dtype=float)

@@ -469,6 +469,67 @@ def test_failed_stages_name_what_failed(tmp_path, capsys, monkeypatch):
         "frostman: capped construction exceeds its gauge (ratio 1.5 at (level, index) (3, (2, 5)))")
 
 
+@pytest.mark.parametrize("extra", [[], ["--ell", "4"]], ids=["default-ell", "explicit-ell"])
+@pytest.mark.parametrize("k", ["0", "2", "3"])
+def test_extract_core_refuses_k_outside_one_to_n_before_any_stage(tmp_path, capsys, monkeypatch, k, extra):
+    import gmtkit.cli
+
+    cells_path = tmp_path / "cantor.json"
+    run(["generate", "--kind", "four-corner-cantor", "--depth", "6", "--out", str(cells_path)])
+    capsys.readouterr()
+    calls = []
+    build = gmtkit.cli.build_frostman
+    monkeypatch.setattr(gmtkit.cli, "build_frostman", lambda *a: calls.append(a) or build(*a))
+    assert run(["extract-core", "--cells", str(cells_path), "--k", k, *extra, "--outdir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(f"invalid input: need 1 <= k < n, got k={k}, n=2")
+    assert not (tmp_path / "out").exists()
+    assert calls == []
+
+
+def test_sparsify_refuses_k_at_least_n_before_writing(tmp_path, capsys):
+    mu_path = tmp_path / "mu.json"
+    assert run(["frostman", "--cells", str(write_square(tmp_path)), "--gauge", "powerexp:2:0.5", "--out", str(mu_path)]) == 0
+    capsys.readouterr()
+    out, cert = tmp_path / "sparse.json", tmp_path / "cert.json"
+    assert run([
+        "sparsify", "--measure", str(mu_path), "--gauge", "powerexp:2:0.5", "--k", "2", "--ell", "4",
+        "--depth", "24", "--out", str(out), "--cert", str(cert),
+    ]) == 3
+    assert capsys.readouterr().err.startswith("invalid input: need 1 <= k < n, got k=2, n=2")
+    assert not out.exists() and not cert.exists()
+
+
+def test_commands_exit_2_when_their_verification_fails(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    import gmtkit.cli
+
+    cells_path = tmp_path / "cantor.json"
+    run(["generate", "--kind", "four-corner-cantor", "--depth", "8", "--out", str(cells_path)])
+    capsys.readouterr()
+    verify_sparse = gmtkit.cli.verify_sparse_construction
+    monkeypatch.setattr(gmtkit.cli, "verify_sparse_construction", lambda *a, **kw: dataclasses.replace(
+        verify_sparse(*a, **kw), passed=False))
+    assert run(["extract-core", "--cells", str(cells_path), *EXTRACT_ARGS, "--outdir", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith("sparsify: sparse construction failed verification")
+    assert not (tmp_path / "s").exists()
+
+    mu_path = tmp_path / "mu.json"
+    assert run(["frostman", "--cells", str(cells_path), "--gauge", "powerexp:1:0.5", "--out", str(mu_path)]) == 0
+    capsys.readouterr()
+    assert run([
+        "sparsify", "--measure", str(mu_path), "--gauge", "powerexp:1:0.5", "--ell", "4", "--depth", "24",
+        "--out", str(tmp_path / "sparse.json"), "--cert", str(tmp_path / "cert.json"),
+    ]) == 2
+    assert capsys.readouterr().err.startswith("sparsify: sparse construction failed verification")
+
+    verify_frostman = gmtkit.cli.verify_frostman
+    monkeypatch.setattr(gmtkit.cli, "verify_frostman", lambda *a: dataclasses.replace(
+        verify_frostman(*a), max_ratio=1.5, passed=False))
+    assert run(["frostman", "--cells", str(cells_path), "--out", str(tmp_path / "mu2.json")]) == 2
+    assert capsys.readouterr().err.startswith("frostman: cap exceeded, ratio 1.5")
+
+
 def run_declared_entry_point(argv, cwd):
     """Run the `gmtkit` console script as pyproject.toml declares it.
 

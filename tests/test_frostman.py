@@ -25,7 +25,13 @@ from gmtkit.frostman import (
 from gmtkit.gauge import power_exp_gauge, power_gauge, scaled_gauge, vanishing_gauge
 from gmtkit.lattice import CellSet, DyadicCube, Pyramid, level_diameter, union
 
-from helpers import brute_ball_check, brute_cube_mass, brute_frostman_max_ratio, child_indices
+from helpers import (
+    brute_ball_check,
+    brute_cube_mass,
+    brute_frostman_max_ratio,
+    brute_frostman_worst,
+    child_indices,
+)
 
 BARE = power_exp_gauge(1, 0.0)  # h(r) = r
 
@@ -126,6 +132,27 @@ def test_construction_respects_cap_brute_force(cells, h):
     assert worst <= 1.0 + 1e-9
     rep = verify_frostman(mu, h)
     assert rep.max_ratio == pytest.approx(worst, rel=1e-9)
+
+
+@st.composite
+def deep_measures(draw):
+    """A `with_depth` measure declared 1-3 levels below its cells, whose masses
+    are multiples of 2^-6, so that every cube's mass is an exact sum."""
+    n, cell_level = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    cell = st.tuples(*[st.integers(0, (1 << cell_level) - 1)] * n)
+    cells = draw(st.lists(cell, min_size=1, max_size=6, unique=True))
+    masses = {c: draw(st.integers(1, 64)) * 2.0**-6 for c in cells}
+    return CellMeasure(n, cell_level, masses).with_depth(cell_level + draw(st.integers(1, 3)))
+
+
+@given(deep_measures(), st.sampled_from([BARE, power_gauge(1), power_gauge(2), power_gauge(3), vanishing_gauge(1)]))
+def test_verify_checks_every_level_down_to_the_depth(mu, h):
+    # below the explicit cells each subcube holds its even share; power:n gives
+    # every deeper level of a cell the same ratio, so ties across levels occur
+    worst, where = brute_frostman_worst(mu.masses, mu.n, mu.cell_level, mu.depth, h)
+    rep = verify_frostman(mu, h)
+    assert rep.max_ratio == worst
+    assert rep.worst_cube == where
 
 
 def brute_saturated_levels(mu: CellMeasure, h) -> list[int]:

@@ -242,6 +242,14 @@ def test_shallow_depth_reports_budget():
     assert err.value.required_depth == 21
 
 
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_construction_refuses_k_outside_one_to_n(k):
+    # the theorem's planes have 1 <= k < n, as min_sparsity_parameter and estimate_c0 require
+    mu = build_frostman(CellSet(2, 0, frozenset({(0, 0)})).refined(4), H32).with_depth(40)
+    with pytest.raises(InvalidInputError, match=f"need 1 <= k < n, got k={k}, n=2"):
+        build_sparse_construction(mu, H32, k, 4)
+
+
 def test_sparse_measure_window_structure(square_construction):
     out = square_construction.result
     assert isinstance(out, SparseMeasure)
@@ -1085,6 +1093,9 @@ def test_affine_plane_validates_frame():
         AffinePlane(np.zeros(2), np.array([[1.0, 1.0]]))
     with pytest.raises(InvalidInputError):  # within numpy's default rtol, not within 1e-10
         AffinePlane(np.zeros(2), np.array([[1.0 + 4e-6, 0.0]]))
+    with pytest.raises(InvalidInputError):  # NaN compares false with any tolerance
+        AffinePlane(np.zeros(2), np.array([[np.nan, 0.0]]))
+    assert AffinePlane(np.zeros(2), np.zeros((0, 2))).k == 0  # an empty frame has nothing to check
     p = AffinePlane(np.zeros(2), np.array([[1.0, 0.0]]))
     pts = p.points(np.array([[0.5], [-0.5]]))
     assert np.allclose(pts, [[0.5, 0.0], [-0.5, 0.0]])
