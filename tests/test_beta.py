@@ -187,45 +187,33 @@ def test_square_function_validates():
         beta2((pts, w), [0.0, 0.0], -1.0, 1)
 
 
-BAD_BALLS = [
-    ([0.4], 0.3, "center must be 2 finite coordinates"),  # one coordinate would broadcast
-    ([0.4, 0.4, 0.4], 0.3, "center must be 2 finite coordinates"),
-    ([math.nan, 0.4], 0.3, "center must be 2 finite coordinates"),
-    ([0.4, math.inf], 0.3, "center must be 2 finite coordinates"),
-    ([0.4, 0.4], math.nan, "radius must be finite and > 0"),
-    ([0.4, 0.4], math.inf, "radius must be finite and > 0"),
-    ([0.4, 0.4], 0.0, "radius must be finite and > 0"),
+BAD_INPUTS = [
+    ([0.4], 0.3, 1, "center must be 2 finite coordinates"),  # one coordinate would broadcast
+    ([0.4, 0.4, 0.4], 0.3, 1, "center must be 2 finite coordinates"),
+    ([math.nan, 0.4], 0.3, 1, "center must be 2 finite coordinates"),
+    ([0.4, math.inf], 0.3, 1, "center must be 2 finite coordinates"),
+    ([0.4, 0.4], math.nan, 1, "radius must be finite and > 0"),
+    ([0.4, 0.4], math.inf, 1, "radius must be finite and > 0"),
+    ([0.4, 0.4], 0.0, 1, "radius must be finite and > 0"),
+    ([0.4, 0.4], 0.3, 0, "need 1 <= k < n"),
+    ([0.4, 0.4], 0.3, 2, "need 1 <= k < n"),
 ]
 
 
-@pytest.mark.parametrize("x, r, message", BAD_BALLS)
-def test_beta_layer_refuses_malformed_balls(x, r, message):
+@pytest.mark.parametrize("x, r, k, message", BAD_INPUTS)
+def test_beta_layer_refuses_malformed_input(x, r, k, message):
     # one check for every beta entry point, before any distance is measured
     cells = CellSet(2, 0, frozenset({(0, 0)})).refined(3)
     pts = cells.centers()
-    for call in (
-        lambda: best_affine_fit(pts, x, r, 1),
-        lambda: beta2(pts, x, r, 1),
-        lambda: content_beta(cells, x, r, 1),
-    ):
+    calls = [
+        lambda: best_affine_fit(pts, x, r, k),
+        lambda: beta2(pts, x, r, k),
+        lambda: content_beta(cells, x, r, k),
+    ]
+    if r == 0.3:  # a profile's radii are its own
+        calls.append(lambda: square_function(pts, x, k, 0, 3))
+    for call in calls:
         with pytest.raises(InvalidInputError, match=message):
-            call()
-    if r == 0.3:  # the profile's radii are its own
-        with pytest.raises(InvalidInputError, match=message):
-            square_function(pts, x, 1, 0, 3)
-
-
-@pytest.mark.parametrize("k", [0, 2, 3])
-def test_beta_layer_refuses_k_outside_one_to_n(k):
-    cells = CellSet(2, 0, frozenset({(0, 0)})).refined(3)
-    pts = cells.centers()
-    for call in (
-        lambda: best_affine_fit(pts, [0.5, 0.5], 0.3, k),
-        lambda: beta2(pts, [0.5, 0.5], 0.3, k),
-        lambda: square_function(pts, [0.5, 0.5], k, 0, 3),
-        lambda: content_beta(cells, [0.5, 0.5], 0.3, k),
-    ):
-        with pytest.raises(InvalidInputError, match="need 1 <= k < n"):
             call()
 
 

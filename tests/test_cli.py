@@ -467,6 +467,14 @@ def test_failed_stages_name_what_failed(tmp_path, capsys, monkeypatch):
     assert run(["extract-core", "--cells", str(cells_path), *EXTRACT_ARGS, "--outdir", str(tmp_path / "f")]) == 2
     assert capsys.readouterr().err.startswith(
         "frostman: capped construction exceeds its gauge (ratio 1.5 at (level, index) (3, (2, 5)))")
+    monkeypatch.setattr(gmtkit.cli, "verify_frostman", verify)
+
+    verify_sparse = gmtkit.cli.verify_sparse_construction
+    monkeypatch.setattr(gmtkit.cli, "verify_sparse_construction", lambda *a, **kw: dataclasses.replace(
+        verify_sparse(*a, **kw), passed=False))
+    assert run(["extract-core", "--cells", str(cells_path), *EXTRACT_ARGS, "--outdir", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith("sparsify: sparse construction failed verification")
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("extra", [[], ["--ell", "4"]], ids=["default-ell", "explicit-ell"])
@@ -506,17 +514,12 @@ def test_commands_exit_2_when_their_verification_fails(tmp_path, capsys, monkeyp
 
     cells_path = tmp_path / "cantor.json"
     run(["generate", "--kind", "four-corner-cantor", "--depth", "8", "--out", str(cells_path)])
+    mu_path = tmp_path / "mu.json"
+    assert run(["frostman", "--cells", str(cells_path), "--gauge", "powerexp:1:0.5", "--out", str(mu_path)]) == 0
     capsys.readouterr()
     verify_sparse = gmtkit.cli.verify_sparse_construction
     monkeypatch.setattr(gmtkit.cli, "verify_sparse_construction", lambda *a, **kw: dataclasses.replace(
         verify_sparse(*a, **kw), passed=False))
-    assert run(["extract-core", "--cells", str(cells_path), *EXTRACT_ARGS, "--outdir", str(tmp_path / "s")]) == 2
-    assert capsys.readouterr().err.startswith("sparsify: sparse construction failed verification")
-    assert not (tmp_path / "s").exists()
-
-    mu_path = tmp_path / "mu.json"
-    assert run(["frostman", "--cells", str(cells_path), "--gauge", "powerexp:1:0.5", "--out", str(mu_path)]) == 0
-    capsys.readouterr()
     assert run([
         "sparsify", "--measure", str(mu_path), "--gauge", "powerexp:1:0.5", "--ell", "4", "--depth", "24",
         "--out", str(tmp_path / "sparse.json"), "--cert", str(tmp_path / "cert.json"),
