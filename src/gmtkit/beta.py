@@ -38,8 +38,10 @@ def _points_weights(source) -> tuple[np.ndarray, np.ndarray]:
         w = np.ones(pts.shape[0], dtype=float)
     if pts.ndim != 2 or w.shape != (pts.shape[0],):
         raise InvalidInputError("points must be (m, n) with matching weights")
-    if np.any(w < 0):
-        raise InvalidInputError("weights must be nonnegative")
+    if not np.isfinite(pts).all():
+        raise InvalidInputError("point coordinates must be finite")
+    if not (np.isfinite(w) & (w >= 0)).all():
+        raise InvalidInputError("weights must be finite and nonnegative")
     return pts, w
 
 

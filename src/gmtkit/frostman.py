@@ -44,6 +44,7 @@ from gmtkit.lattice import (
     CellSet,
     DyadicCube,
     Pyramid,
+    ascending,
     cell_points,
     group_rows,
     index_rows,
@@ -96,12 +97,21 @@ class SparseMeasure:
     (level, index): ``levels``, ``rows``, an (N, n) int64 table of their
     index rows, and ``weights``, their masses.  ``nodes``, the same nodes as
     a dict from (level, index tuple) to mass, is built on first use.
+
+    Cube masses are read from the pyramid above the nodes, built on first use
+    and grouped only down to the deepest node: the levels below it are empty.
+    A measure made from another over the same nodes (`_share`) takes that
+    one's pyramid instead of grouping its own, and its rollup too when the
+    masses are the same bits.
     """
+
+    _kin: "SparseMeasure | None" = None  # a measure over the same nodes, whose pyramid this one takes
 
     def __init__(self, n: int, depth: int, nodes, windows=()):
         """`nodes`: a dict from (level, index tuple) to mass, or a triple of N
         levels, an (N, n) integer array of index rows and N masses, in any
-        order.  Zero masses are dropped."""
+        order.  Zero masses are dropped.  Nodes already in strictly increasing
+        (level, index) order are taken as they come, with no sort."""
         if not 0 <= depth <= MAX_LEVEL:  # cells are int64 and points exact floats down to MAX_LEVEL
             raise InvalidInputError(f"depth must lie in [0, {MAX_LEVEL}], got {depth}")
         if isinstance(nodes, dict):
@@ -113,7 +123,8 @@ class SparseMeasure:
         bad = (levels < 0) | (levels > depth) | (rows >> np.clip(levels, 0, depth)[:, None]).any(axis=1)
         if bad.any():
             raise InvalidInputError(f"node {(int(levels[bad][0]), rows[bad][0].tolist())} invalid at depth {depth}")
-        table, inverse = group_rows(np.column_stack([levels, rows]))  # by level, then index
+        table = np.column_stack([levels, rows])  # by level, then index
+        table, inverse = (table, np.arange(len(table))) if ascending(table) else group_rows(table)
         if len(table) < len(inverse):
             raise InvalidInputError(f"node {table[np.bincount(inverse).argmax()].tolist()} is listed more than once")
         try:
@@ -312,11 +323,28 @@ class SparseMeasure:
         cells = self._support_cells(rng, count, level)
         return cell_points(cells, level, rng.random((count, self.n)))
 
+    def _share(self, kin: "SparseMeasure") -> "SparseMeasure":
+        """This measure, set to take the pyramid of `kin` (and its rollup,
+        where the masses are the same bits) if the two hold the same nodes."""
+        if np.array_equal(self.levels, kin.levels) and np.array_equal(self.rows, kin.rows):
+            self._kin = kin
+        return self
+
+    @cached_property
+    def _pyramid(self) -> Pyramid:
+        """The pyramid above the nodes: its kin's at this depth, or built here."""
+        if self._kin is not None:
+            return self._kin._pyramid.at_depth(self.depth)
+        return Pyramid(self.n, self.depth, self.rows, self.levels)
+
     @cached_property
     def _level_sums(self) -> tuple[Pyramid, list[np.ndarray]]:
         """The pyramid above the nodes, and per level the mass of each of its cubes."""
-        pyramid = Pyramid(self.n, self.depth, self.rows, self.levels)
-        return pyramid, pyramid.rollup(self.weights)
+        kin = self._kin
+        if kin is not None and np.array_equal(kin.weights, self.weights):
+            sums = kin._level_sums[1][: self.depth + 1]
+            return self._pyramid, sums + [np.zeros(0)] * (self.depth + 1 - len(sums))
+        return self._pyramid, self._pyramid.rollup(self.weights)
 
     def to_json_obj(self) -> dict:
         return {
@@ -379,12 +407,12 @@ class CellMeasure(SparseMeasure):
         """Declare a deeper working depth; masses stay at cell_level, uniform inside."""
         if depth < self.cell_level:
             raise InvalidInputError(f"depth {depth} shallower than cell level {self.cell_level}")
-        return CellMeasure(self.n, depth, (self.rows, self.weights), self.cell_level)
+        return CellMeasure(self.n, depth, (self.rows, self.weights), self.cell_level)._share(self)
 
     def scaled(self, c: float) -> "CellMeasure":
         if c < 0:
             raise InvalidInputError(f"scale factor must be >= 0, got {c}")
-        return CellMeasure(self.n, self.depth, (self.rows, c * self.weights), self.cell_level)
+        return CellMeasure(self.n, self.depth, (self.rows, c * self.weights), self.cell_level)._share(self)
 
     def normalized(self) -> "CellMeasure":
         if self.total <= 0:
@@ -461,7 +489,10 @@ def build_frostman(cells: CellSet, h: Gauge) -> CellMeasure:
     mass = np.full(len(pyramid.cubes[0]), init)
     for level in range(m):
         mass = (mass * factors[level])[pyramid.parents[level + 1]]
-    return CellMeasure(n, m, (pyramid.cubes[m], mass))
+    measure = CellMeasure(n, m, (pyramid.cubes[m], mass))
+    if len(measure.rows) == len(mass):  # no cell lost its mass: the nodes are the cells
+        measure._pyramid = pyramid
+    return measure
 
 
 @dataclass(frozen=True)

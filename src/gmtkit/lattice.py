@@ -16,6 +16,7 @@ discrete stand-in for a compact subset of [0,1]^n.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
@@ -166,6 +167,19 @@ def index_rows(cells, n: int, level: int) -> np.ndarray:
     return rows
 
 
+def ascending(rows: np.ndarray) -> bool:
+    """Whether the rows of the (N, n) integer array `rows` strictly increase in
+    lexicographic order: one pass per column over the pairs of neighbours
+    that the columns before it leave tied."""
+    tied = np.ones(max(len(rows) - 1, 0), dtype=bool)
+    for column in rows.T:
+        step = column[1:] - column[:-1]
+        if (tied & (step < 0)).any():
+            return False
+        tied &= step == 0
+    return not tied.any()
+
+
 def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of the (N, n) array `rows` in lexicographic order, and
     the position of each input row among them: what ``np.unique(rows, axis=0,
@@ -188,7 +202,13 @@ class Pyramid:
     where every node sits at one level).  For each level l in [0, depth],
     ``cubes[l]`` holds the occupied level-l cube indices as an (m_l, n) int64
     array in lexicographic order, and ``parents[l]`` the position of each
-    one's parent in ``cubes[l - 1]``.
+    one's parent in ``cubes[l - 1]``.  The levels below the deepest node are
+    empty and never grouped.
+
+    One node set needs one pyramid: measures over the same nodes (a cell set
+    and its Frostman measure, a measure at another declared depth or scaled,
+    a sparse stage that leaves the nodes as they were) share it, through
+    `at_depth` where the declared depths differ.
 
     Sums up the tree are ``np.bincount`` over parent positions, which adds in
     array order: in the order a loop over the sorted tuples adds.  Values go
@@ -201,13 +221,14 @@ class Pyramid:
         self.n, self.depth = n, depth
         self.cubes: list[np.ndarray] = [np.empty((0, n), dtype=np.int64)] * (depth + 1)
         self.parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * (depth + 1)
+        self._deepest = int(node_level.max(initial=0))
         node_pos = np.empty(len(rows), dtype=np.int64)
         above = np.empty((0, n), dtype=np.int64)  # parents of the level below
-        for level in range(depth, -1, -1):
+        for level in range(self._deepest, -1, -1):
             here = np.flatnonzero(node_level == level)
             self.cubes[level], position = group_rows(np.concatenate([rows[here], above]))
             node_pos[here] = position[: len(here)]
-            if level < depth:
+            if level < self._deepest:
                 self.parents[level + 1] = position[len(here) :]
             above = self.cubes[level] >> 1
         # nodes in (level, index) order, the order in which sums take them
@@ -215,6 +236,20 @@ class Pyramid:
         self._node_level = node_level[self._order]
         self._node_pos = node_pos[self._order]
         self._keys: dict[int, np.ndarray] = {}  # level -> packed keys of cubes[level]
+
+    def at_depth(self, depth: int) -> "Pyramid":
+        """The same pyramid declared down to `depth`, at or below the deepest
+        node: the grouped levels are shared, and the empty ones below the
+        deepest node are appended or dropped."""
+        if depth == self.depth:
+            return self
+        if depth < self._deepest:
+            raise InvalidInputError(f"depth {depth} is above the deepest node, at level {self._deepest}")
+        out = copy(self)  # shares the node order and the packed keys
+        out.depth, empty = depth, depth - self.depth
+        out.cubes = self.cubes[: depth + 1] + [np.empty((0, self.n), dtype=np.int64)] * empty
+        out.parents = self.parents[: depth + 1] + [np.empty(0, dtype=np.int64)] * empty
+        return out
 
     def locate(self, level: int, rows: np.ndarray) -> np.ndarray:
         """`locate` of level-`level` index rows in ``cubes[level]``, whose keys
@@ -244,8 +279,8 @@ class Pyramid:
         """
         values = np.asarray(values, dtype=float)[self._order]
         pos = self._node_pos.copy()
-        sums = []
-        for level in range(self.depth, -1, -1):
+        sums = [np.zeros(0)] * (self.depth - self._deepest)  # the empty levels, deepest first
+        for level in range(self._deepest, -1, -1):
             inside = self._node_level >= level  # these nodes now sit at `level`
             sums.append(np.bincount(pos[inside], weights=values[inside], minlength=len(self.cubes[level])))
             if level:

@@ -423,7 +423,7 @@ def build_sparse_construction(
             windows.append((level, ell))
         families.append(ScaleFamily(level, ell, pairs, pattern=window_added))
         sel_ratios.append(min_ratio if min_ratio != float("inf") else 1.0)
-        stages.append(SparseMeasure(n, depth, nodes, tuple(windows)))
+        stages.append(SparseMeasure(n, depth, nodes, tuple(windows))._share(stages[-1]))
 
     cert = SparsityCertificate(n, ell, tuple(scales), tuple(families))
     return SparseConstruction(

@@ -462,7 +462,12 @@ def brute_ball_check(measure, k: int, samples: int, seed: int):
 def brute_miss_fractions(offsets: np.ndarray, labels: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Per normal u, the share of sphere samples the halfspace pair of u
     misses: a sample on the side u points to (dot product > 0.0) misses unless
-    its label is +1, one on the other side unless its label is -1."""
+    its label is +1, one on the other side unless its label is -1.
+
+    The dot product is a sum of rounded Python products, whose sign need not
+    be the one numpy's product gives a sample orthogonal to u up to rounding.
+    So this is an oracle only away from such ties; tables rich in them are
+    checked against `full_matrix_miss_fractions`."""
     fractions = []
     for u in us.tolist():
         misses = 0

@@ -200,19 +200,53 @@ BAD_INPUTS = [
 ]
 
 
+def _beta_calls(source, x, r, k):
+    """Every beta entry point on `source`: points, or a cell set, which
+    content_beta reads and the others take as its centres."""
+    points = source.centers() if isinstance(source, CellSet) else source
+    calls = [
+        lambda: best_affine_fit(points, x, r, k),
+        lambda: beta2(points, x, r, k),
+    ]
+    if isinstance(source, CellSet):
+        calls.append(lambda: content_beta(source, x, r, k))
+    if r == 0.3:  # a profile's radii are its own
+        calls.append(lambda: square_function(points, x, k, 0, 3))
+    return calls
+
+
 @pytest.mark.parametrize("x, r, k, message", BAD_INPUTS)
 def test_beta_layer_refuses_malformed_input(x, r, k, message):
     # one check for every beta entry point, before any distance is measured
-    cells = CellSet(2, 0, frozenset({(0, 0)})).refined(3)
-    pts = cells.centers()
-    calls = [
-        lambda: best_affine_fit(pts, x, r, k),
-        lambda: beta2(pts, x, r, k),
-        lambda: content_beta(cells, x, r, k),
-    ]
-    if r == 0.3:  # a profile's radii are its own
-        calls.append(lambda: square_function(pts, x, k, 0, 3))
-    for call in calls:
+    for call in _beta_calls(CellSet(2, 0, frozenset({(0, 0)})).refined(3), x, r, k):
+        with pytest.raises(InvalidInputError, match=message):
+            call()
+
+
+def _with(table: np.ndarray, at, value: float) -> np.ndarray:
+    """A copy of `table` with the entry at `at` set to `value`."""
+    out = table.copy()
+    out[at] = value
+    return out
+
+
+_POINTS = CellSet(2, 3, [(i, j) for i in range(8) for j in range(8)]).centers()
+_UNIT = np.ones(len(_POINTS))
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        # a NaN weight made every value NaN; a NaN coordinate dropped its point
+        ((_POINTS, _with(_UNIT, 1, math.nan)), "weights must be finite and nonnegative"),
+        ((_POINTS, _with(_UNIT, 1, math.inf)), "weights must be finite and nonnegative"),
+        ((_POINTS, _with(_UNIT, 1, -1.0)), "weights must be finite and nonnegative"),
+        ((_with(_POINTS, (1, 0), math.nan), _UNIT), "point coordinates must be finite"),
+        (_with(_POINTS, (2, 1), -math.inf), "point coordinates must be finite"),
+    ],
+)
+def test_beta_layer_refuses_non_finite_points(source, message):
+    for call in _beta_calls(source, [0.4, 0.4], 0.3, 1):
         with pytest.raises(InvalidInputError, match=message):
             call()
 

@@ -156,7 +156,7 @@ def test_arc_counts_take_the_pinned_tie_from_the_product():
     plus, minus = table[labels == 1], table[labels == -1]
     got = _miss_fractions(plus, minus, len(table), us, arcs=arcs_of(plus, minus))
     assert np.array_equal(got, _miss_fractions(plus, minus, len(table), us))
-    assert np.array_equal(got, brute_miss_fractions(table, labels, us))
+    assert np.array_equal(got, full_matrix_miss_fractions(table, labels, us))
     # every sample +1: the first normal's misses are the 1,202 rows below it
     every = DomainPair(2, lambda pts: np.ones(len(pts), dtype=int))
     case = (every, [0.5, 0.5], 0.25, PINNED_NORMALS, PINNED_ROWS, 0, 0)

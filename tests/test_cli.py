@@ -12,9 +12,10 @@ import pytest
 import gmtkit
 from gmtkit.cli import main
 from gmtkit.content import dyadic_cover_cost
+from gmtkit.corpus import GeneratorSpec, generate
 from gmtkit.frostman import CellMeasure
 from gmtkit.gauge import parse_gauge
-from gmtkit.lattice import CellSet
+from gmtkit.lattice import CellSet, Pyramid
 from gmtkit.sparsify import SparsityCertificate
 
 
@@ -475,6 +476,33 @@ def test_failed_stages_name_what_failed(tmp_path, capsys, monkeypatch):
     assert run(["extract-core", "--cells", str(cells_path), *EXTRACT_ARGS, "--outdir", str(tmp_path / "s")]) == 2
     assert capsys.readouterr().err.startswith("sparsify: sparse construction failed verification")
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("spec, k, builds", [
+    (GeneratorSpec("four-corner-cantor", n=2, depth=10), 1, 1),
+    # the cell set, and content_beta's cells in its ball
+    (GeneratorSpec("random-sparse", n=3, depth=9, ell=4, seed=0), 2, 2),
+], ids=["cantor-k1", "sparse3-k2"])
+def test_extract_core_builds_one_pyramid_per_node_set(monkeypatch, spec, k, builds):
+    import dataclasses
+
+    import gmtkit.cli
+
+    built = []
+    init = Pyramid.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    # the random-sparse input misses its witness target; the stages after it still run
+    witness = gmtkit.cli.witness_unrectifiability
+    monkeypatch.setattr(gmtkit.cli, "witness_unrectifiability", lambda *a, **kw: dataclasses.replace(
+        witness(*a, **kw), passed=True))
+    cells = generate(spec)
+    monkeypatch.setattr(Pyramid, "__init__", counted)
+    gmtkit.cli.pipeline_extract_core(cells, k, seed=0)
+    assert len(built) == builds
 
 
 @pytest.mark.parametrize("extra", [[], ["--ell", "4"]], ids=["default-ell", "explicit-ell"])

@@ -12,6 +12,7 @@ from gmtkit.lattice import (
     CellSet,
     DyadicCube,
     Pyramid,
+    ascending,
     cell_points,
     group_rows,
     level_diameter,
@@ -331,6 +332,32 @@ def test_group_rows_matches_np_unique(case):
     assert unique.dtype == np.int64 and unique.shape == want.shape
     assert unique.tolist() == want.tolist()
     assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+
+
+@given(index_tables(), st.booleans())
+@example((2, 3, np.array([[1, 5], [2, 0], [2, 0]])), False)  # a repeat after an increase
+def test_ascending_matches_a_tuple_comparison(case, sort):
+    _, _, rows = case
+    rows = group_rows(rows)[0] if sort else rows
+    tuples = list(map(tuple, rows.tolist()))
+    assert ascending(rows) == all(a < b for a, b in zip(tuples, tuples[1:]))
+
+
+@given(antichains(), st.integers(0, 6))
+def test_pyramid_at_another_depth_equals_a_fresh_build(case, extra):
+    n, depth, nodes = case
+    rows, levels = [idx for _, idx in nodes], [t for t, _ in nodes]
+    pyramid = Pyramid(n, depth, rows, levels)
+    deepest = max(levels, default=0)
+    for to in (deepest, depth + extra):
+        moved, fresh = pyramid.at_depth(to), Pyramid(n, to, rows, levels)
+        assert moved.depth == to and len(moved.cubes) == len(moved.parents) == to + 1
+        assert all(np.array_equal(a, b) for a, b in zip(moved.cubes, fresh.cubes))
+        assert all(np.array_equal(a, b) for a, b in zip(moved.parents, fresh.parents))
+        assert all(np.array_equal(a, b) for a, b in zip(moved.rollup(np.ones(len(rows))), fresh.rollup(np.ones(len(rows)))))
+    if deepest:
+        with pytest.raises(InvalidInputError, match="above the deepest node"):
+            pyramid.at_depth(deepest - 1)
 
 
 @given(index_tables(), st.randoms(use_true_random=False))

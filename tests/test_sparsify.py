@@ -15,8 +15,8 @@ from gmtkit import sparsify
 from gmtkit.corpus import GeneratorSpec, generate, random_sparse_with_certificate
 from gmtkit.errors import DepthBudgetError, InvalidInputError, VerificationError
 from gmtkit.frostman import CellMeasure, build_frostman
-from gmtkit.gauge import parse_gauge, power_exp_gauge, power_gauge
-from gmtkit.lattice import CellSet, DyadicCube
+from gmtkit.gauge import Gauge, parse_gauge, power_exp_gauge, power_gauge
+from gmtkit.lattice import CellSet, DyadicCube, Pyramid
 from gmtkit.sparsify import (
     AffinePlane,
     ScaleFamily,
@@ -444,6 +444,77 @@ def test_construction_stages_match_brute_force_oracle(case):
         assert cons.stages[j].nodes == nodes
         assert (fam.pattern, fam.pairs) == (window_added, pairs)
         assert cons.selection_ratios[j - 1] == (ratio if ratio != math.inf else 1.0)
+
+
+def assert_fresh_pyramid(measure) -> None:
+    """The measure's pyramid and rollup are, to the bit, a fresh build over its nodes."""
+    pyramid, sums = measure._level_sums
+    fresh = Pyramid(measure.n, measure.depth, measure.rows, measure.levels)
+    want = fresh.rollup(measure.weights)
+    assert len(pyramid.cubes) == len(pyramid.parents) == len(sums) == measure.depth + 1
+    for level in range(measure.depth + 1):
+        assert np.array_equal(pyramid.cubes[level], fresh.cubes[level])
+        assert np.array_equal(pyramid.parents[level], fresh.parents[level])
+        assert np.array_equal(sums[level], want[level])
+
+
+@st.composite
+def one_node_set_runs(draw):
+    """(cells, h, depth, shallower, ell, c): a cell set and gauge, a working
+    depth, a depth between the cells and it, a sparsity parameter and a scale
+    factor.  Scales above the cells leave the nodes as they were."""
+    h = draw(st.sampled_from([H32, H2]))
+    n, ell = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]))
+    cell_depth = draw(st.integers(1, 6 if n == 2 else 4))
+    cell = st.tuples(*[st.integers(0, (1 << cell_depth) - 1)] * n)
+    cells = CellSet(n, cell_depth, frozenset(draw(st.lists(cell, min_size=1, max_size=8, unique=True))))
+    depth = draw(st.integers(16, 20))
+    return cells, h, depth, draw(st.integers(cell_depth, depth)), ell, draw(st.floats(1e-3, 1e3))
+
+
+@given(one_node_set_runs(), st.booleans())
+def test_measures_over_one_node_set_share_one_pyramid_exactly(case, backwards):
+    cells, h, depth, shallower, ell, c = case
+    mu = build_frostman(cells, h)
+    working = mu.with_depth(depth)
+    cons = build_sparse_construction(working, h, 1, ell)
+    measures = [mu, working, working.with_depth(shallower), working.scaled(c), *cons.stages]
+    for measure in measures[::-1] if backwards else measures:  # whichever is read first
+        assert_fresh_pyramid(measure)
+    assert mu._pyramid is cells.pyramid()
+    assert all(m._kin is working for m in measures[2:4])
+    assert working._kin is mu and (cons.base is working or cons.base._kin is working)
+    for prev, stage in zip(cons.stages, cons.stages[1:]):
+        same = np.array_equal(prev.levels, stage.levels) and np.array_equal(prev.rows, stage.rows)
+        assert (stage._kin is prev) == same
+
+
+def test_measures_over_other_nodes_keep_their_own_pyramid():
+    # the capped masses of the four cells in one quadrant underflow to 0
+    h = Gauge(lambda r: 1.0 if r < 0.5 else 1.5 if r < 1 else 1e-323, "underflow")
+    cells = CellSet(2, 2, [(0, 0), (2, 2), (2, 3), (3, 2), (3, 3)])
+    mu = build_frostman(cells, h)
+    assert mu.rows.tolist() == [[0, 0]] and mu._pyramid is not cells.pyramid()
+    full = CellMeasure(2, 4, {(0, 0): 1.0, (1, 1): 1e-300, (3, 2): 0.5})
+    zero = CellMeasure(2, 4, {(0, 0): 1.0, (1, 1): 0.0, (3, 2): 0.5})
+    derived = [mu, zero._share(full), full.scaled(1e-30), full.scaled(0.0)]  # 1e-330 underflows to 0
+    assert [len(m.rows) for m in derived] == [1, 2, 2, 0]
+    for measure in derived:
+        assert measure._kin is None
+        assert_fresh_pyramid(measure)
+
+
+@given(antichain_stages(), st.randoms(use_true_random=False))
+def test_sparse_measure_sorts_or_refuses_nodes_out_of_order(case, rnd):
+    stage = case[0]
+    levels, rows, weights = stage.levels, stage.rows, stage.weights
+    assert SparseMeasure(stage.n, stage.depth, (levels, rows, weights), stage.windows) == stage
+    order = list(range(len(levels)))
+    rnd.shuffle(order)
+    assert SparseMeasure(stage.n, stage.depth, (levels[order], rows[order], weights[order]), stage.windows) == stage
+    again = [*order, rnd.choice(order)]
+    with pytest.raises(InvalidInputError, match="listed more than once"):
+        SparseMeasure(stage.n, stage.depth, (levels[again], rows[again], weights[again]))
 
 
 @st.composite
