@@ -22,7 +22,7 @@ from gmtkit.errors import InvalidInputError
 from gmtkit.frostman import CellMeasure
 from gmtkit.gauge import power_exp_gauge
 from gmtkit.lattice import CellSet
-from gmtkit.sparsify import AffinePlane, random_orthonormal_frame
+from gmtkit.sparsify import AffinePlane, _orthonormal_frames
 from gmtkit.utils import ScaleProfile
 
 
@@ -45,35 +45,45 @@ def _points_weights(source) -> tuple[np.ndarray, np.ndarray]:
     return pts, w
 
 
-def _restricted_moment_value(
-    pts: np.ndarray, w: np.ndarray, d2: np.ndarray, r: float, k: int
-) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Barycenter, top-k frame, and the attained minimum inside the closed ball
-    of radius r about the centre whose squared distances to `pts` are `d2`.
+def _restricted_moment_values(
+    pts: np.ndarray, w: np.ndarray, d2: np.ndarray, radii, k: int
+) -> list[tuple[np.ndarray, np.ndarray, float] | None]:
+    """Per radius r in `radii`: the barycenter, top-k frame, and the attained
+    minimum inside the closed ball of radius r about the centre whose squared
+    distances to `pts` are `d2`, or None when that ball carries no mass.
 
-    None when the ball carries no mass.
+    Each ball's symmetrized moment is built on its own; the moments then go
+    through one stacked eigensolve, which runs the per-matrix LAPACK kernel
+    on each, so every ball's fit has the bits of a solve of its moment alone.
     """
-    # closed ball, with slack for points placed at distance exactly r whose
-    # computed distance carries one ulp of noise
-    mask = d2 <= r * r * (1.0 + 1e-12)
-    if not np.any(mask):
-        return None
-    p = pts[mask]
-    ww = w[mask]
-    total = float(ww.sum())
-    if total <= 0.0:
-        return None
-    bary = (p * ww[:, None]).sum(axis=0) / total
-    y = p - bary
-    moment = (y * ww[:, None]).T @ y
-    moment = 0.5 * (moment + moment.T)
-    vals, vecs = np.linalg.eigh(moment)
-    # PSD up to roundoff; tiny negative eigenvalues are noise
-    vals = np.clip(vals, 0.0, None)
+    fits: list = []
+    moments = []
+    for r in radii:
+        # closed ball, with slack for points placed at distance exactly r whose
+        # computed distance carries one ulp of noise
+        mask = d2 <= r * r * (1.0 + 1e-12)
+        ww = w[mask]
+        total = float(ww.sum())
+        if total <= 0.0:  # also the empty ball
+            fits.append(None)
+            continue
+        p = pts[mask]
+        bary = (p * ww[:, None]).sum(axis=0) / total
+        y = p - bary
+        moment = (y * ww[:, None]).T @ y
+        moments.append(0.5 * (moment + moment.T))
+        fits.append(bary)
+    if not moments:
+        return fits
     n = pts.shape[1]
-    value = float(vals[: n - k].sum())
-    frame = vecs[:, n - k :].T
-    return bary, frame, value
+    vals, vecs = np.linalg.eigh(np.stack(moments))
+    # PSD up to roundoff; tiny negative eigenvalues are noise
+    solved = zip(np.clip(vals, 0.0, None), vecs)
+    for i, bary in enumerate(fits):
+        if bary is not None:
+            v, vec = next(solved)
+            fits[i] = bary, vec[:, n - k :].T, float(v[: n - k].sum())
+    return fits
 
 
 def _checked_center(n: int, x, r: float, k: int) -> np.ndarray:
@@ -90,10 +100,10 @@ def _checked_center(n: int, x, r: float, k: int) -> np.ndarray:
 
 
 def _ball_fit(source, x, r: float, k: int) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """`_restricted_moment_value` for the ball B_r(x); None when it carries no mass."""
+    """`_restricted_moment_values` for the ball B_r(x); None when it carries no mass."""
     pts, w = _points_weights(source)
     x = _checked_center(pts.shape[1], x, r, k)
-    return _restricted_moment_value(pts, w, ((pts - x) ** 2).sum(axis=1), r, k)
+    return _restricted_moment_values(pts, w, ((pts - x) ** 2).sum(axis=1), [r], k)[0]
 
 
 def _beta_value(fit, r: float, k: int) -> float:
@@ -127,7 +137,8 @@ def square_function(source, x, k: int, j_min: int, j_max: int) -> BetaProfile:
     x = _checked_center(pts.shape[1], x, 2.0 ** (-j_max), k)  # the smallest radius
     d2 = ((pts - x) ** 2).sum(axis=1)  # one distance pass serves every scale
     radii = [2.0 ** (-j) for j in range(j_min, j_max + 1)]
-    values = [_beta_value(_restricted_moment_value(pts, w, d2, r, k), r, k) for r in radii]
+    fits = _restricted_moment_values(pts, w, d2, radii, k)
+    values = [_beta_value(fit, r, k) for fit, r in zip(fits, radii)]
     return BetaProfile.of(x, range(j_min, j_max + 1), values)
 
 
@@ -232,8 +243,9 @@ def content_beta(
         for row, ax in enumerate(axes):
             f[row, ax] = 1.0
         frames.append(f)
-    while len(frames) < plane_grid:
-        frames.append(random_orthonormal_frame(rng, n, k))
+    # the rest of the grid in one draw: the Gaussians leave the generator in
+    # the order of one draw per frame, and the batched QR keeps each frame's bits
+    frames.extend(_orthonormal_frames(rng.standard_normal((max(0, plane_grid - len(frames)), n, k))))
     best_val, best_frame = min((plane_value(f), i) for i, f in enumerate(frames))
     best_frame = frames[best_frame]
     for sigma in (0.3, 0.1, 0.03, 0.01):

@@ -795,8 +795,8 @@ def estimate_c0(ell: int, n: int, k: int, trials: int = 2000, grid: int = 24, se
         raise InvalidInputError(f"grid must be >= 8, got {grid}")
     if not 1 <= k < n:
         raise InvalidInputError(f"need 1 <= k < n, got k={k}, n={n}")
-    if ell < 1:
-        raise InvalidInputError(f"ell must be >= 1, got {ell}")
+    if not 1 <= ell <= MAX_LEVEL:
+        raise InvalidInputError(f"ell must lie in [1, {MAX_LEVEL}], got {ell}")
     rng = np.random.default_rng(seed)
     below = ell < min_sparsity_parameter(n, k, "ball-bound")
     sub = 2.0 ** (-ell)
@@ -820,14 +820,19 @@ def estimate_c0(ell: int, n: int, k: int, trials: int = 2000, grid: int = 24, se
     grid_offsets = _section_offsets(k, 0.5, grid)
     # trials in blocks of at most HOLE_BLOCK section points (one trial at
     # least) through the hole search's kernel, each trial's best clearance
-    # the largest over its points of the nearest obstacle
+    # the largest over its points of the nearest obstacle.  A section point
+    # lies within 1/2 of x, and x in the central obstacle, so an obstacle
+    # farther than 1 from x is never a point's nearest: each trial keeps
+    # only the obstacles within 1 of x (the central one at distance 0), with
+    # a margin far above the rounding of the distances
     step = max(1, HOLE_BLOCK // len(grid_offsets))
     worst = float("inf")
     for a in range(0, trials, step):
         block = slice(a, a + step)
         points = centres[block, None, :] + grid_offsets @ frames[block]
-        owner = np.repeat(np.arange(len(points)), len(offsets))
-        lo = lows[block].reshape(-1, n)
+        near = box_distances(centres[block, None, :], lows[block], lows[block] + sub) <= 1.0 + 1e-9
+        owner, kept = np.nonzero(near)  # rows ascending, as _clearances takes them
+        lo = lows[block][owner, kept]
         worst = min(worst, float(_clearances(points, owner, lo, lo + sub).max(axis=1).min()))
     return C0Estimate(worst, trials, grid, ell, n, k, below)
 
