@@ -187,6 +187,47 @@ def brute_hole(cert, scale_index: int, x, frame, c_target: float, grid: int):
     return None if best[1] < c_target * 2.0 ** -level else best
 
 
+def brute_c0(ell: int, n: int, k: int, trials: int, grid: int, seed: int) -> float:
+    """`estimate_c0`'s value by plain loops.  Each trial makes the same
+    generator calls: the centre's offset in the central subcube, the frame's
+    Gaussian matrix, then the subcube digits (independent per unit cube, one
+    placement for all, or none, as the trial index cycles).  Every point of
+    the `grid`-per-axis section lattice in the closed 1/2-ball is scored
+    against all 3^n obstacles, with no pruning."""
+    rng = np.random.default_rng(seed)
+    sub = 2.0**-ell
+    offsets = list(product((-1.0, 0.0, 1.0), repeat=n))
+    axis = np.linspace(-0.5, 0.5, grid).tolist()
+    section = [t for t in product(axis, repeat=k) if sum(c * c for c in t) <= 0.25 * (1.0 + 1e-12)]
+    worst = math.inf
+    for trial in range(trials):
+        unit = rng.random(n).tolist()
+        gauss = rng.standard_normal((n, k))
+        if trial % 3 == 0:
+            digits = rng.integers(0, 1 << ell, size=(len(offsets), n)).tolist()
+        elif trial % 3 == 1:
+            digits = [rng.integers(0, 1 << ell, size=n).tolist()] * len(offsets)
+        else:
+            digits = [[0] * n] * len(offsets)
+        q, r = np.linalg.qr(gauss)
+        frame = (q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)).T.tolist()
+        lows = [[o + d * sub for o, d in zip(off, dig)] for off, dig in zip(offsets, digits)]
+        x = [c + u * sub for c, u in zip(lows[len(offsets) // 2], unit)]  # in the all-zero offset's subcube
+        best = -math.inf
+        for t in section:
+            y = [x[d] + sum(t[i] * frame[i][d] for i in range(k)) for d in range(n)]
+            nearest = math.inf
+            for lo in lows:
+                squared = 0.0
+                for c, a in zip(y, lo):
+                    gap = max(a - c, c - (a + sub), 0.0)
+                    squared += gap * gap
+                nearest = min(nearest, math.sqrt(squared))
+            best = max(best, nearest)
+        worst = min(worst, best)
+    return worst
+
+
 def brute_frame(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """A Haar-random k-frame in R^n: one QR of one (n, k) Gaussian matrix,
     each column of Q sign-fixed so that R's diagonal is nonnegative."""

@@ -276,6 +276,50 @@ def test_square_function_equals_beta2_at_each_scale(seed, n, m, j_min, span):
         assert list(prof.values) == want  # the same bits, not only the same value
 
 
+def _profile_eigh_calls(monkeypatch, *args) -> tuple[list[float], int]:
+    """A square_function profile's values and its number of np.linalg.eigh calls."""
+    calls = []
+    eigh = np.linalg.eigh
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", lambda a: calls.append(np.shape(a)) or eigh(a))
+        values = list(square_function(*args).values)
+    return values, len(calls)
+
+
+def test_square_function_solves_a_profile_with_empty_balls_in_one_eigh(monkeypatch):
+    # every point lies 0.3-0.45 from x: the balls of radius 1 and 1/2 hold them, the rest are empty
+    rng = np.random.default_rng(4)
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=30)
+    pts = 0.5 + rng.uniform(0.3, 0.45, size=30)[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    w = rng.uniform(0.1, 1.0, size=30)
+    values, calls = _profile_eigh_calls(monkeypatch, (pts, w), [0.5, 0.5], 1, 0, 6)
+    assert calls == 1
+    assert values == [beta2((pts, w), [0.5, 0.5], 2.0**-j, 1) for j in range(7)]
+    assert all(v > 0.0 for v in values[:2]) and values[2:] == [0.0] * 5
+    # no ball carries mass: no eigensolve at all
+    assert _profile_eigh_calls(monkeypatch, (pts, w), [0.5, 0.5], 1, 2, 6) == ([0.0] * 5, 0)
+
+
+def test_square_function_solves_single_point_balls_in_the_stack(monkeypatch):
+    # one point 0.1 from x, the others 0.6-0.9 away: the ball of radius 1 holds
+    # them all, radii 1/2 to 1/8 the one point, and the smaller balls nothing
+    rng = np.random.default_rng(5)
+    x = np.array([0.3, 0.2, 0.6])
+    far = rng.normal(size=(25, 3))
+    far *= rng.uniform(0.6, 0.9, size=25)[:, None] / np.linalg.norm(far, axis=1)[:, None]
+    pts = np.vstack([x + [0.1, 0.0, 0.0], x + far])
+    w = rng.uniform(0.1, 1.0, size=26)
+    for k in (1, 2):
+        values, calls = _profile_eigh_calls(monkeypatch, (pts, w), x, k, 0, 5)
+        assert calls == 1
+        assert values == [beta2((pts, w), x, 2.0**-j, k) for j in range(6)]
+        assert values[0] > 0.0 and values[1:] == [0.0] * 5
+    plane, value = best_affine_fit((pts, w), x, 0.125, 1)
+    assert value == 0.0 and plane.base.tolist() == pytest.approx(pts[0].tolist(), abs=1e-15)
+    with pytest.raises(InvalidInputError, match="no mass"):
+        best_affine_fit((pts, w), x, 0.0625, 1)
+
+
 def brute_content_beta_two_d(cells, x, r, k, t_grid, angles):
     """Angle scan over lines through the barycenter, same layer-cake grid."""
     from gmtkit.content import content

@@ -16,7 +16,7 @@ from gmtkit.corpus import GeneratorSpec, generate, random_sparse_with_certificat
 from gmtkit.errors import DepthBudgetError, InvalidInputError, VerificationError
 from gmtkit.frostman import CellMeasure, build_frostman
 from gmtkit.gauge import Gauge, parse_gauge, power_exp_gauge, power_gauge
-from gmtkit.lattice import CellSet, DyadicCube, Pyramid
+from gmtkit.lattice import MAX_LEVEL, CellSet, DyadicCube, Pyramid
 from gmtkit.sparsify import (
     AffinePlane,
     ScaleFamily,
@@ -42,6 +42,7 @@ from gmtkit.utils import dumps_canonical
 
 from helpers import (
     brute_apply_scale,
+    brute_c0,
     brute_family_distance,
     brute_follows,
     brute_frame,
@@ -931,6 +932,30 @@ def test_estimate_c0_validates():
         estimate_c0(4, 2, 1, grid=4)
     with pytest.raises(InvalidInputError):
         estimate_c0(4, 2, 2)
+    # past MAX_LEVEL the obstacle corners leave the exact lattice; from 64 on
+    # the subcube digits would overflow int64
+    for ell in (0, -1, MAX_LEVEL + 1, 63, 64, 70):
+        with pytest.raises(InvalidInputError, match=rf"ell must lie in \[1, {MAX_LEVEL}\], got {ell}"):
+            estimate_c0(ell, 2, 1, trials=3, grid=8)
+    assert estimate_c0(MAX_LEVEL, 2, 1, trials=3, grid=8).value > 0.0
+
+
+@given(
+    st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    st.integers(1, 5),
+    st.integers(8, 10),
+    st.integers(1, 6),
+    st.integers(0, 2**16),
+    st.sampled_from([8192, 7]),
+)
+def test_estimate_c0_matches_a_loop_over_every_obstacle(nk, ell, grid, trials, seed, block):
+    # the oracle scores every section point against all 3^n obstacles, so it
+    # checks the pruning of obstacles out of reach of a trial's section
+    n, k = nk
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparsify, "HOLE_BLOCK", block)
+        got = estimate_c0(ell, n, k, trials=trials, grid=grid, seed=seed).value
+    assert _close(got, brute_c0(ell, n, k, trials, grid, seed))
 
 
 @st.composite
