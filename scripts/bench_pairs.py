@@ -119,6 +119,8 @@ def main() -> int:
 
     import numpy  # only for the machine line; the trees import their own copies in their workers
 
+    if args.work is not None:
+        Path(args.work).mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.work))
     try:
         trees = {side: work / side for side in SIDES}

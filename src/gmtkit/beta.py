@@ -22,8 +22,10 @@ from gmtkit.errors import InvalidInputError
 from gmtkit.frostman import CellMeasure
 from gmtkit.gauge import power_exp_gauge
 from gmtkit.lattice import CellSet
-from gmtkit.sparsify import AffinePlane, _orthonormal_frames
+from gmtkit.sparsify import AffinePlane
 from gmtkit.utils import ScaleProfile
+
+PLANE_BLOCK = 1 << 14  # mask entries per content call of content_beta, one plane at least
 
 
 def _points_weights(source) -> tuple[np.ndarray, np.ndarray]:
@@ -55,19 +57,23 @@ def _restricted_moment_values(
     Each ball's symmetrized moment is built on its own; the moments then go
     through one stacked eigensolve, which runs the per-matrix LAPACK kernel
     on each, so every ball's fit has the bits of a solve of its moment alone.
+    A ball no larger than the one before is filtered from that ball's rows:
+    the same rows in the same order as a filter of all the points.
     """
     fits: list = []
     moments = []
+    p, ww, dd, last = pts, w, d2, np.inf
     for r in radii:
+        if r > last:  # a larger ball starts again from every point
+            p, ww, dd = pts, w, d2
         # closed ball, with slack for points placed at distance exactly r whose
         # computed distance carries one ulp of noise
-        mask = d2 <= r * r * (1.0 + 1e-12)
-        ww = w[mask]
+        mask = dd <= r * r * (1.0 + 1e-12)
+        p, ww, dd, last = p[mask], ww[mask], dd[mask], r
         total = float(ww.sum())
         if total <= 0.0:  # also the empty ball
             fits.append(None)
             continue
-        p = pts[mask]
         bary = (p * ww[:, None]).sum(axis=0) / total
         y = p - bary
         moment = (y * ww[:, None]).T @ y
@@ -146,18 +152,24 @@ def square_function(source, x, k: int, j_min: int, j_max: int) -> BetaProfile:
 # content-based coefficient
 
 
-def _orthonormalize(mat: np.ndarray) -> np.ndarray | None:
-    q, r = np.linalg.qr(mat.T)
-    if min(abs(np.diag(r))) < 1e-12:
-        return None
-    signs = np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    return (q * signs).T
+def _orthonormalize(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of each matrix of an (m, k, n) stack, orthonormalized by one
+    batched QR with Q's columns sign-fixed so that R's diagonal is
+    nonnegative, as (m, k, n) frames; and whether each matrix is of full
+    rank, min |diag R| >= 1e-12.  Batched QR runs the per-matrix LAPACK
+    kernel on each matrix, so each frame has the bits of a QR of its own."""
+    q, r = np.linalg.qr(np.swapaxes(mats, 1, 2))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    signs = np.where(diag >= 0.0, 1.0, -1.0)
+    return np.swapaxes(q * signs[:, None, :], 1, 2), np.abs(diag).min(axis=1) >= 1e-12
 
 
-def _plane_distances(centers: np.ndarray, base: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    y = centers - base
-    resid = y - (y @ frame.T) @ frame
-    return np.sqrt((resid * resid).sum(axis=1))
+def _plane_distances(y: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """(P, N) distances of the N points at offsets `y` from a base to the P
+    planes through the base spanned by the frames of a (P, k, n) stack; one
+    stacked matmul per product runs the 2-D product's kernel on each frame."""
+    resid = y - (y @ np.swapaxes(frames, 1, 2)) @ frames
+    return np.sqrt((resid * resid).sum(axis=-1))
 
 
 def content_beta(
@@ -179,6 +191,13 @@ def content_beta(
     Planes pass through the barycenter of the selected centers; directions
     come from a grid with local refinement (angle golden-section for lines
     in the plane, seeded frame perturbation otherwise).
+
+    Planes are priced in stacks of at most ``PLANE_BLOCK`` mask entries
+    (one plane at least) per `content` call; each value has the bits of a
+    plane priced alone.  A refinement round prices a stack of candidates
+    at once and takes the first that improves on the best, then draws the
+    candidates after it from the new best: the greedy one-at-a-time walk,
+    done speculatively.
     """
     if plane_grid < 4 or t_grid < 2:
         raise InvalidInputError("plane_grid >= 4 and t_grid >= 2 required")
@@ -190,32 +209,43 @@ def content_beta(
         return 0.0
     # the cells inside the ball; their rows stay in the order of their centers
     inside, centers = CellSet(n, cells.depth, cells.rows[mask]), centers[mask]
-    bary = centers.mean(axis=0)
+    offsets = centers - centers.mean(axis=0)  # from the barycentre, which every plane passes through
     gauge = power_exp_gauge(k, 0.0)
     ts = [r * 2.0 ** (-i) for i in range(t_grid + 1)]
     cuts = np.array(ts)[:, None]
     bands = [hi * hi - lo * lo for hi, lo in zip(ts, ts[1:])]
+    scale = r ** (-(k + 2))
+    per_pass = max(1, PLANE_BLOCK // ((t_grid + 1) * len(inside)))  # planes per content call
 
-    def plane_value(frame: np.ndarray) -> float:
-        # every threshold's superlevel set priced in one content call, then
-        # the weighted terms added in threshold order, the tail segment first
-        dists = _plane_distances(centers, bary, frame)
-        top = float(dists.max())
-        first = 0 if top > ts[0] else 1  # the tail segment only when a centre lies beyond r
-        weights = [top * top - ts[0] * ts[0], *bands][first:]
-        prices = content(inside, gauge, dists > cuts[first:])
-        acc = 0.0
-        for price, weight in zip(prices.tolist(), weights):
-            acc += price * weight
-        return acc * r ** (-(k + 2))
+    def plane_values(frames: np.ndarray) -> list[float]:
+        # per pass: every threshold's superlevel set of each plane, with its
+        # tail row when some centre lies beyond r, priced in one content
+        # call; then each plane's weighted terms added in threshold order,
+        # the tail segment first
+        values = []
+        for at in range(0, len(frames), per_pass):
+            dists = _plane_distances(offsets, frames[at : at + per_pass])
+            tops = dists.max(axis=1)
+            firsts = np.where(tops > ts[0], 0, 1)
+            rows = np.arange(t_grid + 1) >= firsts[:, None]  # each plane's rows of the grid
+            prices = iter(content(inside, gauge, (dists[:, None, :] > cuts)[rows]).tolist())
+            for top, first in zip(tops.tolist(), firsts.tolist()):
+                acc = 0.0
+                for weight in [top * top - ts[0] * ts[0], *bands][first:]:
+                    acc += next(prices) * weight
+                values.append(acc * scale)
+        return values
 
     if n == 2 and k == 1:
+        def line(theta: float) -> np.ndarray:
+            return np.array([[np.cos(theta), np.sin(theta)]])
+
         def angle_value(theta: float) -> float:
-            return plane_value(np.array([[np.cos(theta), np.sin(theta)]]))
+            return plane_values(line(theta)[None])[0]
 
         step = np.pi / plane_grid
-        grid_vals = [(angle_value(i * step), i * step) for i in range(plane_grid)]
-        best_val, best_theta = min(grid_vals)
+        thetas = [i * step for i in range(plane_grid)]
+        best_val, best_theta = min(zip(plane_values(np.stack([line(t) for t in thetas])), thetas))
         # golden-section inside the bracketing window; the objective is
         # piecewise constant in the angle, so this settles on a plateau
         lo, hi = best_theta - step, best_theta + step
@@ -245,15 +275,22 @@ def content_beta(
         frames.append(f)
     # the rest of the grid in one draw: the Gaussians leave the generator in
     # the order of one draw per frame, and the batched QR keeps each frame's bits
-    frames.extend(_orthonormal_frames(rng.standard_normal((max(0, plane_grid - len(frames)), n, k))))
-    best_val, best_frame = min((plane_value(f), i) for i, f in enumerate(frames))
-    best_frame = frames[best_frame]
-    for sigma in (0.3, 0.1, 0.03, 0.01):
-        for _ in range(max(4, plane_grid // 4)):
-            cand = _orthonormalize(best_frame + sigma * rng.standard_normal(best_frame.shape))
-            if cand is None:
-                continue
-            val = plane_value(cand)
-            if val < best_val:
-                best_val, best_frame = val, cand
+    gauss = rng.standard_normal((max(0, plane_grid - len(frames)), n, k))
+    frames = np.concatenate([frames, _orthonormalize(np.swapaxes(gauss, 1, 2))[0]])
+    best_val, best = min(zip(plane_values(frames), range(len(frames))))
+    best_frame = frames[best]
+    # every round's Gaussians in one draw, in the order of one draw per candidate
+    per = max(4, plane_grid // 4)
+    for sigma, noise in zip((0.3, 0.1, 0.03, 0.01), rng.standard_normal((4, per, k, n))):
+        at = 0
+        while at < per:
+            cands, live = _orthonormalize(best_frame + sigma * noise[at : at + per_pass])
+            step = len(cands)
+            live = np.flatnonzero(live)  # a rank-deficient candidate is skipped
+            for i, val in zip(live.tolist(), plane_values(cands[live])):
+                if val < best_val:
+                    # the candidates after it start again from the new best
+                    best_val, best_frame, step = val, cands[i], i + 1
+                    break
+            at += step
     return sqrt(max(best_val, 0.0))

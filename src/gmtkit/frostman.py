@@ -57,7 +57,7 @@ from gmtkit.utils import Table, load_json, write_canonical
 CAP_TOLERANCE = 1e-9
 BALL_BLOCK = 1 << 16  # (point, cube) pairs per array pass of the ball check
 BALL_BAND = 1e-12  # relative distance to r*r within which the ball check's np.dot kernel decides
-DRAW_BLOCK = 1 << 13  # digits per random draw of the support sampler
+DRAW_BLOCK = 1 << 14  # digits per random draw of the support sampler
 
 
 def _forced(windows: tuple[tuple[int, int], ...], t: int, level: int) -> int:

@@ -235,6 +235,80 @@ def brute_frame(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return (q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)).T
 
 
+def loop_content_beta(cells: CellSet, x, r: float, k: int, plane_grid: int = 48, t_grid: int = 12, seed: int = 0) -> float:
+    """content_beta one plane at a time: each plane's distances on their own,
+    its threshold rows in one `content` call of their own, grid frames from
+    `brute_frame` and each refinement candidate from its own Gaussian draw
+    and its own QR, accepted as soon as it improves on the best."""
+    from gmtkit.content import content
+    from gmtkit.gauge import power_exp_gauge
+
+    n = cells.n
+    x = np.asarray(x, dtype=float)
+    centers = cells.centers()
+    mask = ((centers - x) ** 2).sum(axis=1) <= r * r
+    if not mask.any():
+        return 0.0
+    inside, centers = CellSet(n, cells.depth, cells.rows[mask]), centers[mask]
+    bary = centers.mean(axis=0)
+    gauge = power_exp_gauge(k, 0.0)
+    ts = [r * 2.0 ** (-i) for i in range(t_grid + 1)]
+
+    def value(frame: np.ndarray) -> float:
+        y = centers - bary
+        resid = y - (y @ frame.T) @ frame
+        dists = np.sqrt((resid * resid).sum(axis=1))
+        top = float(dists.max())
+        rows = [dists > t for t in ts]
+        weights = [top * top - ts[0] * ts[0]] + [hi * hi - lo * lo for hi, lo in zip(ts, ts[1:])]
+        if top <= ts[0]:  # no centre beyond r: no tail segment
+            rows, weights = rows[1:], weights[1:]
+        acc = 0.0
+        for price, weight in zip(content(inside, gauge, np.array(rows)).tolist(), weights):
+            acc += price * weight
+        return acc * r ** (-(k + 2))
+
+    if n == 2 and k == 1:
+        def angle(theta: float) -> float:
+            return value(np.array([[np.cos(theta), np.sin(theta)]]))
+
+        step = np.pi / plane_grid
+        best, theta = min((angle(i * step), i * step) for i in range(plane_grid))
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b = theta - step, theta + step
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        fc, fd = angle(c), angle(d)
+        for _ in range(40):
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = angle(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = angle(d)
+        return math.sqrt(max(min(best, fc, fd), 0.0))
+
+    from itertools import combinations
+
+    rng = np.random.default_rng(seed)
+    frames = [np.eye(n)[list(axes)] for axes in combinations(range(n), k)]
+    frames += [brute_frame(rng, n, k) for _ in range(plane_grid - len(frames))]
+    values = [value(f) for f in frames]
+    best = min(values)
+    frame = frames[values.index(best)]
+    for sigma in (0.3, 0.1, 0.03, 0.01):
+        for _ in range(max(4, plane_grid // 4)):
+            q, rr = np.linalg.qr((frame + sigma * rng.standard_normal((k, n))).T)
+            if min(abs(np.diag(rr))) < 1e-12:
+                continue
+            cand = (q * np.where(np.diag(rr) >= 0.0, 1.0, -1.0)).T
+            v = value(cand)
+            if v < best:
+                best, frame = v, cand
+    return math.sqrt(max(best, 0.0))
+
+
 def brute_point_draw(draw):
     """The per-draw oracle of a library one-point draw `draw(rng, 1)`, a bound
     method: `brute_support_draw` for a measure's `sample_support_points`,

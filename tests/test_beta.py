@@ -10,7 +10,7 @@ from gmtkit.corpus import GeneratorSpec, generate
 from gmtkit.errors import InvalidInputError
 from gmtkit.lattice import CellSet
 
-from helpers import brute_line_fit
+from helpers import brute_line_fit, loop_content_beta
 
 
 def unit_circle(m):
@@ -410,7 +410,12 @@ def test_content_beta_builds_one_pyramid_per_call(monkeypatch):
     assert len(built) == 2
 
 
-def test_content_beta_keeps_its_bits_with_one_content_call_per_plane(monkeypatch):
+def _inside(cells, x, r) -> int:
+    """The number of cells whose centres lie in the closed ball B_r(x)."""
+    return int((((cells.centers() - np.asarray(x)) ** 2).sum(axis=1) <= r * r).sum())
+
+
+def test_content_beta_keeps_its_bits_in_block_bounded_plane_stacks(monkeypatch):
     # values of the per-threshold loop that priced each superlevel set in its own DP
     import gmtkit.beta
 
@@ -427,10 +432,112 @@ def test_content_beta_keeps_its_bits_with_one_content_call_per_plane(monkeypatch
         ((cube, [0.5, 0.5, 0.5], 0.3, 2), dict(plane_grid=8, t_grid=4, seed=3), "0x1.6d836a18a24dbp+1"),
         ((sparse, [0.5, 0.5, 0.5], 0.4, 1), dict(plane_grid=8, t_grid=5, seed=1), "0x1.178daf051ee94p-3"),
     ]
-    for args, kw, want in cases:
-        calls.clear()
-        assert content_beta(*args, **kw).hex() == want
-        # one (T, N) stack per plane: every threshold, and the tail segment when it is there
-        assert {shape[0] for shape in calls} <= {kw["t_grid"], kw["t_grid"] + 1}
-        if args[0].n == 2:  # the angle grid, two golden-section starts and 40 steps
-            assert len(calls) == kw["plane_grid"] + 42
+    for block in (1, 300, gmtkit.beta.PLANE_BLOCK):
+        monkeypatch.setattr(gmtkit.beta, "PLANE_BLOCK", block)
+        for args, kw, want in cases:
+            calls.clear()
+            assert content_beta(*args, **kw).hex() == want
+            rows = kw["t_grid"] + 1  # every threshold, and the tail segment when it is there
+            per_pass = max(1, block // (rows * _inside(*args[:3])))
+            # each call holds at most `block` mask entries, or a single plane's rows
+            assert all(t * m <= block or t <= rows for t, m in calls)
+            if args[0].n == 2:  # the angle grid in stacks, two golden-section starts and 40 steps
+                assert len(calls) == math.ceil(kw["plane_grid"] / per_pass) + 42
+
+
+def test_content_beta_reprices_a_pass_after_an_improvement_within_it(monkeypatch):
+    # on this input a refinement round improves on its best before the end of
+    # a pass: the candidates after it are priced again, from the new best,
+    # and the value is the one-at-a-time walk's
+    import gmtkit.beta
+
+    priced = []
+    distances = gmtkit.beta._plane_distances
+    monkeypatch.setattr(gmtkit.beta, "_plane_distances", lambda y, f: priced.append(len(f)) or distances(y, f))
+    sparse = generate(GeneratorSpec(kind="random-sparse", n=3, depth=6, ell=4, seed=0))
+    args, kw = (sparse, [0.5, 0.5, 0.5], 0.4, 1), dict(plane_grid=8, t_grid=5, seed=1)
+    counts = {}
+    for block in (1, 4 * 6 * _inside(*args[:3]), gmtkit.beta.PLANE_BLOCK):
+        monkeypatch.setattr(gmtkit.beta, "PLANE_BLOCK", block)
+        priced.clear()
+        assert content_beta(*args, **kw).hex() == loop_content_beta(*args, **kw).hex()
+        counts[block] = sum(priced)
+    # 8 grid planes and 4 rounds of 4 candidates one at a time; more in stacks
+    assert list(counts.values()) == [24, 29, 29]
+
+
+_CONTENT_BETA_SHAPES = [(n, k) for n in (2, 3, 4) for k in range(1, n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(_CONTENT_BETA_SHAPES),
+    st.booleans(),
+    st.sampled_from([0.5, 0.375, 0.25, 0.7]),
+    st.sampled_from([(4, 2), (8, 3), (12, 5)]),
+    st.sampled_from([1, 37, None]),
+)
+def test_content_beta_equals_the_one_plane_loop(seed, shape, mirrored, r, grids, block):
+    # in mirrored sets the barycentre is the cube's centre, so an axis plane
+    # meets dyadic distances and the dyadic thresholds r 2^-i exactly: ties
+    import gmtkit.beta
+
+    n, k = shape
+    depth = {2: 5, 3: 4, 4: 3}[n]
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 1 << depth, size=(int(rng.integers(1, 120)), n))
+    if mirrored:
+        rows = np.vstack([rows, (1 << depth) - 1 - rows])
+    cells = CellSet(n, depth, [tuple(row) for row in rows.tolist()])
+    x = [0.5] * n if mirrored else rng.uniform(0.2, 0.8, size=n).tolist()
+    plane_grid, t_grid = grids
+    saved = gmtkit.beta.PLANE_BLOCK
+    gmtkit.beta.PLANE_BLOCK = saved if block is None else block
+    try:
+        got = content_beta(cells, x, r, k, plane_grid=plane_grid, t_grid=t_grid, seed=seed)
+    finally:
+        gmtkit.beta.PLANE_BLOCK = saved
+    assert got.hex() == loop_content_beta(cells, x, r, k, plane_grid=plane_grid, t_grid=t_grid, seed=seed).hex()
+
+
+def test_content_beta_ties_at_a_threshold():
+    # a mirrored square: centres 1/32 from the axis line through the barycentre
+    # sit on the threshold 0.5 * 2^-4, in no superlevel set from it down
+    cells = CellSet(2, 4, [(i, j) for i in range(16) for j in (7, 8)])
+    dists = np.abs(cells.centers()[:, 1] - 0.5)
+    assert (dists == 0.5 * 2.0**-4).all()
+    for kw in (dict(plane_grid=4, t_grid=4), dict(plane_grid=8, t_grid=5)):
+        assert content_beta(cells, [0.5, 0.5], 0.5, 1, **kw) == loop_content_beta(cells, [0.5, 0.5], 0.5, 1, **kw)
+    cube = CellSet(3, 3, [(i, j, l) for i in range(8) for j in range(8) for l in (3, 4)])
+    for seed in range(3):
+        kw = dict(plane_grid=4, t_grid=4, seed=seed)
+        assert content_beta(cube, [0.5] * 3, 0.5, 2, **kw).hex() == loop_content_beta(cube, [0.5] * 3, 0.5, 2, **kw).hex()
+
+
+def test_orthonormalize_flags_rank_deficient_frames():
+    from gmtkit.beta import _orthonormalize
+
+    mats = np.array([[[3.0, 4.0, 0.0], [0.0, 0.0, 2.0]], [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]])
+    frames, live = _orthonormalize(mats)
+    assert live.tolist() == [True, False]
+    assert np.allclose(frames[0], [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]], rtol=0.0, atol=1e-15)
+
+
+def test_restricted_moments_start_again_for_a_larger_ball():
+    # square_function's radii fall, so each ball is filtered from the last
+    # one's rows; a radius that grows again reads every point
+    from gmtkit.beta import _restricted_moment_values
+
+    rng = np.random.default_rng(7)
+    pts, w = rng.uniform(0.0, 1.0, size=(60, 3)), rng.uniform(0.1, 1.0, size=60)
+    d2 = ((pts - 0.5) ** 2).sum(axis=1)
+    radii = [0.5, 0.25, 0.25, 0.6, 0.3, 0.01]
+    for got, r in zip(_restricted_moment_values(pts, w, d2, radii, 2), radii):
+        want = _restricted_moment_values(pts, w, d2, [r], 2)[0]
+        if want is None:
+            assert got is None
+        else:
+            assert [a.tobytes() if isinstance(a, np.ndarray) else a for a in got] == [
+                a.tobytes() if isinstance(a, np.ndarray) else a for a in want
+            ]
