@@ -43,6 +43,7 @@ def _commands(pairs: Path, i: Path, o: Path) -> list[list]:
         ["extract-core", "--cells", i / "core_cantor.json", "--k", 1, "--seed", 0,
          "--witness-samples", 100, "--c0-trials", 300, "--outdir", o / "core_cantor_k1"],
         ["extract-core", "--cells", i / "core_sparse.json", "--k", 2, "--seed", 0, "--outdir", o / "core_sparse3_k2"],
+        ["extract-core", "--cells", i / "dense.json", "--k", 1, "--seed", 0, "--outdir", o / "core_dense_k1"],
         ["frostman", "--cells", i / "plane.json", "--gauge", "power:2", "--k", 2, "--out", measure / "plane_measure.json",
          "--report", measure / "plane_report.json", "--ball-check", 256, "--seed", 0],
         ["frostman", "--cells", i / "dense.json", "--gauge", "power:2", "--k", 2, "--out", measure / "dense_measure.json",
