@@ -22,7 +22,7 @@ from gmtkit.errors import InvalidInputError
 from gmtkit.frostman import CellMeasure
 from gmtkit.gauge import power_exp_gauge
 from gmtkit.lattice import CellSet
-from gmtkit.sparsify import AffinePlane
+from gmtkit.sparsify import AffinePlane, _orthonormal_frames
 from gmtkit.utils import ScaleProfile
 
 PLANE_BLOCK = 1 << 14  # mask entries per content call of content_beta, one plane at least
@@ -152,18 +152,6 @@ def square_function(source, x, k: int, j_min: int, j_max: int) -> BetaProfile:
 # content-based coefficient
 
 
-def _orthonormalize(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of each matrix of an (m, k, n) stack, orthonormalized by one
-    batched QR with Q's columns sign-fixed so that R's diagonal is
-    nonnegative, as (m, k, n) frames; and whether each matrix is of full
-    rank, min |diag R| >= 1e-12.  Batched QR runs the per-matrix LAPACK
-    kernel on each matrix, so each frame has the bits of a QR of its own."""
-    q, r = np.linalg.qr(np.swapaxes(mats, 1, 2))
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    signs = np.where(diag >= 0.0, 1.0, -1.0)
-    return np.swapaxes(q * signs[:, None, :], 1, 2), np.abs(diag).min(axis=1) >= 1e-12
-
-
 def _plane_distances(y: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """(P, N) distances of the N points at offsets `y` from a base to the P
     planes through the base spanned by the frames of a (P, k, n) stack; one
@@ -189,8 +177,8 @@ def content_beta(
     2 t * content runs over a geometric grid from r down to r*2^-t_grid,
     with an upper tail segment when some center sits farther than r from L.
     Planes pass through the barycenter of the selected centers; directions
-    come from a grid with local refinement (angle golden-section for lines
-    in the plane, seeded frame perturbation otherwise).
+    come from a grid (the coordinate k-planes, then seeded Haar-random
+    frames) with four rounds of seeded frame perturbation, for every (n, k).
 
     Planes are priced in stacks of at most ``PLANE_BLOCK`` mask entries
     (one plane at least) per `content` call; each value has the bits of a
@@ -236,47 +224,12 @@ def content_beta(
                 values.append(acc * scale)
         return values
 
-    if n == 2 and k == 1:
-        def line(theta: float) -> np.ndarray:
-            return np.array([[np.cos(theta), np.sin(theta)]])
-
-        def angle_value(theta: float) -> float:
-            return plane_values(line(theta)[None])[0]
-
-        step = np.pi / plane_grid
-        thetas = [i * step for i in range(plane_grid)]
-        best_val, best_theta = min(zip(plane_values(np.stack([line(t) for t in thetas])), thetas))
-        # golden-section inside the bracketing window; the objective is
-        # piecewise constant in the angle, so this settles on a plateau
-        lo, hi = best_theta - step, best_theta + step
-        invphi = (sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = angle_value(c), angle_value(d)
-        for _ in range(40):
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = angle_value(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = angle_value(d)
-        best_val = min(best_val, fc, fd)
-        return sqrt(max(best_val, 0.0))
-
     rng = np.random.default_rng(seed)
-    frames = []
-    for axes in combinations(range(n), k):
-        f = np.zeros((k, n))
-        for row, ax in enumerate(axes):
-            f[row, ax] = 1.0
-        frames.append(f)
+    frames = [np.eye(n)[list(axes)] for axes in combinations(range(n), k)]
     # the rest of the grid in one draw: the Gaussians leave the generator in
     # the order of one draw per frame, and the batched QR keeps each frame's bits
     gauss = rng.standard_normal((max(0, plane_grid - len(frames)), n, k))
-    frames = np.concatenate([frames, _orthonormalize(np.swapaxes(gauss, 1, 2))[0]])
+    frames = np.concatenate([frames, _orthonormal_frames(gauss)[0]])
     best_val, best = min(zip(plane_values(frames), range(len(frames))))
     best_frame = frames[best]
     # every round's Gaussians in one draw, in the order of one draw per candidate
@@ -284,7 +237,7 @@ def content_beta(
     for sigma, noise in zip((0.3, 0.1, 0.03, 0.01), rng.standard_normal((4, per, k, n))):
         at = 0
         while at < per:
-            cands, live = _orthonormalize(best_frame + sigma * noise[at : at + per_pass])
+            cands, live = _orthonormal_frames(np.swapaxes(best_frame + sigma * noise[at : at + per_pass], 1, 2))
             step = len(cands)
             live = np.flatnonzero(live)  # a rank-deficient candidate is skipped
             for i, val in zip(live.tolist(), plane_values(cands[live])):

@@ -179,7 +179,7 @@ def pair_from_json(obj: dict) -> DomainPair:
             return empty_pair(int(obj["dim"]))
         if kind == "polygon":
             return polygon_pair(obj["vertices"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed domain pair object: {exc}") from exc
     raise InvalidInputError(f"unknown domain pair kind {obj.get('kind')!r}")
 

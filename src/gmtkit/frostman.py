@@ -451,7 +451,7 @@ class CellMeasure(SparseMeasure):
             depth = int(obj["depth"])
             cl = int(obj.get("cell_level", depth))
             entries = [(idx, m) for idx, m in obj["masses"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed measure object: {exc}") from exc
         return CellMeasure(n, depth, ([idx for idx, _ in entries], [m for _, m in entries]), cl)
 

@@ -392,7 +392,7 @@ class CellSet:
     def from_json_obj(obj: dict) -> "CellSet":
         try:
             n, depth, cells = int(obj["n"]), int(obj["depth"]), obj["cells"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed cell set object: {exc}") from exc
         return CellSet(n, depth, cells)
 

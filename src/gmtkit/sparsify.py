@@ -89,22 +89,17 @@ class AffinePlane:
         return self.base + np.atleast_2d(coords) @ self.frame
 
 
-def _orthonormal_frames(gauss: np.ndarray) -> np.ndarray:
-    """Haar-random k-frames in R^n from an (m, n, k) stack of Gaussian
-    matrices: one batched QR, each Q's columns sign-fixed so that R's
-    diagonal is nonnegative, returned as (m, k, n) rows.  Batched QR runs
-    the per-matrix LAPACK kernel on each matrix, so each frame has the bits
-    a QR of its matrix alone gives."""
-    q, r = np.linalg.qr(gauss)
-    signs = np.where(np.diagonal(r, axis1=1, axis2=2) >= 0.0, 1.0, -1.0)
-    return np.swapaxes(q * signs[:, None, :], 1, 2)
-
-
-def random_orthonormal_frame(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """Haar-random k-frame in R^n (Gaussian matrix, QR, sign-fixed)."""
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return _orthonormal_frames(rng.standard_normal((1, n, k)))[0]
+def _orthonormal_frames(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of each matrix of an (m, n, k) stack, orthonormalized by
+    one batched QR with Q's columns sign-fixed so that R's diagonal is
+    nonnegative, as (m, k, n) frames; and whether each matrix is of full
+    rank, min |diag R| >= 1e-12.  Gaussian matrices give Haar-random frames.
+    Batched QR runs the per-matrix LAPACK kernel on each matrix, so each
+    frame has the bits a QR of its matrix alone gives."""
+    q, r = np.linalg.qr(mats)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    signs = np.where(diag >= 0.0, 1.0, -1.0)
+    return np.swapaxes(q * signs[:, None, :], 1, 2), np.abs(diag).min(axis=1) >= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +229,7 @@ class SparsityCertificate:
             for entry in obj["families"]:
                 pairs = tuple(zip(*entry["pairs"], strict=True)) or ((), ())  # (cubes, selections)
                 fams.append(ScaleFamily(int(entry["scale"]), ell, pairs, entry.get("pattern") == "lex-first"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed certificate object: {exc}") from exc
         return SparsityCertificate(n, ell, scales, tuple(fams))
 
@@ -814,7 +809,7 @@ def estimate_c0(ell: int, n: int, k: int, trials: int = 2000, grid: int = 24, se
             subs[trial] = rng.integers(0, 1 << ell, size=(len(offsets), n))
         elif style == 1:
             subs[trial] = rng.integers(0, 1 << ell, size=n)  # one placement for every unit cube
-    frames = np.ascontiguousarray(_orthonormal_frames(gauss))
+    frames = np.ascontiguousarray(_orthonormal_frames(gauss)[0])
     lows = offsets + subs * sub
     centres = lows[:, centre] + units * sub
     grid_offsets = _section_offsets(k, 0.5, grid)
@@ -854,11 +849,11 @@ def _witness_draws(target, k: int, samples: int, rng: np.random.Generator) -> tu
     them.
 
     Each sample makes the generator calls of a one-point draw followed by
-    ``random_orthonormal_frame``, in that order: its support cell, the
-    centre's offset inside the cell, then the frame's Gaussian matrix.  The
-    loop draws one cell, an offset and a Gaussian matrix per sample (a cell
-    draw reads the measure's cached tables); the centres (one `cell_points`)
-    and the frames (one batched QR) follow in array passes."""
+    a Haar frame's, in that order: its support cell, the centre's offset
+    inside the cell, then the frame's (n, k) Gaussian matrix.  The loop
+    draws one cell, an offset and a Gaussian matrix per sample (a cell draw
+    reads the measure's cached tables); the centres (one `cell_points`) and
+    the frames (one `_orthonormal_frames`) follow in array passes."""
     if isinstance(target, CellSet):
         level, draw = target.depth, partial(target._sample_cells, count=1)
     else:
@@ -873,7 +868,7 @@ def _witness_draws(target, k: int, samples: int, rng: np.random.Generator) -> tu
         cells[i] = draw(rng)[0]
         units[i] = rng.random(n)
         gauss[i] = rng.standard_normal((n, k))
-    return cell_points(cells, level, units), _orthonormal_frames(gauss)
+    return cell_points(cells, level, units), _orthonormal_frames(gauss)[0]
 
 
 def witness_unrectifiability(

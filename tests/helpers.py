@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import product
+from itertools import combinations, product
 from typing import Any
 
 import numpy as np
@@ -237,9 +237,10 @@ def brute_frame(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 
 def loop_content_beta(cells: CellSet, x, r: float, k: int, plane_grid: int = 48, t_grid: int = 12, seed: int = 0) -> float:
     """content_beta one plane at a time: each plane's distances on their own,
-    its threshold rows in one `content` call of their own, grid frames from
-    `brute_frame` and each refinement candidate from its own Gaussian draw
-    and its own QR, accepted as soon as it improves on the best."""
+    its threshold rows in one `content` call of their own, the coordinate
+    k-planes and then grid frames from `brute_frame`, and each refinement
+    candidate from its own Gaussian draw and its own QR, accepted as soon as
+    it improves on the best; one search for every (n, k)."""
     from gmtkit.content import content
     from gmtkit.gauge import power_exp_gauge
 
@@ -267,29 +268,6 @@ def loop_content_beta(cells: CellSet, x, r: float, k: int, plane_grid: int = 48,
         for price, weight in zip(content(inside, gauge, np.array(rows)).tolist(), weights):
             acc += price * weight
         return acc * r ** (-(k + 2))
-
-    if n == 2 and k == 1:
-        def angle(theta: float) -> float:
-            return value(np.array([[np.cos(theta), np.sin(theta)]]))
-
-        step = np.pi / plane_grid
-        best, theta = min((angle(i * step), i * step) for i in range(plane_grid))
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = theta - step, theta + step
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc, fd = angle(c), angle(d)
-        for _ in range(40):
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = angle(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = angle(d)
-        return math.sqrt(max(min(best, fc, fd), 0.0))
-
-    from itertools import combinations
 
     rng = np.random.default_rng(seed)
     frames = [np.eye(n)[list(axes)] for axes in combinations(range(n), k)]

@@ -13,6 +13,7 @@ import gmtkit
 from gmtkit.cli import main
 from gmtkit.content import dyadic_cover_cost
 from gmtkit.corpus import GeneratorSpec, generate
+from gmtkit.errors import InvalidInputError
 from gmtkit.frostman import CellMeasure
 from gmtkit.gauge import parse_gauge
 from gmtkit.lattice import CellSet, Pyramid
@@ -220,6 +221,33 @@ def test_sparsify_command(tmp_path, capsys):
     assert rep["cap_ratio_k"] <= 1.0 + 1e-9
     back = SparsityCertificate.load(cert)
     assert back.scales == (17,)
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("frostman", {"n": float("inf"), "depth": 2, "cells": [[0, 0]]}),
+        ("sparsify", {"n": 2, "depth": float("inf"), "masses": [[[0, 0], 1.0]]}),
+        ("epsilon", {"kind": "empty", "dim": float("inf")}),
+        ("certificate", {"n": 2, "ell": float("inf"), "scales": [], "families": []}),
+    ],
+)
+def test_loaders_refuse_an_infinite_integer_field(tmp_path, capsys, command, obj):
+    # int(inf) raises OverflowError, not ValueError: still malformed input, exit 3
+    path, out = tmp_path / "input.json", str(tmp_path / "out.json")
+    path.write_text(json.dumps(obj))  # inf is written as the bare token Infinity
+    if command == "certificate":
+        with pytest.raises(InvalidInputError, match="malformed certificate object"):
+            SparsityCertificate.load(path)
+        return
+    argv = {
+        "frostman": ["frostman", "--cells", str(path), "--out", out],
+        "sparsify": ["sparsify", "--measure", str(path), "--gauge", "powerexp:1:0.5", "--ell", "4", "--depth", "24",
+                     "--out", out, "--cert", str(tmp_path / "cert.json")],
+        "epsilon": ["epsilon", "--pair", str(path), "--center", "0.5,0.5", "--r", "0.25", "--out", out],
+    }[command]
+    assert run(argv) == 3
+    assert "invalid input: malformed" in capsys.readouterr().err
 
 
 def test_sparsify_rejects_a_measure_listing_a_cell_twice(tmp_path, capsys):

@@ -105,6 +105,25 @@ def test_parent_of_child_roundtrip(n, level, rnd):
 
 
 @given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=8),
+    st.randoms(use_true_random=False),
+)
+def test_ancestor_is_repeated_parent(n, level, rnd):
+    c = DyadicCube(n, level, tuple(rnd.randrange(2**level) for _ in range(n)))
+    up = c
+    for target in range(level, -1, -1):
+        assert c.ancestor(target) == up
+        if target:
+            up = up.parent()
+    with pytest.raises(InvalidInputError, match="the root cube has no parent"):
+        up.parent()
+    for bad in (-1, level + 1):
+        with pytest.raises(InvalidInputError, match=f"ancestor level {bad} not in \\[0, {level}\\]"):
+            c.ancestor(bad)
+
+
+@given(
     st.lists(st.floats(min_value=0.0, max_value=0.999999), min_size=2, max_size=2),
     st.integers(min_value=0, max_value=30),
 )

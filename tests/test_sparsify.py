@@ -30,12 +30,12 @@ from gmtkit.sparsify import (
     estimate_c0,
     find_hole,
     min_sparsity_parameter,
-    random_orthonormal_frame,
     scale_family_view,
     verify_sparse_construction,
     witness_unrectifiability,
     _apply_scale,
     _follows,
+    _orthonormal_frames,
     _witness_draws,
 )
 from gmtkit.utils import dumps_canonical
@@ -968,7 +968,7 @@ def explicit_hole_cases(draw):
     pairs = {q: tuple(draw(st.integers(i << ell, ((i + 1) << ell) - 1)) for i in q) for q in cubes}
     cert = SparsityCertificate(n, ell, (level,), (ScaleFamily(level, ell, pairs),))
     x = np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * n)))
-    frame = random_orthonormal_frame(np.random.default_rng(draw(st.integers(0, 2**16))), n, k)
+    frame = brute_frame(np.random.default_rng(draw(st.integers(0, 2**16))), n, k)
     return cert, x, frame
 
 
@@ -1020,7 +1020,7 @@ def explicit_hole_batches(draw):
     centre = st.tuples(*[st.one_of(st.floats(0.0, 1.0), st.floats(-0.5, 1.5))] * n)
     xs = np.array(draw(st.lists(centre, min_size=1, max_size=6)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    return cert, xs, [random_orthonormal_frame(rng, n, k) for _ in xs]
+    return cert, xs, [brute_frame(rng, n, k) for _ in xs]
 
 
 @given(explicit_hole_batches(), st.integers(8, 12), st.sampled_from([0.0, 0.2, 0.45]))
@@ -1126,6 +1126,11 @@ def test_find_hole_rejects_mismatched_planes():
     assert len(find_hole(cert, 0, xs, [line, AffinePlane(xs[1], line.frame)], 0.1, grid=8)) == 2
 
 
+def test_find_hole_without_centres_gives_an_empty_tuple():
+    cert = SparsityCertificate(2, 2, (1,), (ScaleFamily(1, 2, {(0, 0): (0, 0)}),))
+    assert find_hole(cert, 0, np.empty((0, 2)), [], 0.1, grid=8) == ()
+
+
 def test_find_hole_rejects_a_plane_based_off_its_centre():
     # the section runs through the centre, so a plane based elsewhere would be moved
     cert = SparsityCertificate(2, 2, (1,), (ScaleFamily(1, 2, {(0, 0): (0, 0)}),))
@@ -1176,12 +1181,16 @@ def test_witness_on_explicit_random_sparse():
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=3), st.integers(0, 10))
 def test_random_frames_are_orthonormal(n, k, seed):
+    # Gaussian (n, k) matrices in one stack: each frame has the bits of its
+    # own QR, and all are of full rank
     if k >= n:
         return
-    frame = random_orthonormal_frame(np.random.default_rng(seed), n, k)
-    assert frame.shape == (k, n)
-    gram = frame @ frame.T
-    assert np.abs(gram - np.eye(k)).max() < 1e-10
+    frames, live = _orthonormal_frames(np.random.default_rng(seed).standard_normal((3, n, k)))
+    assert frames.shape == (3, k, n) and live.all()
+    oracle = np.random.default_rng(seed)
+    for frame in frames:
+        assert frame.tobytes() == np.ascontiguousarray(brute_frame(oracle, n, k)).tobytes()
+        assert np.abs(frame @ frame.T - np.eye(k)).max() < 1e-10
 
 
 def test_affine_plane_validates_frame():
