@@ -178,7 +178,7 @@ def content_beta(
     with an upper tail segment when some center sits farther than r from L.
     Planes pass through the barycenter of the selected centers; directions
     come from a grid (the coordinate k-planes, then seeded Haar-random
-    frames) with four rounds of seeded frame perturbation, for every (n, k).
+    frames) refined by four rounds of seeded frame perturbation.
 
     Planes are priced in stacks of at most ``PLANE_BLOCK`` mask entries
     (one plane at least) per `content` call; each value has the bits of a

@@ -597,7 +597,7 @@ def _as_points(y, n: int) -> np.ndarray:
     (m, n) with finite coordinates."""
     try:
         y = np.asarray(y, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed point: {exc}") from exc
     if y.ndim not in (1, 2) or y.shape[-1] != n:
         raise InvalidInputError(f"points must have {n} coordinates, got an array of shape {y.shape}")

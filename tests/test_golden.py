@@ -6,8 +6,10 @@ generated inputs (one per generator kind, plus the random-sparse
 certificate), the five `extract-core` artifacts of the `core_cantor_k1` and
 `core_sparse3_k2` runs, and the nine `measure_tools` outputs; beside them,
 `sparsify` on the dense Frostman measure (result measure, certificate and
-report) and `beta --measure` on the same measure.  The test regenerates them
-in-process through `gmtkit.cli.main` and compares.
+report), `beta --measure` on the same measure, and the five `extract-core
+--k 1` artifacts of the dense cell set, the one run here whose
+`content_beta` ball holds cells in the plane (n = 2, k = 1).  The test
+regenerates them in-process through `gmtkit.cli.main` and compares.
 
 The hashes hold for numpy 2.4 and Python 3.11; other versions may round
 floats or draw random numbers differently.  A change that alters bytes on

@@ -1104,6 +1104,7 @@ def test_witness_rejects_no_samples(square_construction):
 
 @pytest.mark.parametrize("x", [
     [0.3], [0.1, 0.2, 0.3], [[[0.1, 0.2]]], [float("nan"), 0.5], [[0.5, 0.5], [float("inf"), 0.5]], "ab",
+    [10**400, 0.5],
 ])
 def test_hole_search_rejects_bad_points(x):
     cert = SparsityCertificate(2, 2, (1,), (ScaleFamily(1, 2, {(0, 0): (0, 0)}),))
