@@ -23,7 +23,7 @@ from gmtkit.frostman import CellMeasure
 from gmtkit.gauge import power_exp_gauge
 from gmtkit.lattice import CellSet
 from gmtkit.sparsify import AffinePlane, _orthonormal_frames
-from gmtkit.utils import ScaleProfile
+from gmtkit.utils import ScaleProfile, finite_floats
 
 PLANE_BLOCK = 1 << 14  # mask entries per content call of content_beta, one plane at least
 
@@ -32,17 +32,12 @@ def _points_weights(source) -> tuple[np.ndarray, np.ndarray]:
     """Accept a CellMeasure, a (points, weights) pair, or bare points."""
     if isinstance(source, CellMeasure):
         return source.centers_and_weights()
-    if isinstance(source, tuple) and len(source) == 2:
-        pts = np.asarray(source[0], dtype=float)
-        w = np.asarray(source[1], dtype=float)
-    else:
-        pts = np.asarray(source, dtype=float)
-        w = np.ones(pts.shape[0], dtype=float)
+    pair = isinstance(source, tuple) and len(source) == 2
+    pts = finite_floats(source[0] if pair else source, "point coordinates must be finite")
+    w = finite_floats(source[1], "weights must be finite and nonnegative") if pair else np.ones(pts.shape[:1])
     if pts.ndim != 2 or w.shape != (pts.shape[0],):
         raise InvalidInputError("points must be (m, n) with matching weights")
-    if not np.isfinite(pts).all():
-        raise InvalidInputError("point coordinates must be finite")
-    if not (np.isfinite(w) & (w >= 0)).all():
+    if (w < 0).any():
         raise InvalidInputError("weights must be finite and nonnegative")
     return pts, w
 
@@ -99,8 +94,8 @@ def _checked_center(n: int, x, r: float, k: int) -> np.ndarray:
         raise InvalidInputError(f"need 1 <= k < n, got k={k}, n={n}")
     if not (isfinite(r) and r > 0):
         raise InvalidInputError(f"radius must be finite and > 0, got {r}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,) or not np.isfinite(x).all():
+    x = finite_floats(x, f"center must be {n} finite coordinates")
+    if x.shape != (n,):
         raise InvalidInputError(f"center must be {n} finite coordinates")
     return x
 

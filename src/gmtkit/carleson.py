@@ -15,13 +15,14 @@ normal.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gamma, isfinite, pi, sqrt
 
 import numpy as np
 
 from gmtkit.errors import InvalidInputError
-from gmtkit.utils import ScaleProfile
+from gmtkit.utils import ScaleProfile, finite_floats
 
 
 def unit_sphere_area(dim: int) -> float:
@@ -80,12 +81,10 @@ class DomainPair:
 
 def _plane(normal, point) -> tuple[np.ndarray, np.ndarray]:
     """The unit normal and the point of a plane, both finite, of one length."""
-    normal = np.asarray(normal, dtype=float)
-    point = np.asarray(point, dtype=float)
+    normal = finite_floats(normal, "normal and point must be finite")
+    point = finite_floats(point, "normal and point must be finite")
     if normal.ndim != 1 or point.shape != normal.shape:
         raise InvalidInputError(f"normal and point must be vectors of one length, got shapes {normal.shape} and {point.shape}")
-    if not (np.isfinite(normal).all() and np.isfinite(point).all()):
-        raise InvalidInputError("normal and point must be finite")
     # scaling by a power of two is exact and keeps the squares below from overflowing or underflowing
     normal = np.ldexp(normal, -np.frexp(np.abs(normal).max(initial=0.0))[1])
     norm = float(np.sqrt((normal * normal).sum()))
@@ -122,8 +121,8 @@ def ball_pair(center, radius: float) -> DomainPair:
     """Open ball as the plus domain, exterior of its closure as the minus."""
     if not (isfinite(radius) and radius > 0):
         raise InvalidInputError(f"ball radius must be finite and positive, got {radius}")
-    center = np.asarray(center, dtype=float)
-    if center.ndim != 1 or not np.isfinite(center).all():
+    center = finite_floats(center, "ball center must be a finite vector")
+    if center.ndim != 1:
         raise InvalidInputError(f"ball center must be a finite vector, got {center.tolist()}")
 
     def classify(pts):
@@ -143,11 +142,9 @@ def empty_pair(dim: int) -> DomainPair:
 
 def polygon_pair(vertices) -> DomainPair:
     """Simple polygon in the plane: interior plus, exterior minus (crossing rule)."""
-    verts = np.asarray(vertices, dtype=float)
+    verts = finite_floats(vertices, "polygon vertices must be finite")
     if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
         raise InvalidInputError("polygon needs >= 3 plane vertices")
-    if not np.isfinite(verts).all():
-        raise InvalidInputError("polygon vertices must be finite")
 
     def classify(pts):
         pts = np.atleast_2d(pts)
@@ -176,7 +173,7 @@ def pair_from_json(obj: dict) -> DomainPair:
         if kind == "ball":
             return ball_pair(obj["center"], float(obj["radius"]))
         if kind == "empty":
-            return empty_pair(int(obj["dim"]))
+            return empty_pair(operator.index(obj["dim"]))
         if kind == "polygon":
             return polygon_pair(obj["vertices"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -355,11 +352,9 @@ def epsilon_report(
         raise InvalidInputError(f"radius must be finite and positive, got {r}")
     if normals < 2 or sphere_samples < 8:
         raise InvalidInputError("need normals >= 2 and sphere_samples >= 8")
-    x = np.asarray(x, dtype=float)
+    x = finite_floats(x, "center must be finite")
     if x.shape != (dp.dim,):
         raise InvalidInputError(f"center must have {dp.dim} coordinates")
-    if not np.isfinite(x).all():
-        raise InvalidInputError(f"center must be finite, got {x.tolist()}")
     offsets = sphere_points(dp.dim, sphere_samples)
     labels = np.asarray(dp.classify(x + r * offsets))
     if labels.shape != (sphere_samples,) or not np.isin(labels, (-1, 0, 1)).all():
@@ -423,4 +418,4 @@ def epsilon_square_function(
     if j_min < 0 or j_max < j_min:
         raise InvalidInputError(f"need 0 <= j_min <= j_max, got {j_min}, {j_max}")
     values = [epsilon_n(dp, x, 2.0 ** (-j), normals, sphere_samples, rounds, seed) for j in range(j_min, j_max + 1)]
-    return EpsilonProfile.of(np.asarray(x, dtype=float), range(j_min, j_max + 1), values)
+    return EpsilonProfile.of(x, range(j_min, j_max + 1), values)

@@ -15,7 +15,6 @@ import argparse
 import sys
 from dataclasses import dataclass
 from functools import cache
-from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,7 @@ from gmtkit.sparsify import (
     verify_sparse_construction,
     witness_unrectifiability,
 )
-from gmtkit.utils import dumps_canonical, fmt_float, load_json, write_canonical
+from gmtkit.utils import dumps_canonical, finite_floats, fmt_float, load_json, write_canonical
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -266,13 +265,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_point(text: str) -> tuple[float, ...]:
-    try:
-        point = tuple(float(p) for p in text.split(","))
-    except ValueError as exc:
-        raise InvalidInputError(f"bad point {text!r}: {exc}") from exc
-    if not all(isfinite(c) for c in point):
-        raise InvalidInputError(f"bad point {text!r}: coordinates must be finite")
-    return point
+    return tuple(finite_floats(text.split(","), f"bad point {text!r}: coordinates must be finite numbers").tolist())
 
 
 def _parse_span(text: str) -> tuple[int, int]:

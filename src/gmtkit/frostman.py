@@ -32,6 +32,7 @@ on that identity as the keystone cross-check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,7 +53,7 @@ from gmtkit.lattice import (
     locate,
     pack,
 )
-from gmtkit.utils import Table, load_json, write_canonical
+from gmtkit.utils import Table, exact_ints, finite_floats, load_json, write_canonical
 
 CAP_TOLERANCE = 1e-9
 BALL_BLOCK = 1 << 16  # (point, cube) pairs per array pass of the ball check
@@ -117,7 +118,7 @@ class SparseMeasure:
         if isinstance(nodes, dict):
             levels, rows = zip(*nodes, strict=True) if nodes else ((), ())  # the keys' two columns
             nodes = levels, rows, list(nodes.values())
-        levels, rows = np.asarray(nodes[0], dtype=np.int64), index_rows(nodes[1], n, depth)
+        levels, rows = exact_ints(nodes[0], "node levels must be integers"), index_rows(nodes[1], n, depth)
         if levels.shape != (len(rows),):
             raise InvalidInputError(f"{levels.size} levels for {len(rows)} nodes")
         bad = (levels < 0) | (levels > depth) | (rows >> np.clip(levels, 0, depth)[:, None]).any(axis=1)
@@ -127,15 +128,11 @@ class SparseMeasure:
         table, inverse = (table, np.arange(len(table))) if ascending(table) else group_rows(table)
         if len(table) < len(inverse):
             raise InvalidInputError(f"node {table[np.bincount(inverse).argmax()].tolist()} is listed more than once")
-        try:
-            given = np.asarray(nodes[2], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError(f"malformed node masses: {exc}") from exc
+        given = finite_floats(nodes[2], "masses must be finite and nonnegative")
         if given.shape != inverse.shape:
             raise InvalidInputError(f"{given.size} masses for {len(inverse)} nodes")
-        bad = given[~(np.isfinite(given) & (given >= 0.0))]
-        if len(bad):
-            raise InvalidInputError(f"masses must be finite and nonnegative, got {bad[0]}")
+        if (given < 0.0).any():
+            raise InvalidInputError(f"masses must be finite and nonnegative, got {given.min()}")
         weights = np.empty(len(table))
         weights[inverse] = given
         kept = weights > 0.0
@@ -144,7 +141,10 @@ class SparseMeasure:
         for array in (self.levels, self.rows, self.weights):
             array.setflags(write=False)
         self.total = float(sum(self.weights.tolist()))  # left to right, as np.sum's pairwise sum is not
-        self.windows = tuple((int(a), int(e)) for a, e in windows)
+        wins = exact_ints(windows, "windows must be (start, ell) integer pairs")
+        if wins.size and wins.shape[1:] != (2,):
+            raise InvalidInputError(f"windows must be (start, ell) integer pairs, got an array of shape {wins.shape}")
+        self.windows = tuple(map(tuple, wins.reshape(-1, 2).tolist()))
         for a, e in self.windows:
             if e < 1 or a < 0 or a + e > depth:
                 raise InvalidInputError(f"window ({a}, {e}) outside depth {depth}")
@@ -358,9 +358,8 @@ class SparseMeasure:
     def from_json_obj(obj: dict) -> "SparseMeasure":
         try:
             nodes = tuple(zip(*obj["nodes"], strict=True)) or ((), (), ())  # (levels, rows, masses)
-            wins = tuple((int(a), int(e)) for a, e in obj["windows"])
-            return SparseMeasure(int(obj["n"]), int(obj["depth"]), nodes, wins)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return SparseMeasure(operator.index(obj["n"]), operator.index(obj["depth"]), nodes, obj["windows"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed sparse measure object: {exc}") from exc
 
     def save(self, path) -> None:
@@ -447,13 +446,12 @@ class CellMeasure(SparseMeasure):
     @staticmethod
     def from_json_obj(obj: dict) -> "CellMeasure":
         try:
-            n = int(obj["n"])
-            depth = int(obj["depth"])
-            cl = int(obj.get("cell_level", depth))
-            entries = [(idx, m) for idx, m in obj["masses"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            n, depth = operator.index(obj["n"]), operator.index(obj["depth"])
+            cl = operator.index(obj.get("cell_level", depth))
+            masses = tuple(zip(*obj["masses"], strict=True)) or ((), ())  # (cells, masses)
+            return CellMeasure(n, depth, masses, cl)
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed measure object: {exc}") from exc
-        return CellMeasure(n, depth, ([idx for idx, _ in entries], [m for _, m in entries]), cl)
 
     @staticmethod
     def load(path) -> "CellMeasure":

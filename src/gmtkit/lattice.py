@@ -16,6 +16,7 @@ discrete stand-in for a compact subset of [0,1]^n.
 
 from __future__ import annotations
 
+import operator
 from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,7 +25,7 @@ from math import sqrt
 import numpy as np
 
 from gmtkit.errors import InvalidInputError
-from gmtkit.utils import load_json, write_canonical
+from gmtkit.utils import exact_ints, finite_floats, load_json, write_canonical
 
 MAX_LEVEL = 50
 
@@ -46,14 +47,10 @@ class DyadicCube:
         if self.n < 1:
             raise InvalidInputError(f"ambient dimension must be >= 1, got {self.n}")
         _check_level(self.level)
-        idx = tuple(int(i) for i in self.index)
-        object.__setattr__(self, "index", idx)
-        if len(idx) != self.n:
-            raise InvalidInputError(f"index length {len(idx)} != dimension {self.n}")
-        top = 1 << self.level
-        for i in idx:
-            if i < 0 or i >= top:
-                raise InvalidInputError(f"index {idx} out of range at level {self.level}")
+        idx = exact_ints(self.index, "a cube index must hold integers")
+        object.__setattr__(self, "index", tuple(idx.tolist()))
+        if idx.shape != (self.n,) or not all(0 <= i < 1 << self.level for i in self.index):
+            raise InvalidInputError(f"cube index {self.index} must be {self.n} integers in [0, 2^{self.level})")
 
     def side(self) -> float:
         return 2.0 ** (-self.level)
@@ -74,7 +71,7 @@ class DyadicCube:
         return np.array([(i + 0.5) * s for i in self.index], dtype=float)
 
     def contains_point(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
+        p = finite_floats(point, "point coordinates must be finite")
         return bool(np.all(self.lower() <= p) and np.all(p < self.upper()))
 
     def parent(self) -> "DyadicCube":
@@ -154,10 +151,7 @@ def index_rows(cells, n: int, level: int) -> np.ndarray:
     """The cell indices `cells`, an (N, n) integer array or any iterable of
     length-n index sequences, as an (N, n) int64 array, checked to lie in
     [0, 2^level)."""
-    try:
-        rows = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells), dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"malformed cell index rows: {exc}") from exc
+    rows = exact_ints(cells, "cell index rows must hold integers")
     rows = rows.reshape(0, n) if rows.shape == (0,) else rows
     if rows.ndim != 2 or rows.shape[1] != n:
         raise InvalidInputError(f"cell index rows must hold {n} indices each, got an array of shape {rows.shape}")
@@ -323,12 +317,13 @@ class CellSet:
     """
 
     def __init__(self, n: int, depth: int, cells):
-        """`cells`: an (N, n) integer array or any iterable of index tuples; repeats collapse."""
+        """`cells`: an (N, n) integer array or any iterable of index tuples; repeats collapse, and rows in order skip the sort."""
         if n < 1:
             raise InvalidInputError(f"ambient dimension must be >= 1, got {n}")
         _check_level(depth)
         self.n, self.depth = n, depth
-        self.rows = group_rows(index_rows(cells, n, depth))[0]
+        rows = index_rows(cells, n, depth)
+        self.rows = rows.copy() if ascending(rows) else group_rows(rows)[0]  # a copy, so no caller's array is frozen
         self.rows.setflags(write=False)
 
     def _key(self) -> tuple:
@@ -391,8 +386,8 @@ class CellSet:
     @staticmethod
     def from_json_obj(obj: dict) -> "CellSet":
         try:
-            n, depth, cells = int(obj["n"]), int(obj["depth"]), obj["cells"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            n, depth, cells = operator.index(obj["n"]), operator.index(obj["depth"]), obj["cells"]
+        except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed cell set object: {exc}") from exc
         return CellSet(n, depth, cells)
 

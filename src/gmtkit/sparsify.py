@@ -24,6 +24,7 @@ an ordinary :class:`~gmtkit.frostman.CellMeasure`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product
@@ -45,7 +46,7 @@ from gmtkit.lattice import (
     locate,
     pack,
 )
-from gmtkit.utils import Table, load_json, write_canonical
+from gmtkit.utils import Table, exact_ints, finite_floats, load_json, write_canonical
 
 PRESERVE_TOL = 1e-12
 CAP_TOL = 1e-9
@@ -65,8 +66,8 @@ class AffinePlane:
     frame: np.ndarray
 
     def __post_init__(self):
-        base = np.asarray(self.base, dtype=float).copy()
-        frame = np.asarray(self.frame, dtype=float).copy()
+        base = finite_floats(self.base, "base point coordinates must be finite").copy()
+        frame = finite_floats(self.frame, "frame rows must be orthonormal to 1e-10").copy()
         if frame.ndim != 2 or base.ndim != 1 or frame.shape[1] != base.shape[0]:
             raise InvalidInputError("frame must be (k, n) with a length-n base point")
         gram = frame @ frame.T
@@ -194,7 +195,7 @@ class SparsityCertificate:
     families: tuple[ScaleFamily, ...]
 
     def __post_init__(self):
-        scales = tuple(int(s) for s in self.scales)
+        scales = tuple(exact_ints(self.scales, "scales must be integers").tolist())
         object.__setattr__(self, "scales", scales)
         if self.ell < 1:
             raise InvalidInputError(f"ell must be >= 1, got {self.ell}")
@@ -222,16 +223,14 @@ class SparsityCertificate:
     @staticmethod
     def from_json_obj(obj: dict) -> "SparsityCertificate":
         try:
-            ell = int(obj["ell"])
-            n = int(obj["n"])
-            scales = tuple(int(s) for s in obj["scales"])
+            ell, n = operator.index(obj["ell"]), operator.index(obj["n"])
             fams = []
             for entry in obj["families"]:
                 pairs = tuple(zip(*entry["pairs"], strict=True)) or ((), ())  # (cubes, selections)
-                fams.append(ScaleFamily(int(entry["scale"]), ell, pairs, entry.get("pattern") == "lex-first"))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                fams.append(ScaleFamily(operator.index(entry["scale"]), ell, pairs, entry.get("pattern") == "lex-first"))
+            return SparsityCertificate(n, ell, obj["scales"], tuple(fams))
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed certificate object: {exc}") from exc
-        return SparsityCertificate(n, ell, scales, tuple(fams))
 
     def save(self, path) -> None:
         write_canonical(path, self.to_json_obj())
@@ -595,14 +594,9 @@ def _section_offsets(k: int, rho: float, grid: int) -> np.ndarray:
 def _as_points(y, n: int) -> np.ndarray:
     """`y`, one point or a stack of points, as a float array of shape (n,) or
     (m, n) with finite coordinates."""
-    try:
-        y = np.asarray(y, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"malformed point: {exc}") from exc
+    y = finite_floats(y, "point coordinates must be finite numbers")
     if y.ndim not in (1, 2) or y.shape[-1] != n:
         raise InvalidInputError(f"points must have {n} coordinates, got an array of shape {y.shape}")
-    if not np.isfinite(y).all():
-        raise InvalidInputError(f"point coordinates must be finite, got {y[~np.isfinite(y)][0]}")
     return y
 
 

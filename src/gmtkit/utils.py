@@ -12,6 +12,9 @@ text in one pass, 65,536 rows at a time (floats through ``fmt_float`` once per
 distinct bit pattern), and the rows are joined from those texts, with the
 bytes of writing every element on its own.
 
+Numbers from outside the package are read by ``finite_floats`` or
+``exact_ints``, which refuse what does not fit and never truncate.
+
 ``ScaleProfile`` holds coefficients across dyadic scales with their
 ln2-weighted square sum; it is both ``beta.BetaProfile`` and
 ``carleson.EpsilonProfile``.
@@ -154,6 +157,33 @@ def load_json(path: str | Path) -> Any:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def finite_floats(value, message: str) -> np.ndarray:
+    """`value` as a float64 array of finite numbers.  Input numpy cannot
+    convert (a non-numeric string, a ragged list, an integer beyond float
+    range) and any NaN or infinity are invalid input, raised with `message`."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(message) from exc
+    if not np.isfinite(out).all():
+        raise InvalidInputError(message)
+    return out
+
+
+def exact_ints(values, message: str) -> np.ndarray:
+    """`values`, an integer array or any iterable of integers or of integer
+    rows, as an int64 array.  A float (even 2.0), a string, an integer beyond
+    int64 or an array of bools is invalid input, raised with `message`, never
+    truncated.  No entries at all give an empty array."""
+    try:
+        out = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(message) from exc
+    if out.size and (out.dtype.kind not in "iu" or out.dtype == np.uint64 and out.max() > np.iinfo(np.int64).max):
+        raise InvalidInputError(message)
+    return out.astype(np.int64, copy=False)
+
+
 LN2 = math.log(2.0)
 
 
@@ -176,7 +206,7 @@ class ScaleProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "levels", tuple(int(j) for j in self.levels))
+        object.__setattr__(self, "levels", tuple(exact_ints(self.levels, "levels must be integers").tolist()))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if len(self.levels) != len(self.values):
             raise InvalidInputError("one value per level required")

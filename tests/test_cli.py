@@ -17,7 +17,7 @@ from gmtkit.errors import InvalidInputError
 from gmtkit.frostman import CellMeasure
 from gmtkit.gauge import parse_gauge
 from gmtkit.lattice import CellSet, Pyramid
-from gmtkit.sparsify import SparsityCertificate
+from gmtkit.sparsify import SparseMeasure, SparsityCertificate
 
 
 def run(argv):
@@ -230,24 +230,71 @@ def test_sparsify_command(tmp_path, capsys):
         ("sparsify", {"n": 2, "depth": float("inf"), "masses": [[[0, 0], 1.0]]}),
         ("epsilon", {"kind": "empty", "dim": float("inf")}),
         ("certificate", {"n": 2, "ell": float("inf"), "scales": [], "families": []}),
+        pytest.param("frostman", {"n": 2, "depth": 3.7, "cells": [[0, 0]]}, id="depth-3.7"),
+        pytest.param("frostman", {"n": 2, "depth": 2.0, "cells": [[0, 0]]}, id="depth-2.0"),
+        pytest.param("frostman", {"n": "2", "depth": 2, "cells": [[0, 0]]}, id="n-text"),
+        pytest.param("sparsify", {"n": 2, "depth": 2, "cell_level": 1.5, "masses": [[[1, 0], 1.0]]},
+                     id="cell-level-1.5"),
+        pytest.param("epsilon", {"kind": "empty", "dim": 2.5}, id="pair-dim-2.5"),
+        pytest.param("certificate", {"n": 2, "ell": 2, "scales": [2], "families": [{"scale": 2.5, "pairs": []}]},
+                     id="family-scale-2.5"),
     ],
 )
 def test_loaders_refuse_an_infinite_integer_field(tmp_path, capsys, command, obj):
-    # int(inf) raises OverflowError, not ValueError: still malformed input, exit 3
-    path, out = tmp_path / "input.json", str(tmp_path / "out.json")
-    path.write_text(json.dumps(obj))  # inf is written as the bare token Infinity
+    # int(inf) raises OverflowError, and int() reads 3.7 as 3 and "2" as 2; a header
+    # field is read with operator.index, which takes only an integer: malformed input, exit 3
     if command == "certificate":
         with pytest.raises(InvalidInputError, match="malformed certificate object"):
-            SparsityCertificate.load(path)
+            SparsityCertificate.load(_write_input(tmp_path, obj))
         return
-    argv = {
-        "frostman": ["frostman", "--cells", str(path), "--out", out],
-        "sparsify": ["sparsify", "--measure", str(path), "--gauge", "powerexp:1:0.5", "--ell", "4", "--depth", "24",
-                     "--out", out, "--cert", str(tmp_path / "cert.json")],
-        "epsilon": ["epsilon", "--pair", str(path), "--center", "0.5,0.5", "--r", "0.25", "--out", out],
-    }[command]
-    assert run(argv) == 3
+    assert _run_loader(tmp_path, command, obj) == 3
     assert "invalid input: malformed" in capsys.readouterr().err
+
+
+def _write_input(tmp_path, obj) -> Path:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))  # inf is written as the bare token Infinity
+    return path
+
+
+def _run_loader(tmp_path, command, obj) -> int:
+    """The exit code of `command` reading `obj` from a file, checked to have written nothing."""
+    path, out = str(_write_input(tmp_path, obj)), str(tmp_path / "out.json")
+    argv = {
+        "frostman": ["frostman", "--cells", path, "--out", out],
+        "content": ["content", "--cells", path, "--out", out],
+        "beta": ["beta", "--measure", path, "--k", "1", "--out", out],
+        "sparsify": ["sparsify", "--measure", path, "--gauge", "powerexp:1:0.5", "--ell", "4", "--depth", "24",
+                     "--out", out, "--cert", str(tmp_path / "cert.json")],
+        "epsilon": ["epsilon", "--pair", path, "--center", "0.5,0.5", "--r", "0.25", "--out", out],
+    }[command]
+    code = run(argv)
+    assert [p.name for p in tmp_path.iterdir()] == ["input.json"]
+    return code
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        pytest.param("content", {"n": 2, "depth": 2, "cells": [[1.5, 0]]}, id="cell-index-1.5"),
+        pytest.param("beta", {"n": 2, "depth": 2, "masses": [[[1.5, 0], 1.0]]}, id="measure-cell-1.5"),
+        pytest.param("sparse-measure", {"n": 2, "depth": 2, "nodes": [[1.5, [0, 0], 1.0]], "windows": []},
+                     id="node-level-1.5"),
+        pytest.param("sparse-measure", {"n": 2, "depth": 2, "nodes": [[2, [0, 0], 1.0]], "windows": [[0.5, 1]]},
+                     id="window-start-0.5"),
+        pytest.param("certificate", {"n": 2, "ell": 2, "scales": [2.5], "families": [{"scale": 2, "pairs": []}]},
+                     id="certificate-scales-2.5"),
+    ],
+)
+def test_loaders_refuse_a_fraction_in_an_integer_column(tmp_path, capsys, command, obj):
+    # the int64 cast read 1.5 as 1 and int() 2.5 as 2, so another set was certified
+    load = {"sparse-measure": SparseMeasure.load, "certificate": SparsityCertificate.load}.get(command)
+    if load:
+        with pytest.raises(InvalidInputError):
+            load(_write_input(tmp_path, obj))
+        return
+    assert _run_loader(tmp_path, command, obj) == 3
+    assert "invalid input:" in capsys.readouterr().err
 
 
 def test_sparsify_rejects_a_measure_listing_a_cell_twice(tmp_path, capsys):

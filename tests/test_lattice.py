@@ -162,6 +162,20 @@ def test_cellset_validates_indices():
         CellSet(2, 1, frozenset({(2, 0)}))
     with pytest.raises(InvalidInputError):
         CellSet(2, 1, frozenset({(0,)}))
+    for index in ((0.5, 0), (1.0, 0), ("1", 0), (True, False)):  # the int64 cast read each as integers
+        with pytest.raises(InvalidInputError):
+            CellSet(2, 1, [index])
+    for index in ((1.5, 0), (1.0, 0), ("1", 0), (0,), ((0, 0), (1, 1)), (0, 2)):
+        with pytest.raises(InvalidInputError):
+            DyadicCube(2, 1, index)
+
+
+def test_cellset_keeps_sorted_rows_as_a_copy():
+    rows = np.array([[0, 1], [1, 0], [1, 1]])
+    sorted_set, shuffled_set = CellSet(2, 1, rows), CellSet(2, 1, rows[[2, 0, 1, 0]])
+    assert sorted_set == shuffled_set and sorted_set.rows.tolist() == rows.tolist()
+    rows[0, 0] = 1  # the caller's array stays writable and apart from the set
+    assert sorted_set.rows.tolist() == [[0, 1], [1, 0], [1, 1]] and not sorted_set.rows.flags.writeable
 
 
 def test_cellset_refined_and_ancestors():

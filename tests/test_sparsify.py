@@ -1201,6 +1201,8 @@ def test_affine_plane_validates_frame():
         AffinePlane(np.zeros(2), np.array([[1.0 + 4e-6, 0.0]]))
     with pytest.raises(InvalidInputError):  # NaN compares false with any tolerance
         AffinePlane(np.zeros(2), np.array([[np.nan, 0.0]]))
+    with pytest.raises(InvalidInputError):  # a plane through no point
+        AffinePlane(np.array([np.nan, 0.0]), np.array([[1.0, 0.0]]))
     assert AffinePlane(np.zeros(2), np.zeros((0, 2))).k == 0  # an empty frame has nothing to check
     p = AffinePlane(np.zeros(2), np.array([[1.0, 0.0]]))
     pts = p.points(np.array([[0.5], [-0.5]]))

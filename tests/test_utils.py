@@ -1,5 +1,7 @@
-"""The canonical writer's table path against the element-by-element oracle."""
+"""The canonical writer's table path against the element-by-element oracle,
+and the two conversions that read every number from outside the package."""
 
+import math
 from unittest.mock import patch
 
 import numpy as np
@@ -9,7 +11,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gmtkit import utils
-from gmtkit.utils import Table, dumps_canonical, fmt_float, write_canonical
+from gmtkit.beta import best_affine_fit, beta2, content_beta, square_function
+from gmtkit.carleson import ball_pair, epsilon_report, halfspace_pair, polygon_pair, slab_complement_pair
+from gmtkit.errors import InvalidInputError
+from gmtkit.frostman import CellMeasure, SparseMeasure
+from gmtkit.lattice import CellSet, DyadicCube
+from gmtkit.sparsify import AffinePlane, ScaleFamily, SparsityCertificate, distance_to_family, find_hole, scale_family_view
+from gmtkit.utils import Table, dumps_canonical, exact_ints, finite_floats, fmt_float, write_canonical
 
 # integral values (written with ".0"), subnormals, |v| >= 1e16 (exponent
 # form), both zeros, and any other finite double
@@ -102,3 +110,59 @@ def test_write_canonical_writes_the_text_and_a_newline(tmp_path):
     path = write_canonical(tmp_path / "sub" / "t.json", obj)
     assert path.read_bytes() == (dumps_canonical(obj) + "\n").encode("ascii")
     assert path.read_text() == '{"a":[1,2.5,null,true,"x"],"b":[[0,0.10000000000000001],[1,-0.0],[2,2.0]]}\n'
+
+
+_PAIR = [[0.25, 0.5], [0.75, 0.5]]
+_CELLS = CellSet(2, 3, [(i, j) for i in range(8) for j in range(8)])
+_CERT = SparsityCertificate(2, 2, (1,), (ScaleFamily(1, 2, {(0, 0): (0, 0)}),))
+_LINE = AffinePlane([0.5, 0.5], [[1.0, 0.0]])
+
+# every public entry that reads floats, each fed the bad coordinate pair `v`
+FLOAT_ENTRIES = {
+    "distance_to_family": lambda v: distance_to_family(scale_family_view(_CERT, 0), v),
+    "find_hole": lambda v: find_hole(_CERT, 0, v, _LINE, 0.1, grid=8),
+    "AffinePlane-base": lambda v: AffinePlane(v, [[1.0, 0.0]]),
+    "AffinePlane-frame": lambda v: AffinePlane([0.5, 0.5], [v]),
+    "beta2-points": lambda v: beta2([_PAIR[0], v], [0.5, 0.5], 0.3, 1),
+    "beta2-weights": lambda v: beta2((_PAIR, v), [0.5, 0.5], 0.3, 1),
+    "beta2-center": lambda v: beta2(_PAIR, v, 0.3, 1),
+    "best_affine_fit": lambda v: best_affine_fit(_PAIR, v, 0.3, 1),
+    "square_function": lambda v: square_function(_PAIR, v, 1, 0, 3),
+    "content_beta": lambda v: content_beta(_CELLS, v, 0.3, 1),
+    "halfspace_pair-normal": lambda v: halfspace_pair(v, [0.5, 0.5]),
+    "halfspace_pair-point": lambda v: halfspace_pair([1.0, 0.0], v),
+    "slab_complement_pair": lambda v: slab_complement_pair(v, [0.5, 0.5], 0.1),
+    "ball_pair": lambda v: ball_pair(v, 0.25),
+    "polygon_pair": lambda v: polygon_pair([[0.0, 0.0], [1.0, 0.0], v]),
+    "epsilon_report": lambda v: epsilon_report(halfspace_pair([1.0, 0.0], [0.5, 0.5]), v, 0.25),
+    "SparseMeasure-masses": lambda v: SparseMeasure(2, 1, ([1, 1], [[0, 0], [1, 1]], v)),
+    "CellMeasure-masses": lambda v: CellMeasure(2, 1, ([[0, 0], [1, 1]], v)),
+    "contains_point": lambda v: DyadicCube(2, 1, (0, 0)).contains_point(v),
+}
+BAD_FLOATS = {"beyond-float-range": [10**400, 0.5], "text": "ab", "nan": [math.nan, 0.5]}
+
+
+@pytest.mark.parametrize("bad", BAD_FLOATS.values(), ids=BAD_FLOATS.keys())
+@pytest.mark.parametrize("entry", FLOAT_ENTRIES.values(), ids=FLOAT_ENTRIES.keys())
+def test_every_float_entry_refuses_what_it_cannot_read(entry, bad):
+    entry([1.0, 0.0] if entry is FLOAT_ENTRIES["AffinePlane-frame"] else [0.5, 0.5])  # a good pair passes
+    with pytest.raises(InvalidInputError):
+        entry(bad)
+
+
+def test_finite_floats_raises_the_callers_message():
+    assert finite_floats([1, 0.5], "m").tolist() == [1.0, 0.5]
+    for bad in ([10**400], "ab", [[0.5], [0.5, 0.5]], [math.inf], None):
+        with pytest.raises(InvalidInputError, match="^bad coordinates$"):
+            finite_floats(bad, "bad coordinates")
+
+
+def test_exact_ints_takes_only_integers():
+    assert exact_ints([], "m").dtype == np.int64 and exact_ints([], "m").shape == (0,)
+    assert exact_ints(np.array([[1, 2]], dtype=np.uint8), "m").tolist() == [[1, 2]]
+    assert exact_ints(frozenset({(3, 4)}), "m").tolist() == [[3, 4]]  # any iterable
+    assert exact_ints([2**63 - 1, -(2**63)], "m").tolist() == [2**63 - 1, -(2**63)]
+    # numpy reads [-1, 2**63] as float64 and [2**63] as uint64; neither may wrap or round
+    for bad in ([1.5], [2.0], ["2"], [True, False], [2**63], [-1, 2**63], [2**64], [[0], [1, 2]], [None], 5):
+        with pytest.raises(InvalidInputError, match="^not integers$"):
+            exact_ints(bad, "not integers")
