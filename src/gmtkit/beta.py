@@ -13,7 +13,7 @@ plane infimum is approximated by a direction grid with local refinement.
 from __future__ import annotations
 
 from itertools import combinations
-from math import isfinite, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -87,24 +87,26 @@ def _restricted_moment_values(
     return fits
 
 
-def _checked_center(n: int, x, r: float, k: int) -> np.ndarray:
-    """The centre as an array, once the beta layer's inputs hold: 1 <= k < n,
-    a finite radius r > 0, and a centre of n finite coordinates."""
+def _checked_center(n: int, x, r: float, k: int) -> tuple[np.ndarray, float]:
+    """The centre as an array and r as a float, once the beta layer's inputs
+    hold: 1 <= k < n, a finite r > 0, and a centre of n finite coordinates."""
     if not 1 <= k < n:
         raise InvalidInputError(f"need 1 <= k < n, got k={k}, n={n}")
-    if not (isfinite(r) and r > 0):
-        raise InvalidInputError(f"radius must be finite and > 0, got {r}")
+    message = f"radius must be finite and > 0, got {r}"
+    radius = finite_floats(r, message)
+    if radius.shape or not radius > 0:
+        raise InvalidInputError(message)
     x = finite_floats(x, f"center must be {n} finite coordinates")
     if x.shape != (n,):
         raise InvalidInputError(f"center must be {n} finite coordinates")
-    return x
+    return x, float(radius)
 
 
-def _ball_fit(source, x, r: float, k: int) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """`_restricted_moment_values` for the ball B_r(x); None when it carries no mass."""
+def _ball_fit(source, x, r: float, k: int) -> tuple[tuple[np.ndarray, np.ndarray, float] | None, float]:
+    """`_restricted_moment_values` for the ball B_r(x) (None without mass), and the checked r."""
     pts, w = _points_weights(source)
-    x = _checked_center(pts.shape[1], x, r, k)
-    return _restricted_moment_values(pts, w, ((pts - x) ** 2).sum(axis=1), [r], k)[0]
+    x, r = _checked_center(pts.shape[1], x, r, k)
+    return _restricted_moment_values(pts, w, ((pts - x) ** 2).sum(axis=1), [r], k)[0], r
 
 
 def _beta_value(fit, r: float, k: int) -> float:
@@ -115,7 +117,7 @@ def _beta_value(fit, r: float, k: int) -> float:
 def best_affine_fit(source, x, r: float, k: int) -> tuple[AffinePlane, float]:
     """Optimal affine k-plane for the ball B_r(x) and the attained weighted
     sum of squared distances.  Raises on an empty ball."""
-    fit = _ball_fit(source, x, r, k)
+    fit, r = _ball_fit(source, x, r, k)
     if fit is None:
         raise InvalidInputError(f"no mass in the closed ball of radius {r}")
     bary, frame, value = fit
@@ -124,7 +126,7 @@ def best_affine_fit(source, x, r: float, k: int) -> tuple[AffinePlane, float]:
 
 def beta2(source, x, r: float, k: int) -> float:
     """(r^(-k-2) * best fit value)^(1/2); zero on empty balls by convention."""
-    return _beta_value(_ball_fit(source, x, r, k), r, k)
+    return _beta_value(*_ball_fit(source, x, r, k), k)
 
 
 BetaProfile = ScaleProfile
@@ -135,7 +137,7 @@ def square_function(source, x, k: int, j_min: int, j_max: int) -> BetaProfile:
     if j_min < 0 or j_max < j_min:
         raise InvalidInputError(f"need 0 <= j_min <= j_max, got {j_min}, {j_max}")
     pts, w = _points_weights(source)
-    x = _checked_center(pts.shape[1], x, 2.0 ** (-j_max), k)  # the smallest radius
+    x = _checked_center(pts.shape[1], x, 2.0 ** (-j_max), k)[0]  # the smallest radius
     d2 = ((pts - x) ** 2).sum(axis=1)  # one distance pass serves every scale
     radii = [2.0 ** (-j) for j in range(j_min, j_max + 1)]
     fits = _restricted_moment_values(pts, w, d2, radii, k)
@@ -185,7 +187,7 @@ def content_beta(
     if plane_grid < 4 or t_grid < 2:
         raise InvalidInputError("plane_grid >= 4 and t_grid >= 2 required")
     n = cells.n
-    x = _checked_center(n, x, r, k)
+    x, r = _checked_center(n, x, r, k)
     centers = cells.centers()
     mask = ((centers - x) ** 2).sum(axis=1) <= r * r
     if not np.any(mask):

@@ -15,14 +15,13 @@ normal.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from math import gamma, isfinite, pi, sqrt
+from math import gamma, pi, sqrt
 
 import numpy as np
 
 from gmtkit.errors import InvalidInputError
-from gmtkit.utils import ScaleProfile, finite_floats
+from gmtkit.utils import ScaleProfile, exact_int, finite_floats
 
 
 def unit_sphere_area(dim: int) -> float:
@@ -106,8 +105,11 @@ def halfspace_pair(normal, point) -> DomainPair:
 
 def slab_complement_pair(normal, point, gap: float) -> DomainPair:
     """Halfspace pair with a closed slab of half-width `gap` removed."""
-    if not (isfinite(gap) and gap >= 0):
-        raise InvalidInputError(f"gap must be finite and >= 0, got {gap}")
+    message = f"gap must be finite and >= 0, got {gap}"
+    gap = finite_floats(gap, message)
+    if gap.shape or not gap >= 0:
+        raise InvalidInputError(message)
+    gap = float(gap)
     normal, point = _plane(normal, point)
 
     def classify(pts):
@@ -119,15 +121,17 @@ def slab_complement_pair(normal, point, gap: float) -> DomainPair:
 
 def ball_pair(center, radius: float) -> DomainPair:
     """Open ball as the plus domain, exterior of its closure as the minus."""
-    if not (isfinite(radius) and radius > 0):
-        raise InvalidInputError(f"ball radius must be finite and positive, got {radius}")
+    message = f"ball radius must be finite and positive, got {radius}"
+    radius = finite_floats(radius, message)
+    if radius.shape or not radius > 0:
+        raise InvalidInputError(message)
+    r2 = float(radius * radius)
     center = finite_floats(center, "ball center must be a finite vector")
     if center.ndim != 1:
         raise InvalidInputError(f"ball center must be a finite vector, got {center.tolist()}")
 
     def classify(pts):
         d2 = ((np.atleast_2d(pts) - center) ** 2).sum(axis=1)
-        r2 = radius * radius
         return (d2 < r2).astype(int) - (d2 > r2)
 
     return DomainPair(center.shape[0], classify, "ball")
@@ -169,14 +173,14 @@ def pair_from_json(obj: dict) -> DomainPair:
         if kind == "halfspace":
             return halfspace_pair(obj["normal"], obj["point"])
         if kind == "slab-complement":
-            return slab_complement_pair(obj["normal"], obj["point"], float(obj["gap"]))
+            return slab_complement_pair(obj["normal"], obj["point"], obj["gap"])
         if kind == "ball":
-            return ball_pair(obj["center"], float(obj["radius"]))
+            return ball_pair(obj["center"], obj["radius"])
         if kind == "empty":
-            return empty_pair(operator.index(obj["dim"]))
+            return empty_pair(exact_int(obj["dim"], "malformed domain pair object: dim must be an integer"))
         if kind == "polygon":
             return polygon_pair(obj["vertices"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed domain pair object: {exc}") from exc
     raise InvalidInputError(f"unknown domain pair kind {obj.get('kind')!r}")
 
@@ -348,8 +352,11 @@ def epsilon_report(
     near the best normal's plane.  See `_miss_fractions`; no (samples,
     normals) array is ever formed.
     """
-    if not (isfinite(r) and r > 0):
-        raise InvalidInputError(f"radius must be finite and positive, got {r}")
+    message = f"radius must be finite and positive, got {r}"
+    r = finite_floats(r, message)
+    if r.shape or not r > 0:
+        raise InvalidInputError(message)
+    r = float(r)
     if normals < 2 or sphere_samples < 8:
         raise InvalidInputError("need normals >= 2 and sphere_samples >= 8")
     x = finite_floats(x, "center must be finite")

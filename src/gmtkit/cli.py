@@ -278,7 +278,7 @@ def _parse_span(text: str) -> tuple[int, int]:
 
 def _load_measure(path) -> CellMeasure:
     obj = load_json(path)
-    if "masses" not in obj:
+    if not isinstance(obj, dict) or "masses" not in obj:
         raise InvalidInputError(f"{path} does not hold an explicit cell measure")
     return CellMeasure.from_json_obj(obj)
 

@@ -34,12 +34,12 @@ class CoverSolution:
         return float(sum(h(c.diameter()) for c in self.cover))
 
 
-def _cover_dp(pyramid: Pyramid, h: Gauge, selected=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _cover_dp(cells: CellSet, h: Gauge, selected=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per level, each occupied cube's optimal cover cost with no size cap, and
     whether covering it by itself attains that cost.  Leaves outside the boolean
     mask `selected` cost 0.0; adding 0.0 is exact, so this is the DP on the selected leaves bit for bit.
     A (T, N) stack of masks runs T such DPs in one pass, with (T, m) arrays per level."""
-    n, m = pyramid.n, pyramid.depth
+    pyramid, n, m = cells.pyramid(), cells.n, cells.depth
     leaf = h(level_diameter(n, m))
     cost = [np.full(len(pyramid.cubes[m]), leaf) if selected is None else np.where(selected, leaf, 0.0)]
     here = [np.ones(cost[0].shape, dtype=bool)]
@@ -64,7 +64,7 @@ def dyadic_cover_cost(cells: CellSet, h: Gauge, min_level: int = 0) -> CoverSolu
     if min_level < 0 or min_level > cells.depth:
         raise InvalidInputError(f"min_level {min_level} must lie in [0, depth={cells.depth}]")
     pyramid = cells.pyramid()
-    cost, here = _cover_dp(pyramid, h)
+    cost, here = _cover_dp(cells, h)
 
     # the cover: the first cube on each branch, from min_level down, covered by itself
     levels, rows = pyramid.topmost([here[level] & (level >= min_level) for level in range(cells.depth + 1)])
@@ -86,8 +86,7 @@ def content(cells: CellSet, h: Gauge, selected=None):
             raise InvalidInputError(f"selected is not an array: {exc}") from exc
         if selected.dtype != bool or selected.ndim not in (1, 2) or selected.shape[-1] != len(cells):
             raise InvalidInputError(f"selected must be a boolean array, or a stack of them, over {len(cells)} cells")
-    pyramid = cells.pyramid()
-    total = _summed_to_root(pyramid, _cover_dp(pyramid, h, selected)[0][0], 0)
+    total = _summed_to_root(cells.pyramid(), _cover_dp(cells, h, selected)[0][0], 0)
     return total if total.ndim else float(total)
 
 
@@ -95,5 +94,5 @@ def measure_profile(cells: CellSet, h: Gauge) -> list[float]:
     """Cover costs for min_level = 0..depth; nondecreasing since shrinking the
     admissible cube sizes only removes covers.  One DP serves every entry."""
     pyramid = cells.pyramid()
-    cost, _ = _cover_dp(pyramid, h)
+    cost, _ = _cover_dp(cells, h)
     return [float(_summed_to_root(pyramid, cost[level], level)) for level in range(cells.depth + 1)]

@@ -32,7 +32,6 @@ on that identity as the keystone cross-check.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,7 +52,7 @@ from gmtkit.lattice import (
     locate,
     pack,
 )
-from gmtkit.utils import Table, exact_ints, finite_floats, load_json, write_canonical
+from gmtkit.utils import Table, exact_int, exact_ints, finite_floats, load_json, write_canonical
 
 CAP_TOLERANCE = 1e-9
 BALL_BLOCK = 1 << 16  # (point, cube) pairs per array pass of the ball check
@@ -332,18 +331,16 @@ class SparseMeasure:
 
     @cached_property
     def _pyramid(self) -> Pyramid:
-        """The pyramid above the nodes: its kin's at this depth, or built here."""
+        """The pyramid above the nodes: its kin's, or built here."""
         if self._kin is not None:
-            return self._kin._pyramid.at_depth(self.depth)
-        return Pyramid(self.n, self.depth, self.rows, self.levels)
+            return self._kin._pyramid
+        return Pyramid(self.n, self.rows, self.levels)
 
     @cached_property
     def _level_sums(self) -> tuple[Pyramid, list[np.ndarray]]:
         """The pyramid above the nodes, and per level the mass of each of its cubes."""
-        kin = self._kin
-        if kin is not None and np.array_equal(kin.weights, self.weights):
-            sums = kin._level_sums[1][: self.depth + 1]
-            return self._pyramid, sums + [np.zeros(0)] * (self.depth + 1 - len(sums))
+        if self._kin is not None and np.array_equal(self._kin.weights, self.weights):
+            return self._kin._level_sums
         return self._pyramid, self._pyramid.rollup(self.weights)
 
     def to_json_obj(self) -> dict:
@@ -356,9 +353,10 @@ class SparseMeasure:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "SparseMeasure":
+        bad = "malformed sparse measure object: n and depth must be integers"
         try:
-            nodes = tuple(zip(*obj["nodes"], strict=True)) or ((), (), ())  # (levels, rows, masses)
-            return SparseMeasure(operator.index(obj["n"]), operator.index(obj["depth"]), nodes, obj["windows"])
+            levels, rows, masses = tuple(zip(*obj["nodes"], strict=True)) or ((), (), ())
+            return SparseMeasure(exact_int(obj["n"], bad), exact_int(obj["depth"], bad), (levels, rows, masses), obj["windows"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed sparse measure object: {exc}") from exc
 
@@ -445,9 +443,10 @@ class CellMeasure(SparseMeasure):
 
     @staticmethod
     def from_json_obj(obj: dict) -> "CellMeasure":
+        bad = "malformed measure object: n, depth and cell_level must be integers"
         try:
-            n, depth = operator.index(obj["n"]), operator.index(obj["depth"])
-            cl = operator.index(obj.get("cell_level", depth))
+            n, depth = exact_int(obj["n"], bad), exact_int(obj["depth"], bad)
+            cl = exact_int(obj.get("cell_level", depth), bad)
             masses = tuple(zip(*obj["masses"], strict=True)) or ((), ())  # (cells, masses)
             return CellMeasure(n, depth, masses, cl)
         except (KeyError, TypeError, ValueError) as exc:

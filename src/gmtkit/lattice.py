@@ -16,8 +16,6 @@ discrete stand-in for a compact subset of [0,1]^n.
 
 from __future__ import annotations
 
-import operator
-from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
@@ -25,7 +23,7 @@ from math import sqrt
 import numpy as np
 
 from gmtkit.errors import InvalidInputError
-from gmtkit.utils import exact_ints, finite_floats, load_json, write_canonical
+from gmtkit.utils import exact_int, exact_ints, finite_floats, load_json, write_canonical
 
 MAX_LEVEL = 50
 
@@ -191,30 +189,28 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Pyramid:
     """The occupied dyadic cubes above an antichain of nodes, level by level.
 
-    Built once from nodes given as an (N, n) array of index rows, at `depth` or
-    at the matching entry of the array `levels` (a ``CellSet`` is the case
-    where every node sits at one level).  For each level l in [0, depth],
-    ``cubes[l]`` holds the occupied level-l cube indices as an (m_l, n) int64
-    array in lexicographic order, and ``parents[l]`` the position of each
-    one's parent in ``cubes[l - 1]``.  The levels below the deepest node are
-    empty and never grouped.
+    Built once from nodes given as an (N, n) array of index rows and their
+    `levels`: one level for every node (a ``CellSet``), or an array of one
+    level per node.  For each lattice level l in [0, MAX_LEVEL], whatever
+    depth a measure declares, ``cubes[l]`` holds the occupied level-l cube
+    indices as an (m_l, n) int64 array in lexicographic order, and
+    ``parents[l]`` the position of each one's parent in ``cubes[l - 1]``.
+    The levels below the deepest node are empty and never grouped.
 
-    One node set needs one pyramid: measures over the same nodes (a cell set
-    and its Frostman measure, a measure at another declared depth or scaled,
-    a sparse stage that leaves the nodes as they were) share it, through
-    `at_depth` where the declared depths differ.
+    The pyramid describes the nodes only, so measures over the same nodes (a
+    cell set and its Frostman measure, a measure at another declared depth
+    or scaled, a sparse stage that leaves the nodes as they were) share one.
 
     Sums up the tree are ``np.bincount`` over parent positions, which adds in
     array order: in the order a loop over the sorted tuples adds.  Values go
     down the tree by gathering through ``parents``.
     """
 
-    def __init__(self, n: int, depth: int, rows, levels=None):
+    def __init__(self, n: int, rows, levels):
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, n)
-        node_level = np.full(len(rows), depth) if levels is None else np.asarray(levels, dtype=np.int64)
-        self.n, self.depth = n, depth
-        self.cubes: list[np.ndarray] = [np.empty((0, n), dtype=np.int64)] * (depth + 1)
-        self.parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * (depth + 1)
+        node_level = np.broadcast_to(np.asarray(levels, dtype=np.int64), len(rows))
+        self.cubes: list[np.ndarray] = [np.empty((0, n), dtype=np.int64)] * (MAX_LEVEL + 1)
+        self.parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * (MAX_LEVEL + 1)
         self._deepest = int(node_level.max(initial=0))
         node_pos = np.empty(len(rows), dtype=np.int64)
         above = np.empty((0, n), dtype=np.int64)  # parents of the level below
@@ -230,20 +226,6 @@ class Pyramid:
         self._node_level = node_level[self._order]
         self._node_pos = node_pos[self._order]
         self._keys: dict[int, np.ndarray] = {}  # level -> packed keys of cubes[level]
-
-    def at_depth(self, depth: int) -> "Pyramid":
-        """The same pyramid declared down to `depth`, at or below the deepest
-        node: the grouped levels are shared, and the empty ones below the
-        deepest node are appended or dropped."""
-        if depth == self.depth:
-            return self
-        if depth < self._deepest:
-            raise InvalidInputError(f"depth {depth} is above the deepest node, at level {self._deepest}")
-        out = copy(self)  # shares the node order and the packed keys
-        out.depth, empty = depth, depth - self.depth
-        out.cubes = self.cubes[: depth + 1] + [np.empty((0, self.n), dtype=np.int64)] * empty
-        out.parents = self.parents[: depth + 1] + [np.empty(0, dtype=np.int64)] * empty
-        return out
 
     def locate(self, level: int, rows: np.ndarray) -> np.ndarray:
         """`locate` of level-`level` index rows in ``cubes[level]``, whose keys
@@ -273,7 +255,7 @@ class Pyramid:
         """
         values = np.asarray(values, dtype=float)[self._order]
         pos = self._node_pos.copy()
-        sums = [np.zeros(0)] * (self.depth - self._deepest)  # the empty levels, deepest first
+        sums = [np.zeros(0)] * (MAX_LEVEL - self._deepest)  # the empty levels, deepest first
         for level in range(self._deepest, -1, -1):
             inside = self._node_level >= level  # these nodes now sit at `level`
             sums.append(np.bincount(pos[inside], weights=values[inside], minlength=len(self.cubes[level])))
@@ -287,7 +269,7 @@ class Pyramid:
         levels, an int64 array, and their index rows, an (m, n) int64 array.
         `flags` holds one boolean array per level, from level 0 down."""
         size = [np.ones(len(c), dtype=np.int64) for c in self.cubes]  # cubes in each subtree
-        for level in range(self.depth, 0, -1):
+        for level in range(self._deepest, 0, -1):
             size[level - 1] += self.sum_up(level, size[level]).astype(np.int64)
         rank = np.zeros(len(self.cubes[0]), dtype=np.int64)  # cubes the walk meets earlier
         clear = np.ones(len(self.cubes[0]), dtype=bool)  # no flagged ancestor
@@ -358,7 +340,7 @@ class CellSet:
 
     @cached_property
     def _pyramid(self) -> "Pyramid":
-        return Pyramid(self.n, self.depth, self.rows)
+        return Pyramid(self.n, self.rows, self.depth)
 
     def refined(self, depth: int) -> "CellSet":
         """The same set expressed with cells at a deeper uniform depth."""
@@ -385,8 +367,9 @@ class CellSet:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "CellSet":
+        bad = "malformed cell set object: n and depth must be integers"
         try:
-            n, depth, cells = operator.index(obj["n"]), operator.index(obj["depth"]), obj["cells"]
+            n, depth, cells = exact_int(obj["n"], bad), exact_int(obj["depth"], bad), obj["cells"]
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed cell set object: {exc}") from exc
         return CellSet(n, depth, cells)

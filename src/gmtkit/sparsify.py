@@ -24,7 +24,6 @@ an ordinary :class:`~gmtkit.frostman.CellMeasure`.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product
@@ -46,7 +45,7 @@ from gmtkit.lattice import (
     locate,
     pack,
 )
-from gmtkit.utils import Table, exact_ints, finite_floats, load_json, write_canonical
+from gmtkit.utils import Table, exact_int, exact_ints, finite_floats, load_json, write_canonical
 
 PRESERVE_TOL = 1e-12
 CAP_TOL = 1e-9
@@ -222,12 +221,13 @@ class SparsityCertificate:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "SparsityCertificate":
+        bad = "malformed certificate object: n, ell and each scale must be integers"
         try:
-            ell, n = operator.index(obj["ell"]), operator.index(obj["n"])
+            ell, n = exact_int(obj["ell"], bad), exact_int(obj["n"], bad)
             fams = []
             for entry in obj["families"]:
                 pairs = tuple(zip(*entry["pairs"], strict=True)) or ((), ())  # (cubes, selections)
-                fams.append(ScaleFamily(operator.index(entry["scale"]), ell, pairs, entry.get("pattern") == "lex-first"))
+                fams.append(ScaleFamily(exact_int(entry["scale"], bad), ell, pairs, entry.get("pattern") == "lex-first"))
             return SparsityCertificate(n, ell, obj["scales"], tuple(fams))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed certificate object: {exc}") from exc

@@ -12,8 +12,8 @@ text in one pass, 65,536 rows at a time (floats through ``fmt_float`` once per
 distinct bit pattern), and the rows are joined from those texts, with the
 bytes of writing every element on its own.
 
-Numbers from outside the package are read by ``finite_floats`` or
-``exact_ints``, which refuse what does not fit and never truncate.
+Numbers from outside the package are read by ``finite_floats``, ``exact_ints``
+or, one integer, ``exact_int``, which refuse what does not fit and never truncate.
 
 ``ScaleProfile`` holds coefficients across dyadic scales with their
 ln2-weighted square sum; it is both ``beta.BetaProfile`` and
@@ -182,6 +182,15 @@ def exact_ints(values, message: str) -> np.ndarray:
     if out.size and (out.dtype.kind not in "iu" or out.dtype == np.uint64 and out.max() > np.iinfo(np.int64).max):
         raise InvalidInputError(message)
     return out.astype(np.int64, copy=False)
+
+
+def exact_int(value, message: str) -> int:
+    """`value`, one integer, as a Python int: as in `exact_ints`, a bool, a
+    float, a string or an integer beyond int64 is refused with `message`."""
+    out = exact_ints([value], message)
+    if out.shape != (1,):
+        raise InvalidInputError(message)
+    return int(out[0])
 
 
 LN2 = math.log(2.0)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gmtkit
+from gmtkit.carleson import pair_from_json
 from gmtkit.cli import main
 from gmtkit.content import dyadic_cover_cost
 from gmtkit.corpus import GeneratorSpec, generate
@@ -238,6 +240,15 @@ def test_sparsify_command(tmp_path, capsys):
         pytest.param("epsilon", {"kind": "empty", "dim": 2.5}, id="pair-dim-2.5"),
         pytest.param("certificate", {"n": 2, "ell": 2, "scales": [2], "families": [{"scale": 2.5, "pairs": []}]},
                      id="family-scale-2.5"),
+        pytest.param("content", {"n": 2, "depth": True, "cells": [[0, 1]]}, id="depth-true"),
+        pytest.param("frostman", {"n": True, "depth": 2, "cells": [[1]]}, id="n-true"),
+        pytest.param("sparsify", {"n": 2, "depth": 2, "cell_level": False, "masses": [[[0, 0], 1.0]]},
+                     id="cell-level-false"),
+        pytest.param("epsilon", {"kind": "empty", "dim": True}, id="pair-dim-true"),
+        pytest.param("certificate", {"n": 2, "ell": True, "scales": [2], "families": [{"scale": 2, "pairs": []}]},
+                     id="ell-true"),
+        pytest.param("certificate", {"n": 2, "ell": 1, "scales": [1], "families": [{"scale": True, "pairs": []}]},
+                     id="family-scale-true"),
     ],
 )
 def test_loaders_refuse_an_infinite_integer_field(tmp_path, capsys, command, obj):
@@ -295,6 +306,45 @@ def test_loaders_refuse_a_fraction_in_an_integer_column(tmp_path, capsys, comman
         return
     assert _run_loader(tmp_path, command, obj) == 3
     assert "invalid input:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sparsify", "beta"])
+@pytest.mark.parametrize("obj", [5, None, [], "masses"])
+def test_measure_commands_refuse_a_file_that_is_not_an_object(tmp_path, capsys, command, obj):
+    assert _run_loader(tmp_path, command, obj) == 3
+    assert "does not hold an explicit cell measure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [[2, [0, 0]], [2, [0, 0], 1.0, 1.0]], ids=["two-entries", "four-entries"])
+def test_sparse_measure_load_takes_exactly_three_node_columns(tmp_path, row):
+    with pytest.raises(InvalidInputError, match="malformed sparse measure object"):
+        SparseMeasure.load(_write_input(tmp_path, {"n": 2, "depth": 2, "nodes": [row], "windows": []}))
+
+
+VALID_INPUTS = {
+    "cell-set": (CellSet.from_json_obj, {"n": 2, "depth": 2, "cells": [[0, 1], [3, 2]]}),
+    "cell-measure": (CellMeasure.from_json_obj,
+                     {"n": 2, "depth": 3, "cell_level": 2, "masses": [[[0, 1], 0.5], [[3, 2], 0.25]]}),
+    "sparse-measure": (SparseMeasure.from_json_obj,
+                       {"n": 2, "depth": 4, "nodes": [[1, [0, 1], 0.5], [3, [7, 0], 0.25]], "windows": [[2, 1]]}),
+    "certificate": (SparsityCertificate.from_json_obj,
+                    {"n": 2, "ell": 2, "scales": [2], "families": [{"scale": 2, "pairs": [[[0, 1], [1, 6]]]}]}),
+    "halfspace": (pair_from_json, {"kind": "halfspace", "normal": [1.0, 0.0], "point": [0.5, 0.5]}),
+    "slab-complement": (pair_from_json, {"kind": "slab-complement", "normal": [1.0, 0.0], "point": [0.5, 0.5], "gap": 0.1}),
+    "ball": (pair_from_json, {"kind": "ball", "center": [0.5, 0.5], "radius": 0.25}),
+    "empty": (pair_from_json, {"kind": "empty", "dim": 2}),
+    "polygon": (pair_from_json, {"kind": "polygon", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}),
+}
+ODD_VALUES = [None, True, 1.5, 10**30, "x", [], {}, [[1]], [[1, [0, 0]]]]
+
+
+@pytest.mark.parametrize("load, obj", VALID_INPUTS.values(), ids=VALID_INPUTS.keys())
+def test_loaders_raise_only_invalid_input(load, obj):
+    load(obj)  # the valid object loads
+    for value in ODD_VALUES:
+        for odd in [value, *({**obj, key: value} for key in obj)]:  # the whole object, or one field
+            with contextlib.suppress(InvalidInputError):
+                load(odd)
 
 
 def test_sparsify_rejects_a_measure_listing_a_cell_twice(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gmtkit.errors import InvalidInputError
+from gmtkit.frostman import CellMeasure
 from gmtkit.lattice import (
     MAX_LEVEL,
     CellSet,
@@ -260,7 +261,7 @@ def antichains(draw):
 def test_pyramid_matches_plain_ancestor_loops(case, rnd):
     n, depth, nodes = case
     values = [rnd.random() for _ in nodes]
-    pyramid = Pyramid(n, depth, [idx for _, idx in nodes], [t for t, _ in nodes])
+    pyramid = Pyramid(n, [idx for _, idx in nodes], [t for t, _ in nodes])
     weight = dict(zip(nodes, values))
     cubes = []
     for level in range(depth + 1):
@@ -312,7 +313,7 @@ def test_pyramid_locate_matches_a_sorted_list(n, depth, rnd):
         return tuple(rnd.randrange(1 << level) for _ in range(n))
 
     cells = {row(depth) for _ in range(rnd.randrange(7))}
-    pyramid = Pyramid(n, depth, np.array(list(cells), dtype=np.int64).reshape(-1, n))
+    pyramid = Pyramid(n, np.array(list(cells), dtype=np.int64).reshape(-1, n), depth)
     for level in range(depth + 1):
         occupied = sorted({index_ancestor(c, depth - level) for c in cells})
         top = (1 << level) - 1
@@ -330,7 +331,8 @@ def test_pyramid_of_a_cellset_is_one_level_of_nodes():
     assert pyramid.cubes[3].tolist() == [[0, 7], [4, 3], [5, 2]]
     assert pyramid.cubes[1].tolist() == [[0, 1], [1, 0]]
     assert pyramid.parents[1].tolist() == [0, 0]
-    assert [s.tolist() for s in pyramid.rollup([1.0, 1.0, 1.0])] == [[3.0], [1.0, 2.0], [1.0, 2.0], [1.0, 1.0, 1.0]]
+    sums = [[3.0], [1.0, 2.0], [1.0, 2.0], [1.0, 1.0, 1.0]] + [[]] * (MAX_LEVEL - 3)  # every lattice level
+    assert [s.tolist() for s in pyramid.rollup([1.0, 1.0, 1.0])] == sums
 
 
 
@@ -376,21 +378,22 @@ def test_ascending_matches_a_tuple_comparison(case, sort):
     assert ascending(rows) == all(a < b for a, b in zip(tuples, tuples[1:]))
 
 
-@given(antichains(), st.integers(0, 6))
-def test_pyramid_at_another_depth_equals_a_fresh_build(case, extra):
+@given(antichains(), st.integers(0, 6), st.booleans(), st.randoms(use_true_random=False))
+def test_pyramid_of_one_node_set_is_one_at_every_declared_depth(case, extra, backwards, rnd):
     n, depth, nodes = case
-    rows, levels = [idx for _, idx in nodes], [t for t, _ in nodes]
-    pyramid = Pyramid(n, depth, rows, levels)
-    deepest = max(levels, default=0)
-    for to in (deepest, depth + extra):
-        moved, fresh = pyramid.at_depth(to), Pyramid(n, to, rows, levels)
-        assert moved.depth == to and len(moved.cubes) == len(moved.parents) == to + 1
-        assert all(np.array_equal(a, b) for a, b in zip(moved.cubes, fresh.cubes))
-        assert all(np.array_equal(a, b) for a, b in zip(moved.parents, fresh.parents))
-        assert all(np.array_equal(a, b) for a, b in zip(moved.rollup(np.ones(len(rows))), fresh.rollup(np.ones(len(rows)))))
-    if deepest:
-        with pytest.raises(InvalidInputError, match="above the deepest node"):
-            pyramid.at_depth(deepest - 1)
+    cells = [tuple(i << (depth - t) for i in idx) for t, idx in nodes]  # distinct, as the nodes are disjoint
+    values = [rnd.random() for _ in cells]
+    one, each = Pyramid(n, cells, depth), Pyramid(n, cells, [depth] * len(cells))
+    for a, b in ((one.cubes, each.cubes), (one.parents, each.parents), (one.rollup(values), each.rollup(values))):
+        assert len(a) == len(b) == MAX_LEVEL + 1
+        assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b))
+    if not cells:
+        return
+    mu = CellMeasure(n, depth, dict(zip(cells, values)))
+    deeper = mu.with_depth(depth + extra)
+    measures = [mu, deeper, deeper.with_depth(depth)]
+    for measure in measures[::-1] if backwards else measures:  # whichever is read first
+        assert measure._pyramid is mu._pyramid and measure._level_sums[1] is mu._level_sums[1]
 
 
 @given(index_tables(), st.randoms(use_true_random=False))

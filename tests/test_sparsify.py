@@ -450,13 +450,15 @@ def test_construction_stages_match_brute_force_oracle(case):
 def assert_fresh_pyramid(measure) -> None:
     """The measure's pyramid and rollup are, to the bit, a fresh build over its nodes."""
     pyramid, sums = measure._level_sums
-    fresh = Pyramid(measure.n, measure.depth, measure.rows, measure.levels)
+    fresh = Pyramid(measure.n, measure.rows, measure.levels)
     want = fresh.rollup(measure.weights)
-    assert len(pyramid.cubes) == len(pyramid.parents) == len(sums) == measure.depth + 1
-    for level in range(measure.depth + 1):
+    assert len(pyramid.cubes) == len(pyramid.parents) == len(sums) == MAX_LEVEL + 1
+    for level in range(MAX_LEVEL + 1):
         assert np.array_equal(pyramid.cubes[level], fresh.cubes[level])
         assert np.array_equal(pyramid.parents[level], fresh.parents[level])
         assert np.array_equal(sums[level], want[level])
+    deepest = int(measure.levels.max(initial=0))
+    assert not any(map(len, pyramid.cubes[deepest + 1 :] + pyramid.parents[deepest + 1 :] + sums[deepest + 1 :]))
 
 
 @st.composite

@@ -17,7 +17,7 @@ from gmtkit.errors import InvalidInputError
 from gmtkit.frostman import CellMeasure, SparseMeasure
 from gmtkit.lattice import CellSet, DyadicCube
 from gmtkit.sparsify import AffinePlane, ScaleFamily, SparsityCertificate, distance_to_family, find_hole, scale_family_view
-from gmtkit.utils import Table, dumps_canonical, exact_ints, finite_floats, fmt_float, write_canonical
+from gmtkit.utils import Table, dumps_canonical, exact_int, exact_ints, finite_floats, fmt_float, write_canonical
 
 # integral values (written with ".0"), subnormals, |v| >= 1e16 (exponent
 # form), both zeros, and any other finite double
@@ -150,11 +150,47 @@ def test_every_float_entry_refuses_what_it_cannot_read(entry, bad):
         entry(bad)
 
 
+SCALAR_ENTRIES = {
+    "beta2-radius": lambda v: beta2(_PAIR, [0.5, 0.5], v, 1),
+    "best_affine_fit-radius": lambda v: best_affine_fit(_PAIR, [0.5, 0.5], v, 1),
+    "content_beta-radius": lambda v: content_beta(_CELLS, [0.5, 0.5], v, 1),
+    "ball_pair-radius": lambda v: ball_pair([0.5, 0.5], v),
+    "slab_complement_pair-gap": lambda v: slab_complement_pair([1.0, 0.0], [0.5, 0.5], v),
+    "epsilon_report-radius": lambda v: epsilon_report(halfspace_pair([1.0, 0.0], [0.5, 0.5]), [0.5, 0.5], v),
+}
+BAD_SCALARS = {"beyond-float-range": 10**400, "text": "ab", "nan": math.nan, "list": [0.25]}
+
+
+@pytest.mark.parametrize("bad", BAD_SCALARS.values(), ids=BAD_SCALARS.keys())
+@pytest.mark.parametrize("entry", SCALAR_ENTRIES.values(), ids=SCALAR_ENTRIES.keys())
+def test_every_scalar_entry_refuses_what_it_cannot_read(entry, bad):
+    entry(0.25)  # a good radius or gap passes
+    with pytest.raises(InvalidInputError):
+        entry(bad)
+
+
+def test_checked_scalars_keep_their_bits():
+    # the radius and gap go back to Python floats, so an int or a numpy float gives the float's bits
+    for r in (1, np.float64(0.3)):
+        assert beta2(_PAIR, [0.5, 0.5], r, 1) == beta2(_PAIR, [0.5, 0.5], float(r), 1)
+        assert content_beta(_CELLS, [0.5, 0.5], r, 1) == content_beta(_CELLS, [0.5, 0.5], float(r), 1)
+    points = np.array([[0.5, 0.75], [0.5, 0.25 - 2**-54], [0.6, 0.5]])  # on the sphere or slab face, just past it
+    assert ball_pair([0.5, 0.5], np.float64(0.25)).classify(points).tolist() == [0, -1, 1]
+    assert slab_complement_pair([0.0, 1.0], [0.5, 0.5], 0.25).classify(points).tolist() == [0, -1, 0]
+
+
 def test_finite_floats_raises_the_callers_message():
     assert finite_floats([1, 0.5], "m").tolist() == [1.0, 0.5]
     for bad in ([10**400], "ab", [[0.5], [0.5, 0.5]], [math.inf], None):
         with pytest.raises(InvalidInputError, match="^bad coordinates$"):
             finite_floats(bad, "bad coordinates")
+
+
+def test_exact_int_takes_one_integer():
+    assert exact_int(3, "m") == 3 and type(exact_int(np.int64(3), "m")) is int
+    for bad in (True, False, 2.0, "2", None, [2], [], 2**63, 10**30, math.inf):
+        with pytest.raises(InvalidInputError, match="^not an integer$"):
+            exact_int(bad, "not an integer")
 
 
 def test_exact_ints_takes_only_integers():
