@@ -208,7 +208,7 @@ class Pyramid:
 
     def __init__(self, n: int, rows, levels):
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, n)
-        node_level = np.broadcast_to(np.asarray(levels, dtype=np.int64), len(rows))
+        node_level = np.full(len(rows), levels, dtype=np.int64)
         self.cubes: list[np.ndarray] = [np.empty((0, n), dtype=np.int64)] * (MAX_LEVEL + 1)
         self.parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * (MAX_LEVEL + 1)
         self._deepest = int(node_level.max(initial=0))

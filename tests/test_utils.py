@@ -169,14 +169,9 @@ def test_every_scalar_entry_refuses_what_it_cannot_read(entry, bad):
         entry(bad)
 
 
-def test_checked_scalars_keep_their_bits():
-    # the radius and gap go back to Python floats, so an int or a numpy float gives the float's bits
-    for r in (1, np.float64(0.3)):
-        assert beta2(_PAIR, [0.5, 0.5], r, 1) == beta2(_PAIR, [0.5, 0.5], float(r), 1)
-        assert content_beta(_CELLS, [0.5, 0.5], r, 1) == content_beta(_CELLS, [0.5, 0.5], float(r), 1)
-    points = np.array([[0.5, 0.75], [0.5, 0.25 - 2**-54], [0.6, 0.5]])  # on the sphere or slab face, just past it
-    assert ball_pair([0.5, 0.5], np.float64(0.25)).classify(points).tolist() == [0, -1, 1]
-    assert slab_complement_pair([0.0, 1.0], [0.5, 0.5], 0.25).classify(points).tolist() == [0, -1, 0]
+def test_a_checked_radius_goes_on_as_a_python_float():
+    report = epsilon_report(halfspace_pair([1.0, 0.0], [0.5, 0.5]), [0.5, 0.5], np.float64(0.25), 8, 64, 1)
+    assert type(report.radius) is float and report.radius == 0.25
 
 
 def test_finite_floats_raises_the_callers_message():
