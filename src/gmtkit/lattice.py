@@ -268,8 +268,8 @@ class Pyramid:
         walk from the root meets them, children in lexicographic order: their
         levels, an int64 array, and their index rows, an (m, n) int64 array.
         `flags` holds one boolean array per level, from level 0 down."""
-        size = [np.ones(len(c), dtype=np.int64) for c in self.cubes]  # cubes in each subtree
-        for level in range(self._deepest, 0, -1):
+        size = [np.ones(len(c), dtype=np.int64) for c in self.cubes[: len(flags)]]  # cubes in each subtree, within the flagged levels
+        for level in range(len(flags) - 1, 0, -1):
             size[level - 1] += self.sum_up(level, size[level]).astype(np.int64)
         rank = np.zeros(len(self.cubes[0]), dtype=np.int64)  # cubes the walk meets earlier
         clear = np.ones(len(self.cubes[0]), dtype=bool)  # no flagged ancestor

@@ -286,21 +286,23 @@ def test_pyramid_matches_plain_ancestor_loops(case, rnd):
         assert pyramid.sum_up(level, np.array(below)).tolist() == [agg[c] for c in cubes[level - 1]]
 
     flags = [np.array([rnd.random() < 0.3 for _ in cubes[level]], dtype=bool) for level in range(depth + 1)]
-    stops = []  # the flagged cubes a recursive walk from the root stops at
 
-    def visit(level, idx):
+    def visit(level, idx, last, stops):
+        """Append the flagged cubes a recursive walk from `idx` down to level `last` stops at."""
         if flags[level][cubes[level].index(idx)]:
             stops.append((level, idx))
-        elif level < depth:
+        elif level < last:
             for child in cubes[level + 1]:
                 if index_ancestor(child, 1) == idx:
-                    visit(level + 1, child)
+                    visit(level + 1, child, last, stops)
 
-    for root in cubes[0]:
-        visit(0, root)
-    levels, rows = pyramid.topmost(flags)
-    assert levels.dtype == rows.dtype == np.int64 and rows.shape == (len(levels), n)
-    assert list(zip(levels.tolist(), map(tuple, rows.tolist()))) == stops
+    for last in (depth, rnd.randrange(depth + 1)):  # flags down to every level, or to a random one
+        stops = []
+        for root in cubes[0]:
+            visit(0, root, last, stops)
+        levels, rows = pyramid.topmost(flags[: last + 1])
+        assert levels.dtype == rows.dtype == np.int64 and rows.shape == (len(levels), n)
+        assert list(zip(levels.tolist(), map(tuple, rows.tolist()))) == stops
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=MAX_LEVEL), st.randoms(use_true_random=False))
