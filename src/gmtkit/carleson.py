@@ -31,14 +31,23 @@ def unit_sphere_area(dim: int) -> float:
     return 2.0 * pi ** (dim / 2.0) / gamma(dim / 2.0)
 
 
+def _circle_angles(i: np.ndarray, count: int) -> np.ndarray:
+    """The angles (i + 1/2) 2 pi / count in (0, 2 pi) of the circle's samples `i` out of `count`."""
+    return (i + 0.5) * (2.0 * pi / count)
+
+
+def _circle_rows(theta: np.ndarray) -> np.ndarray:
+    """The unit rows (cos, sin) at angles `theta`; each row's bits depend on its angle only."""
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
 def sphere_points(dim: int, count: int) -> np.ndarray:
     """Deterministic quasi-uniform unit vectors: equal angles on the circle,
     Fibonacci points on the 2-sphere, normalized Sobol-Gaussian above."""
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
     if dim == 2:
-        theta = (np.arange(count) + 0.5) * (2.0 * pi / count)
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return _circle_rows(_circle_angles(np.arange(count), count))
     if dim == 3:
         i = np.arange(count) + 0.5
         z = 1.0 - 2.0 * i / count
@@ -92,11 +101,19 @@ def _plane(normal, point) -> tuple[np.ndarray, np.ndarray]:
     return normal / norm, point
 
 
+def _two(rows: np.ndarray) -> np.ndarray:
+    """`rows`, doubled if it is one row.  numpy computes a product with one row or one
+    column on another path, whose rounding differs and can put an exact tie on the
+    other side of a plane; in a product of `_two(rows)` a row has the bits it has among others."""
+    return np.concatenate([rows, rows]) if len(rows) == 1 else rows
+
+
 def halfspace_pair(normal, point) -> DomainPair:
     normal, point = _plane(normal, point)
 
     def classify(pts):
-        s = (np.atleast_2d(pts) - point) @ normal
+        pts = np.atleast_2d(pts)
+        s = ((_two(pts) - point) @ normal)[: len(pts)]
         # the sign in one pass; +-0.0 and NaN compare neither way, label 0
         return (s > 0.0).astype(int) - (s < 0.0)
 
@@ -113,7 +130,8 @@ def slab_complement_pair(normal, point, gap: float) -> DomainPair:
     normal, point = _plane(normal, point)
 
     def classify(pts):
-        s = (np.atleast_2d(pts) - point) @ normal
+        pts = np.atleast_2d(pts)
+        s = ((_two(pts) - point) @ normal)[: len(pts)]
         return np.where(s > gap, 1, np.where(s < -gap, -1, 0)).astype(int)
 
     return DomainPair(normal.shape[0], classify, "slab-complement")
@@ -217,72 +235,65 @@ def _band_reach(us: np.ndarray, centre: np.ndarray) -> float:
 def _upper_counts(table: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Per row of `us`, the number of rows of `table` strictly above its plane
     (dot product > 0.0), counted as integers over blocks of BLOCK_ROWS rows.
-
-    numpy computes a product with one row or one column on its matrix-vector
-    path, whose rounding differs from the matrix-matrix path's and can put an
-    exact tie on the other side of the plane; so a block or a candidate set of
-    one row is doubled, and every row's signs come from one kind of product
-    whatever the block boundaries."""
-    def two(a):
-        return np.concatenate([a, a]) if len(a) == 1 else a
-
+    A block or a candidate set of one row is doubled (`_two`), so every row's
+    signs come from the matrix-matrix product whatever the block boundaries."""
     m = len(us)
-    ut = two(us).T
+    ut = _two(us).T
     counts = np.zeros(m, dtype=np.int64)
     for start in range(0, len(table), BLOCK_ROWS):
         block = table[start : start + BLOCK_ROWS]
-        counts += np.count_nonzero((two(block) @ ut)[: len(block), :m] > 0.0, axis=0)
+        counts += np.count_nonzero((_two(block) @ ut)[: len(block), :m] > 0.0, axis=0)
     return counts
 
 
-def _arc_order(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The angles of the rows of a (rows, 2) table, sorted, and the order that
-    sorts them.  The circle's samples are two increasing runs of angle, which
-    the stable (merge) sort takes in linear time."""
-    angles = np.arctan2(table[:, 1], table[:, 0])
-    order = np.argsort(angles, kind="stable")
-    return angles[order], order
+@dataclass(frozen=True)
+class _Arc:
+    """Unit samples in the plane by angle: `angles` ascending, within one turn
+    from `angles[0]`, and `table`, their rows in that order, or None for the
+    circle's samples, whose rows are made from their angles when asked for."""
+
+    angles: np.ndarray
+    table: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.angles)
+
+    def rows(self, pos: np.ndarray) -> np.ndarray:
+        return _circle_rows(self.angles[pos]) if self.table is None else self.table[pos]
 
 
-def _arc_upper_counts(table: np.ndarray, arcs: tuple[np.ndarray, np.ndarray], us: np.ndarray) -> np.ndarray:
-    """`_upper_counts` for a (rows, 2) table of unit samples, read off the
-    circle from its `_arc_order`, `arcs` (see `_miss_fractions`).  Each end of
-    a unit candidate's half-circle, pulled in and pushed out by BAND_MARGIN, is
-    found by `searchsorted`, its turn around the circle counted as an integer.
-    The rows between the pulled-in ends count without a product; the rows
-    between a pulled-in and a pushed-out end go through `_upper_counts`
+def _arc_upper_counts(arc: _Arc, us: np.ndarray) -> np.ndarray:
+    """`_upper_counts` for the samples of `arc`, read off the circle (see
+    `_miss_fractions`).  Each end of a unit candidate's half-circle, pulled in
+    and pushed out by BAND_MARGIN, is found by `searchsorted` in the angles,
+    its turn around the circle from `angles[0]` counted as an integer.  The
+    samples between the pulled-in ends count without a product; the rows of
+    those between a pulled-in and a pushed-out end go through `_upper_counts`
     against every candidate.  A candidate not of unit length (a zero one has
-    angle 0 but no row above it) is scored over the whole table."""
-    angles, order = arcs
-    n = len(angles)
+    angle 0 but no row above it) is scored over the rows of every sample."""
+    angles, n = arc.angles, len(arc)
     counts = np.zeros(len(us), dtype=np.int64)
     if n == 0:
         return counts
     unit = np.abs((us * us).sum(axis=1) - 1.0) <= BAND_MARGIN
     q = pi / 2.0
     ends = np.arctan2(us[:, 1], us[:, 0])[:, None] + np.array([-q - BAND_MARGIN, -q + BAND_MARGIN, q - BAND_MARGIN, q + BAND_MARGIN])
-    turns = np.floor((ends + pi) / (2.0 * pi))
+    turns = np.floor((ends - angles[0]) / (2.0 * pi))
     # position of each end in the angles repeated once per turn
     pos = turns.astype(np.int64) * n + np.searchsorted(angles, ends - turns * (2.0 * pi))
     counts[unit] = pos[unit, 2] - pos[unit, 1]
     for c in np.flatnonzero(unit & ((pos[:, 1] > pos[:, 0]) | (pos[:, 3] > pos[:, 2]))):
         edge = np.concatenate([np.arange(pos[c, 0], pos[c, 1]), np.arange(pos[c, 2], pos[c, 3])]) % n
-        counts[c] += _upper_counts(table[order[edge]], us)[c]
+        counts[c] += _upper_counts(arc.rows(edge), us)[c]
     if not unit.all():
-        counts[~unit] = _upper_counts(table, us)[~unit]
+        counts[~unit] = _upper_counts(arc.rows(np.arange(n)), us)[~unit]
     return counts
 
 
-def _miss_fractions(
-    plus: np.ndarray,
-    minus: np.ndarray,
-    count: int,
-    us: np.ndarray,
-    centre: np.ndarray | None = None,
-    arcs: list | None = None,
-) -> np.ndarray:
+def _miss_fractions(plus, minus, count: int, us: np.ndarray, centre: np.ndarray | None = None) -> np.ndarray:
     """Miss fraction per candidate normal, over `count` unit samples of which
-    `plus` and `minus` are the +1- and -1-labelled rows.
+    `plus` and `minus` are the +1- and -1-labelled ones: two tables of rows
+    or, in the plane, two `_Arc`s.
 
     A sample above the plane (dot product > 0.0) misses unless its label is
     +1, one below unless it is -1, so an unlabelled sample always misses and
@@ -290,16 +301,16 @@ def _miss_fractions(
     and divided once by `count`: the same float that the mean of the 0/1 miss
     matrix gives, whose float sum is exact too.
 
-    With `arcs`, the `_arc_order` of `plus` and of `minus` in the plane, the
-    counts are read off the circle by `_arc_upper_counts` and `centre` is not
-    needed.  A unit sample at angle t lies above the plane of a unit
-    candidate at angle p exactly when cos(t - p) > 0, that is when t lies in
-    the open half-circle (p - pi/2, p + pi/2), modulo 2 pi.  np.arctan2 and a
-    two-term dot product of unit vectors each err by a few 1e-16, and a
-    sample more than BAND_MARGIN from an end of that half-circle has
-    |cos(t - p)| > 0.99e-9, so the product puts it on the side its angle
-    says; only the samples within BAND_MARGIN of an end go through the
-    product.
+    With arcs, the counts are read off the circle by `_arc_upper_counts` and
+    `centre` is not needed.  A unit sample at angle t lies above the plane of
+    a unit candidate at angle p exactly when cos(t - p) > 0, that is when t
+    lies in the open half-circle (p - pi/2, p + pi/2), modulo 2 pi.  A sample's
+    or a candidate's angle (np.arctan2 of a row, or the angle a row is made
+    from with cos and sin) and a two-term dot product of unit vectors each err
+    by a few 1e-16, and a sample more than BAND_MARGIN from an end of that
+    half-circle has |cos(t - p)| > 0.99e-9, so the product puts it on the
+    side its angle says; only the samples within BAND_MARGIN of an end go
+    through the product.
 
     Otherwise, with `centre`, every candidate lies within reach =
     `_band_reach(us, centre)` of it.  A unit sample o with o.centre > reach
@@ -310,8 +321,8 @@ def _miss_fractions(
     normals) product.  A zero candidate makes reach >= 1, a band of every
     sample.
     """
-    if arcs is not None:
-        above = [_arc_upper_counts(table, arc, us) for table, arc in zip((plus, minus), arcs)]
+    if isinstance(plus, _Arc):
+        above = [_arc_upper_counts(arc, us) for arc in (plus, minus)]
     elif centre is None:
         above = [_upper_counts(table, us) for table in (plus, minus)]
     else:
@@ -338,16 +349,18 @@ def epsilon_report(
     minimum never increases as the candidate set grows.  Refinement rounds
     perturb the running best normal with a step that halves each round,
     starting at the grid spacing; the default round count carries the step
-    below the sample resolution at 10^5 samples.  The samples are split once
-    by label, and `dp.classify` must give each one a label in {-1, 0, 1}.
+    below the sample resolution at 10^5 samples.  `dp.classify` gets the
+    samples in order, in blocks of at most BLOCK_ROWS rows, and must give each
+    one a label in {-1, 0, 1}; the samples are split once by label.
 
-    In the plane each label's samples are sorted once by angle, and the grid
-    and every round count the samples above a candidate by where the ends of
-    its half-circle fall among those angles, since a unit sample lies above a
-    unit candidate's plane exactly when their angles differ by less than
-    pi/2.  Only the samples within BAND_MARGIN of an end, far above the
-    rounding of np.arctan2 and of the product, go through the product, so no
-    round passes over all samples.  In higher dimensions the grid is scored
+    In the plane the samples are held as their ascending angles, no table: a
+    block's rows are made from its angles, and each label keeps its angles.
+    The grid and every round count the samples above a candidate by where the
+    ends of its half-circle fall among those angles, since a unit sample lies
+    above a unit candidate's plane exactly when their angles differ by less
+    than pi/2.  Rows are made only for the samples within BAND_MARGIN of an
+    end, far above the rounding of the angles and of the product, and only
+    they go through the product.  In higher dimensions the grid is scored
     over all samples in blocks, and each round only over the band of samples
     near the best normal's plane.  See `_miss_fractions`; no (samples,
     normals) array is ever formed.
@@ -362,17 +375,24 @@ def epsilon_report(
     x = finite_floats(x, "center must be finite")
     if x.shape != (dp.dim,):
         raise InvalidInputError(f"center must have {dp.dim} coordinates")
-    offsets = sphere_points(dp.dim, sphere_samples)
-    labels = np.asarray(dp.classify(x + r * offsets))
-    if labels.shape != (sphere_samples,) or not np.isin(labels, (-1, 0, 1)).all():
-        raise InvalidInputError(f"classify must give each of the {sphere_samples} samples one label in {{-1, 0, 1}}")
-    labels = labels.astype(int)
-    plus, minus, count = offsets[labels == 1], offsets[labels == -1], len(labels)
-    arcs = [_arc_order(plus), _arc_order(minus)] if dp.dim == 2 else None
+    count = sphere_samples
+    offsets = sphere_points(dp.dim, count) if dp.dim > 2 else None
+    labels = np.empty(count, dtype=np.int8)
+    for start in range(0, count, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, count)
+        rows = offsets[start:stop] if dp.dim > 2 else _circle_rows(_circle_angles(np.arange(start, stop), count))
+        block = np.asarray(dp.classify(x + r * rows))
+        if block.shape != (stop - start,) or not np.isin(block, (-1, 0, 1)).all():
+            raise InvalidInputError(f"classify must give each of the {count} samples one label in {{-1, 0, 1}}")
+        labels[start:stop] = block
+    if dp.dim > 2:
+        plus, minus = offsets[labels == 1], offsets[labels == -1]
+    else:
+        plus, minus = (_Arc(_circle_angles(np.flatnonzero(labels == side), count)) for side in (1, -1))
     area = unit_sphere_area(dp.dim)
 
     candidates = sphere_points(dp.dim, normals)
-    fracs = _miss_fractions(plus, minus, count, candidates, arcs=arcs)
+    fracs = _miss_fractions(plus, minus, count, candidates)
     best = int(np.argmin(fracs))
     best_frac = float(fracs[best])
     best_u = candidates[best]
@@ -386,7 +406,7 @@ def epsilon_report(
         norms = np.sqrt((perturbed * perturbed).sum(axis=1))
         norms[norms == 0.0] = 1.0
         perturbed /= norms[:, None]
-        fracs = _miss_fractions(plus, minus, count, perturbed, best_u, arcs)
+        fracs = _miss_fractions(plus, minus, count, perturbed, best_u)
         cand = int(np.argmin(fracs))
         if float(fracs[cand]) < best_frac:
             best_frac = float(fracs[cand])

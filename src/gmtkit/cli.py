@@ -265,7 +265,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_point(text: str) -> tuple[float, ...]:
-    return tuple(finite_floats(text.split(","), f"bad point {text!r}: coordinates must be finite numbers").tolist())
+    message = f"bad point {text!r}: coordinates must be finite numbers"
+    try:
+        coords = [float(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise InvalidInputError(message) from exc
+    return tuple(finite_floats(coords, message).tolist())
+
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take integers >= 0 only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return seed
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -487,7 +503,7 @@ def _parser() -> _Parser:
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--ell", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--levels-per-generation", type=int, default=2)
     p.add_argument("--keep-probability", type=float, default=0.5)
     p.add_argument("--out", "-o", required=True)
@@ -501,7 +517,7 @@ def _parser() -> _Parser:
     p.add_argument("--out", "-o", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--ball-check", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_frostman)
 
     p = sub.add_parser("content", help="optimal dyadic cover cost")
@@ -522,7 +538,7 @@ def _parser() -> _Parser:
     p.add_argument("--out", "-o", required=True)
     p.add_argument("--cert", required=True)
     p.add_argument("--report", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_sparsify)
 
     p = sub.add_parser("beta", help="flatness square-function profile")
@@ -546,7 +562,7 @@ def _parser() -> _Parser:
     p.add_argument("--samples", type=int, default=4096)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", "-o", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_epsilon)
 
     p = sub.add_parser("extract-core", help="full pipeline on a cell set")
@@ -555,7 +571,7 @@ def _parser() -> _Parser:
     p.add_argument("--gauge", default=None)
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--depth", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--witness-samples", type=int, default=24)
     p.add_argument("--c0-trials", type=int, default=64)
     p.add_argument("--beta-centers", type=int, default=8)

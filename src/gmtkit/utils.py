@@ -158,11 +158,17 @@ def load_json(path: str | Path) -> Any:
 
 
 def finite_floats(value, message: str) -> np.ndarray:
-    """`value` as a float64 array of finite numbers.  Input numpy cannot
-    convert (a non-numeric string, a ragged list, an integer beyond float
-    range) and any NaN or infinity are invalid input, raised with `message`."""
+    """`value` as a float64 array of finite numbers.  Input that is not
+    numbers (text, numeric text such as "0.5" too, a ragged list, a complex
+    number), an integer beyond float range and any NaN or infinity are invalid
+    input, raised with `message`.  numpy reads `value` once, and only an array
+    of Python objects (one holding an integer beyond int64) is searched for
+    text."""
     try:
-        out = np.asarray(value, dtype=float)
+        out = np.asarray(value)
+        if out.dtype.kind not in "biufO" or out.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in out.flat):
+            raise InvalidInputError(message)
+        out = out.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(message) from exc
     if not np.isfinite(out).all():

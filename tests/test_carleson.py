@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gmtkit.beta import BetaProfile
 from gmtkit.carleson import (
-    _arc_order,
+    _Arc,
     _band_reach,
     _miss_fractions,
     _upper_counts,
@@ -146,15 +146,22 @@ def test_upper_counts_do_not_depend_on_block_rows(dim, monkeypatch):
         assert counts[0] == np.count_nonzero(table @ us.T > 0.0, axis=0).tolist()
 
 
+def arc_of(table):
+    """The rows of a (rows, 2) table as an arc, by their np.arctan2 angles."""
+    angles = np.arctan2(table[:, 1], table[:, 0])
+    order = np.argsort(angles, kind="stable")
+    return _Arc(angles[order], table[order])
+
+
 def arcs_of(plus, minus):
-    return [_arc_order(plus), _arc_order(minus)]
+    return [arc_of(plus), arc_of(minus)]
 
 
 def test_arc_counts_take_the_pinned_tie_from_the_product():
     table, us = sphere_points(2, PINNED_ROWS), sphere_points(2, PINNED_NORMALS)
     labels = np.resize([1, -1, 0], len(table))
     plus, minus = table[labels == 1], table[labels == -1]
-    got = _miss_fractions(plus, minus, len(table), us, arcs=arcs_of(plus, minus))
+    got = _miss_fractions(*arcs_of(plus, minus), len(table), us)
     assert np.array_equal(got, _miss_fractions(plus, minus, len(table), us))
     assert np.array_equal(got, full_matrix_miss_fractions(table, labels, us))
     # every sample +1: the first normal's misses are the 1,202 rows below it
@@ -177,7 +184,7 @@ def test_arc_counts_at_the_branch_cut_and_on_ties():
         labels = rng.integers(-1, 2, size=len(offsets))
         plus, minus = offsets[labels == 1], offsets[labels == -1]
         for cands in (us, np.concatenate([us, np.zeros((1, 2))]), np.zeros((2, 2))):  # zero candidates: atan2 says 0, no row above
-            got = _miss_fractions(plus, minus, len(labels), cands, arcs=arcs_of(plus, minus))
+            got = _miss_fractions(*arcs_of(plus, minus), len(labels), cands)
             # a tie's sign is the product's, which a sum of rounded terms need not share
             assert np.array_equal(got, full_matrix_miss_fractions(offsets, labels, cands))
             assert np.array_equal(got, _miss_fractions(plus, minus, len(labels), cands))
@@ -190,7 +197,7 @@ def test_arc_counts_with_an_empty_table():
     us = sphere_points(2, 9)
     for labels in (np.ones(300, dtype=int), -np.ones(300, dtype=int), np.zeros(300, dtype=int)):
         plus, minus = offsets[labels == 1], offsets[labels == -1]
-        got = _miss_fractions(plus, minus, len(labels), us, arcs=arcs_of(plus, minus))
+        got = _miss_fractions(*arcs_of(plus, minus), len(labels), us)
         assert np.array_equal(got, brute_miss_fractions(offsets, labels, us))
 
 
@@ -272,6 +279,103 @@ def epsilon_cases(draw):
 @given(epsilon_cases())
 def test_epsilon_report_matches_full_matrix_search(case):
     assert epsilon_report(*case) == full_matrix_epsilon_report(*case)
+
+
+def stripes(dim):
+    """A custom pair: stripes of the three labels across the coordinate sum, as float labels."""
+    return DomainPair(dim, lambda pts: np.floor(8.0 * np.atleast_2d(pts).sum(axis=1)) % 3.0 - 1.0)
+
+
+@st.composite
+def blocked_epsilon_cases(draw):
+    """(BLOCK_ROWS, case): an `epsilon_cases` case, its pair kept or swapped for
+    `stripes`, with a sample count just below, at or just above a multiple of
+    the block size."""
+    rows = draw(st.sampled_from([1, 7, 8192]))
+    pair, x, r, normals, _, rounds, seed = draw(epsilon_cases())
+    if draw(st.booleans()):
+        pair = stripes(pair.dim)
+    blocks = draw(st.integers(min_value=1, max_value=2 if rows == 8192 else 40))
+    samples = max(8, rows * blocks + draw(st.sampled_from([-1, 0, 1])))
+    return rows, (pair, x, r, normals, samples, rounds, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocked_epsilon_cases())
+def test_blocked_classification_matches_full_matrix_search(blocked):
+    rows, case = blocked
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("gmtkit.carleson.BLOCK_ROWS", rows)
+        rep = epsilon_report(*case)
+    assert rep == full_matrix_epsilon_report(*case)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_classify_gets_the_samples_in_order_in_blocks(dim, monkeypatch):
+    monkeypatch.setattr("gmtkit.carleson.BLOCK_ROWS", 7)
+    x = [0.5] * dim
+    calls = []
+
+    def spy(pts):
+        calls.append(np.array(pts))
+        return np.ones(len(pts), dtype=int)
+
+    epsilon_report(DomainPair(dim, spy), x, 0.25, 4, 40, 1, 0)
+    assert [len(c) for c in calls] == [7] * 5 + [5]
+    assert np.array_equal(np.concatenate(calls), np.asarray(x) + 0.25 * sphere_points(dim, 40))
+
+    seen = []
+
+    def late(pts):
+        seen.append(len(pts))
+        labels = np.zeros(len(pts), dtype=int)
+        if sum(seen) == 40:
+            labels[-1] = 2  # only the last sample, in the last, partial block
+        return labels
+
+    with pytest.raises(InvalidInputError, match=r"^classify must give each of the 40 samples one label in \{-1, 0, 1\}$"):
+        epsilon_report(DomainPair(dim, late), x, 0.25, 4, 40, 1, 0)
+    assert seen == [7] * 5 + [5]
+
+
+def test_lone_rows_are_classified_as_among_others():
+    # x + r * sample 4 of 12 lies on the plane up to rounding; alone, numpy's
+    # one-row product would round it to the other side
+    pts = np.array([0.5, 0.5]) + 0.25 * sphere_points(2, 12)
+    for dp in (halfspace_pair([1.0, 1.0], [0.5, 0.5]), slab_complement_pair([1.0, 1.0], [0.5, 0.5], 0.0)):
+        whole = dp.classify(pts)
+        assert [int(dp.classify(p)[0]) for p in pts] == whole.tolist()
+        assert [int(dp.classify(pts[i : i + 1])[0]) for i in range(12)] == whole.tolist()
+
+
+def test_plane_report_takes_no_angle_and_no_sort_of_the_samples(monkeypatch):
+    sizes = []
+
+    def spy(f):
+        def call(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return f(a, *args, **kwargs)
+
+        return call
+
+    for name in ("arctan2", "argsort", "sort"):
+        monkeypatch.setattr(np, name, spy(getattr(np, name)))
+    rep = epsilon_report(ball_pair([0.5, 0.5], 0.25), [0.5, 0.75], 0.25, normals=16, sphere_samples=100_000, rounds=4, seed=1)
+    monkeypatch.undo()
+    assert rep == full_matrix_epsilon_report(ball_pair([0.5, 0.5], 0.25), [0.5, 0.75], 0.25, 16, 100_000, 4, 1)
+    assert sizes and max(sizes) <= 16  # the candidates' angles only
+
+
+@pytest.mark.parametrize("pair", [halfspace_pair([0.0, 1.0], [0.5, 0.5]), DomainPair(2, lambda pts: np.ones(len(pts), dtype=int))], ids=["halfspace", "every-sample-plus"])
+def test_plane_report_holds_no_sample_table(pair):
+    samples = 200_000
+    tracemalloc.start()
+    try:
+        epsilon_report(pair, [0.5, 0.5], 0.25, normals=64, sphere_samples=samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * samples
 
 
 def test_epsilon_report_forms_no_samples_by_normals_array():

@@ -447,10 +447,11 @@ HALFSPACE = {"kind": "halfspace", "normal": [0.0, 1.0], "point": [0.5, 0.5]}
         ({"kind": "halfspace", "normal": [float("nan"), 1.0], "point": [0.5, 0.5]}, []),
         ({"kind": "halfspace", "normal": [0.0, 1.0], "point": [0.5, 0.5, 0.5]}, []),
         ({"kind": "halfspace", "normal": [0.0, 0.0], "point": [0.5, 0.5]}, []),
+        ({"kind": "ball", "center": [0.5, 0.5], "radius": "0.25"}, []),
     ],
     ids=[
         "r-nan", "r-inf", "center-nan", "ball-radius-nan", "slab-gap-nan", "normal-nan", "normal-point-lengths",
-        "normal-zero",
+        "normal-zero", "ball-radius-text",
     ],
 )
 def test_epsilon_rejects_bad_input(tmp_path, capsys, pair, args):
@@ -533,6 +534,23 @@ def test_exit_code_invalid_input(tmp_path, capsys):
         assert run(["frostman", "--cells", str(cells), "--gauge", label, "--out", str(tmp_path / "z.json")]) == 3
     err = capsys.readouterr().err
     assert "invalid input" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--kind", "four-corner-cantor", "--out", "{out}/cells.json"],
+    ["frostman", "--cells", "{cells}", "--out", "{out}/mu.json"],
+    ["sparsify", "--measure", "{out}/mu.json", "--gauge", "power:1", "--out", "{out}/nu.json", "--cert", "{out}/cert.json"],
+    ["epsilon", "--pair", "{pair}", "--center", "0.5,0.5", "--out", "{out}/eps.json"],
+    ["extract-core", "--cells", "{cells}", "--outdir", "{out}"],
+], ids=lambda argv: argv[0])
+def test_a_negative_seed_is_invalid_input(tmp_path, capsys, argv):
+    # numpy's generators refuse a negative seed; the parser refuses it before any file is read or written
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(HALFSPACE))
+    paths = {"out": tmp_path / "out", "cells": write_square(tmp_path), "pair": pair}
+    assert run([*(a.format(**paths) for a in argv), "--seed", "-1"]) == 3
+    assert "invalid input: argument --seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, value", [

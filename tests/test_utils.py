@@ -139,7 +139,13 @@ FLOAT_ENTRIES = {
     "CellMeasure-masses": lambda v: CellMeasure(2, 1, ([[0, 0], [1, 1]], v)),
     "contains_point": lambda v: DyadicCube(2, 1, (0, 0)).contains_point(v),
 }
-BAD_FLOATS = {"beyond-float-range": [10**400, 0.5], "text": "ab", "nan": [math.nan, 0.5]}
+BAD_FLOATS = {
+    "beyond-float-range": [10**400, 0.5],
+    "text": "ab",
+    "nan": [math.nan, 0.5],
+    "numeric-text": ["0.5", "0.5"],
+    "text-beside-a-big-integer": [10**30, "0.5"],
+}
 
 
 @pytest.mark.parametrize("bad", BAD_FLOATS.values(), ids=BAD_FLOATS.keys())
@@ -158,7 +164,7 @@ SCALAR_ENTRIES = {
     "slab_complement_pair-gap": lambda v: slab_complement_pair([1.0, 0.0], [0.5, 0.5], v),
     "epsilon_report-radius": lambda v: epsilon_report(halfspace_pair([1.0, 0.0], [0.5, 0.5]), [0.5, 0.5], v),
 }
-BAD_SCALARS = {"beyond-float-range": 10**400, "text": "ab", "nan": math.nan, "list": [0.25]}
+BAD_SCALARS = {"beyond-float-range": 10**400, "text": "ab", "nan": math.nan, "list": [0.25], "numeric-text": "0.25"}
 
 
 @pytest.mark.parametrize("bad", BAD_SCALARS.values(), ids=BAD_SCALARS.keys())
@@ -176,7 +182,8 @@ def test_a_checked_radius_goes_on_as_a_python_float():
 
 def test_finite_floats_raises_the_callers_message():
     assert finite_floats([1, 0.5], "m").tolist() == [1.0, 0.5]
-    for bad in ([10**400], "ab", [[0.5], [0.5, 0.5]], [math.inf], None):
+    assert finite_floats([10**30, 0.5], "m").tolist() == [1e30, 0.5]
+    for bad in ([10**400], "ab", [[0.5], [0.5, 0.5]], [math.inf], None, "0.5", [10**30, "0.5"], [1j]):
         with pytest.raises(InvalidInputError, match="^bad coordinates$"):
             finite_floats(bad, "bad coordinates")
 
