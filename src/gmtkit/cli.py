@@ -275,13 +275,9 @@ def _parse_point(text: str) -> tuple[float, ...]:
 
 def _seed(text: str) -> int:
     """A --seed value: numpy's generators take integers >= 0 only."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
+    if not text.isdecimal():  # digits only: no sign, so nothing negative
         raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
-    return seed
+    return int(text)
 
 
 def _parse_span(text: str) -> tuple[int, int]:

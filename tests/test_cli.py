@@ -442,6 +442,7 @@ HALFSPACE = {"kind": "halfspace", "normal": [0.0, 1.0], "point": [0.5, 0.5]}
         (HALFSPACE, ["--r", "nan"]),
         (HALFSPACE, ["--r", "inf"]),
         (HALFSPACE, ["--center", "nan,0.5"]),
+        (HALFSPACE, ["--center", "0.5,ab"]),
         ({"kind": "ball", "center": [0.5, 0.5], "radius": float("nan")}, []),
         ({"kind": "slab-complement", "normal": [0.0, 1.0], "point": [0.5, 0.5], "gap": float("nan")}, []),
         ({"kind": "halfspace", "normal": [float("nan"), 1.0], "point": [0.5, 0.5]}, []),
@@ -450,7 +451,7 @@ HALFSPACE = {"kind": "halfspace", "normal": [0.0, 1.0], "point": [0.5, 0.5]}
         ({"kind": "ball", "center": [0.5, 0.5], "radius": "0.25"}, []),
     ],
     ids=[
-        "r-nan", "r-inf", "center-nan", "ball-radius-nan", "slab-gap-nan", "normal-nan", "normal-point-lengths",
+        "r-nan", "r-inf", "center-nan", "center-text", "ball-radius-nan", "slab-gap-nan", "normal-nan", "normal-point-lengths",
         "normal-zero", "ball-radius-text",
     ],
 )
