@@ -224,27 +224,22 @@ class SparseMeasure:
         return self._choice_table.searchsorted(rng.random(count), side="right")
 
     @cached_property
-    def _node_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct node levels, ascending, and each node's position among them."""
-        return np.unique(self.levels, return_inverse=True)
-
-    @cached_property
     def _digit_plans(self) -> dict[int, tuple]:
         return {}  # level -> its `_digit_plan`
 
-    def _digit_plan(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+    def _digit_plan(self, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Which digits of a level-`level` support cell are drawn, per node
-        level: (digit levels, free).  free[u, i] says whether a row whose
-        node sits at the u-th node level draws its digit at digit_levels[i]:
-        the digit lies below the node and outside every window.  Built once
-        per level."""
+        level: (node levels, digit levels, free).  The node levels are those
+        of `_node_runs`, ascending; free[u, i] says whether a row whose node
+        sits at node_levels[u] draws its digit at digit_levels[i]: the digit
+        lies below the node and outside every window.  Built once per level."""
         plan = self._digit_plans.get(level)
         if plan is None:
-            node_levels = self._node_levels[0]
+            node_levels = np.array([t for t, *_ in self._node_runs], dtype=np.int64)
             forced = np.array([_forced(self.windows, u, level) for u in node_levels.tolist()], dtype=np.int64)
             digit_levels = np.arange(int(node_levels.min(initial=level)) + 1, level + 1)
             free = (node_levels[:, None] < digit_levels) & ((forced[:, None] >> (level - digit_levels) & 1) == 0)
-            plan = self._digit_plans[level] = digit_levels, free
+            plan = self._digit_plans[level] = node_levels, digit_levels, free
         return plan
 
     def _support_cells(self, rng: np.random.Generator, count: int, level: int) -> np.ndarray:
@@ -275,8 +270,8 @@ class SparseMeasure:
         picks = self._pick(rng, count)
         t, idx = self.levels[picks], self.rows[picks]
         cells = idx >> np.maximum(t - level, 0)[:, None] << np.maximum(level - t, 0)[:, None]
-        digit_levels, free = self._digit_plan(level)
-        which = self._node_levels[1][picks]
+        node_levels, digit_levels, free = self._digit_plan(level)
+        which = node_levels.searchsorted(t)  # each pick's node level, as a row of `free`
         # the levels at which some picked row draws, in runs over which the
         # drawing rows stay the same
         drawn = free[np.bincount(which, minlength=len(free)) > 0]
@@ -305,6 +300,20 @@ class SparseMeasure:
         starts = np.flatnonzero(np.diff(self.levels, prepend=-1))
         runs = zip(self.levels[starts].tolist(), np.split(self.rows, starts[1:]), np.split(self.weights, starts[1:]))
         return [(t, rows, pack(rows, t), w) for t, rows, w in runs]
+
+    @cached_property
+    def _peaks(self) -> list[float]:
+        """The heaviest cube mass at each level 0..depth: the largest rolled-up
+        mass, or inside a node its zero-digit cube, one of the heaviest since
+        windows keep it, so the heaviest node of each shallower node level
+        stands for its level."""
+        _, sums = self._level_sums
+        heaviest = [(t, float(w.max())) for t, _, _, w in self._node_runs]
+        return [
+            max([float(sums[level].max(initial=0.0)),
+                 *(w * _interior_factor(self.n, t, level, self.windows)[1] for t, w in heaviest if t < level)])
+            for level in range(self.depth + 1)
+        ]
 
     def support_sample_cells(self, level: int, count: int, rng: np.random.Generator) -> CellSet:
         """Distinct support cells at `level`, drawn mass-weighted (deduplicated)."""
@@ -503,39 +512,36 @@ class FrostmanReport:
     cap_convention: str = "exact"  # caps hold with no dimensional relaxation factor
 
 
+def _worst_ratio(peaks: list[float], caps: list[float], cap_name: str, stage: str) -> tuple[float, int | None]:
+    """The largest peak / cap and the first level reaching it, (0.0, None) with
+    no mass; a cap not > 0 at a level holding mass fails `stage`."""
+    worst, where = 0.0, None
+    for level, (peak, cap) in enumerate(zip(peaks, caps)):
+        if peak > 0.0:
+            if not cap > 0.0:
+                raise VerificationError(f"{cap_name} vanishes at level {level} but mass is present", stage=stage)
+            if peak / cap > worst:
+                worst, where = peak / cap, level
+    return worst, where
+
+
 def verify_frostman(measure: CellMeasure, h: Gauge) -> FrostmanReport:
     """Exhaustively check mass(Q) <= h(diam Q) over every cube meeting the support.
 
-    Levels up to the explicit cell level are checked by aggregation; levels
-    below it follow the uniform-density closed form, whose per-level maximum
-    is max cell mass * 2^(-n*(l - cell_level)).
+    Each level's heaviest cube (`SparseMeasure._peaks`) sets its ratio.  The
+    worst cube is the first heaviest one at the worst level.
     """
-    n = measure.n
-    max_ratio, worst = 0.0, None
+    cell_level = measure.cell_level
     pyramid, mass = measure._level_sums
-    caps = [h(level_diameter(n, level)) for level in range(measure.cell_level + 1)]
-    for level, cap in enumerate(caps):
-        if not len(mass[level]):
-            continue
-        if cap <= 0:
-            raise VerificationError(f"gauge {h.label} vanishes at level {level} but mass is present")
-        ratios = mass[level] / cap
-        top = int(np.argmax(ratios))  # the first cube attaining the maximum
-        if ratios[top] > max_ratio:
-            max_ratio, worst = float(ratios[top]), (level, tuple(pyramid.cubes[level][top].tolist()))
-
-    if measure.cell_level < measure.depth and len(measure.rows):
-        top = int(np.argmax(measure.weights))  # the first heaviest cell in row order
-        peak, idx = float(measure.weights[top]), measure.rows[top].tolist()
-        for level in range(measure.cell_level + 1, measure.depth + 1):
-            cap = h(level_diameter(n, level))
-            ratio = peak * 2.0 ** (-n * (level - measure.cell_level)) / cap
-            if ratio > max_ratio:
-                deep = tuple(i << (level - measure.cell_level) for i in idx)
-                max_ratio, worst = ratio, (level, deep)
+    caps = [h(level_diameter(measure.n, level)) for level in range(measure.depth + 1)]
+    max_ratio, level = _worst_ratio(measure._peaks, caps, f"gauge {h.label}", "frostman")
+    worst = None
+    if level is not None:  # below the cells: the zero-digit subcube of the first heaviest cell
+        top = min(level, cell_level)
+        worst = (level, tuple((pyramid.cubes[top][int(np.argmax(mass[top]))] << (level - top)).tolist()))
 
     # maximal saturated cubes, added up in the order a walk from the root meets them
-    saturated = pyramid.topmost([m >= cap * (1.0 - CAP_TOLERANCE) for m, cap in zip(mass, caps)])[0]
+    saturated = pyramid.topmost([m >= cap * (1.0 - CAP_TOLERANCE) for m, cap in zip(mass, caps[: cell_level + 1])])[0]
     cost = float(np.cumsum(np.asarray(caps)[saturated])[-1]) if len(saturated) else 0.0  # left to right
     return FrostmanReport(
         gauge_label=h.label,

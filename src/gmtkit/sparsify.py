@@ -32,7 +32,7 @@ from math import sqrt
 import numpy as np
 
 from gmtkit.errors import DepthBudgetError, InvalidInputError, VerificationError
-from gmtkit.frostman import CellMeasure, SparseMeasure, _interior_factor
+from gmtkit.frostman import CAP_TOLERANCE, CellMeasure, SparseMeasure, _worst_ratio
 from gmtkit.gauge import Gauge, unit_ball_volume
 from gmtkit.lattice import (
     MAX_LEVEL,
@@ -48,7 +48,6 @@ from gmtkit.lattice import (
 from gmtkit.utils import Table, exact_int, exact_ints, finite_floats, load_json, write_canonical
 
 PRESERVE_TOL = 1e-12
-CAP_TOL = 1e-9
 HOLE_BLOCK = 1 << 13  # (point, box) pairs or swept cubes per array pass of the hole search
 WITNESS_BLOCK = 256  # witness samples per hole search
 
@@ -466,11 +465,8 @@ class SparseReport:
 def verify_sparse_construction(cons: SparseConstruction, h: Gauge, sample_cells: int = 256, seed: int = 0) -> SparseReport:
     """Check preservation, caps, selection bounds, and certificate consistency.
 
-    Both cap ratios at a level are set by its heaviest cube.  Cubes containing
-    antichain nodes are read from exact rollups.  A surviving level-l cube
-    strictly inside a level-t node of mass w holds w * 2^(-n * free levels)
-    exactly, which rises with w, so the heaviest level-t node stands for every
-    node of its level.  Together that covers every dyadic cube down to the
+    Both cap ratios at a level are set by its heaviest cube, which each
+    stage reads from `SparseMeasure._peaks` for every level down to the
     declared depth.
     """
     n = cons.base.n
@@ -498,20 +494,13 @@ def verify_sparse_construction(cons: SparseConstruction, h: Gauge, sample_cells:
                 raise VerificationError("window appeared above the active scale", stage="sparsify")
 
     # caps: mass(Q) <= B * min(2^(j n ell) h(diam Q), C0 diam^k) for stage j
-    ratio_h = 0.0
-    ratio_k = 0.0
     h_at = [h(level_diameter(n, lvl)) for lvl in range(depth + 1)]
+    k_caps = [B * c0_side * level_diameter(n, lvl) ** cons.k for lvl in range(depth + 1)]
+    ratio_h = ratio_k = 0.0
     for j, sm in enumerate(cons.stages):
         amp = 2.0 ** (n * ell * j)
-        _, sums = sm._level_sums
-        heaviest = {t: float(w.max()) for t, _, _, w in sm._node_runs}
-        for lvl in range(depth + 1):
-            # inside a node, the zero-digit cube is one of the heaviest: windows keep it
-            inside = [w * _interior_factor(n, t, lvl, sm.windows)[1] for t, w in heaviest.items() if t < lvl]
-            top = max([float(sums[lvl].max(initial=0.0)), *inside])
-            d = level_diameter(n, lvl)
-            ratio_h = max(ratio_h, top / (B * amp * h_at[lvl]))
-            ratio_k = max(ratio_k, top / (B * c0_side * d ** cons.k))
+        ratio_h = max(ratio_h, _worst_ratio(sm._peaks, [B * amp * cap for cap in h_at], f"gauge {h.label}", "sparsify")[0])
+        ratio_k = max(ratio_k, _worst_ratio(sm._peaks, k_caps, f"cap B * C0 * diam^{cons.k}", "sparsify")[0])
 
     # support nesting: every node of stage j sits inside stage j-1's support
     stages = zip(cons.stages, cons.stages[1:])
@@ -530,8 +519,8 @@ def verify_sparse_construction(cons: SparseConstruction, h: Gauge, sample_cells:
     min_sel = min(cons.selection_ratios) if cons.selection_ratios else 1.0
     passed = (
         drift <= PRESERVE_TOL
-        and ratio_h <= 1.0 + CAP_TOL
-        and ratio_k <= 1.0 + CAP_TOL
+        and ratio_h <= 1.0 + CAP_TOLERANCE
+        and ratio_k <= 1.0 + CAP_TOLERANCE
         and min_sel >= 1.0 - 1e-12  # best subcube never beaten by the cube average
         and total_drift <= 1e-9
         and nested

@@ -614,6 +614,12 @@ def test_failed_stages_name_what_failed(tmp_path, capsys, monkeypatch):
         "frostman: capped construction exceeds its gauge (ratio 1.5 at (level, index) (3, (2, 5)))")
     monkeypatch.setattr(gmtkit.cli, "verify_frostman", verify)
 
+    # r^31 underflows to 0.0 at level 36, where the working-depth measure still has mass
+    assert run(["extract-core", "--cells", str(cells_path), *EXTRACT_ARGS, "--gauge", "powerexp:1:30",
+                "--outdir", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err.startswith("sparsify: gauge powerexp:1:30 vanishes at level")
+    assert not (tmp_path / "g").exists()
+
     verify_sparse = gmtkit.cli.verify_sparse_construction
     monkeypatch.setattr(gmtkit.cli, "verify_sparse_construction", lambda *a, **kw: dataclasses.replace(
         verify_sparse(*a, **kw), passed=False))
@@ -689,6 +695,17 @@ def test_commands_exit_2_when_their_verification_fails(tmp_path, capsys, monkeyp
     mu_path = tmp_path / "mu.json"
     assert run(["frostman", "--cells", str(cells_path), "--gauge", "powerexp:1:0.5", "--out", str(mu_path)]) == 0
     capsys.readouterr()
+    # a gauge that underflows to 0.0 at level 36, above the working depth
+    out, cert = tmp_path / "vanish.json", tmp_path / "vanish_cert.json"
+    assert run([
+        "sparsify", "--measure", str(mu_path), "--gauge", "powerexp:1:30", "--k", "1", "--depth", "40",
+        "--out", str(out), "--cert", str(cert),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sparsify: gauge powerexp:1:30 vanishes at level 36 but mass is present")
+    assert "Traceback" not in err
+    assert not out.exists() and not cert.exists()
+
     verify_sparse = gmtkit.cli.verify_sparse_construction
     monkeypatch.setattr(gmtkit.cli, "verify_sparse_construction", lambda *a, **kw: dataclasses.replace(
         verify_sparse(*a, **kw), passed=False))

@@ -14,7 +14,7 @@ import gmtkit.sparsify
 from gmtkit.cli import main
 from gmtkit.content import dyadic_cover_cost
 from gmtkit.corpus import GeneratorSpec, generate
-from gmtkit.errors import InvalidInputError
+from gmtkit.errors import InvalidInputError, VerificationError
 from gmtkit.frostman import (
     CellMeasure,
     SparseMeasure,
@@ -106,6 +106,17 @@ def test_verify_zero_measure_passes_with_zero_ratio():
     rep = verify_frostman(mu, BARE)
     assert rep.passed
     assert rep.max_ratio == 0.0
+
+
+@pytest.mark.parametrize("mu", [
+    build_frostman(CellSet(2, 2, [(0, 0), (1, 1)]), power_exp_gauge(1, 30.0)).with_depth(40),
+    CellMeasure(2, 40, {(0, 0): 0.5, (1, 1): 0.5}),
+], ids=["below-the-cells", "rolled-up"])
+def test_a_vanishing_cap_fails_the_frostman_stage(mu):
+    # r^31 underflows to 0.0 at level 36, where either measure has mass
+    with pytest.raises(VerificationError, match="^gauge powerexp:1:30 vanishes at level 36 but mass is present$") as err:
+        verify_frostman(mu, power_exp_gauge(1, 30.0))
+    assert err.value.stage == "frostman"
 
 
 def test_cube_mass_aggregation():
