@@ -26,7 +26,7 @@ from gmtkit.corpus import KINDS, GeneratorSpec, generate, random_sparse_with_cer
 from gmtkit.errors import DepthBudgetError, GmtError, InvalidInputError, VerificationError
 from gmtkit.frostman import CellMeasure, ball_frostman_check, build_frostman, verify_frostman
 from gmtkit.gauge import parse_gauge, ratio_vanishes
-from gmtkit.lattice import CellSet
+from gmtkit.lattice import CellSet, level_diameter
 from gmtkit.sparsify import (
     SparseConstruction,
     build_sparse_construction,
@@ -100,6 +100,10 @@ def pipeline_extract_core(
         raise VerificationError(
             f"gauge {label} ratio fails to vanish within depth {depth}", stage="gauge"
         )
+    # the caps h(diam) of every level must be normal floats for the cap checks to hold
+    low = [j for j in range(depth + 1) if h(level_diameter(n, j)) < sys.float_info.min]
+    if low:
+        raise VerificationError(f"gauge {label} underflows at level {low[0]}, within depth {depth}", stage="gauge")
 
     mu = build_frostman(cells, h)
     fr_rep = verify_frostman(mu, h)

@@ -57,7 +57,7 @@ from gmtkit.utils import Table, exact_int, exact_ints, finite_floats, load_json,
 CAP_TOLERANCE = 1e-9
 BALL_BLOCK = 1 << 16  # (point, cube) pairs per array pass of the ball check
 BALL_BAND = 1e-12  # relative distance to r*r within which the ball check's np.dot kernel decides
-DRAW_BLOCK = 1 << 14  # digits per random draw of the support sampler
+DRAW_BLOCK = 1 << 14  # digits per random draw of the support sampler, unless one level's rows hold more
 
 
 def _forced(windows: tuple[tuple[int, int], ...], t: int, level: int) -> int:
@@ -209,8 +209,9 @@ class SparseMeasure:
 
     @cached_property
     def _choice_table(self) -> np.ndarray:
-        """The cumulative table ``rng.choice(N, p=weights / weights.sum())``
-        builds: the running sum of p, divided by its last entry."""
+        """The cumulative table that ``rng.choice(N, p=weights / weights.sum())``
+        rebuilds on every call, built once: the running sum of p, divided by
+        its last entry."""
         cdf = (self.weights / self.weights.sum()).cumsum()
         cdf /= cdf[-1]
         return cdf
@@ -223,54 +224,31 @@ class SparseMeasure:
             raise InvalidInputError("cannot sample from the zero measure")
         return self._choice_table.searchsorted(rng.random(count), side="right")
 
-    @cached_property
-    def _digit_plans(self) -> dict[int, tuple]:
-        return {}  # level -> its `_digit_plan`
-
-    def _digit_plan(self, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Which digits of a level-`level` support cell are drawn, per node
-        level: (node levels, digit levels, free).  The node levels are those
-        of `_node_runs`, ascending; free[u, i] says whether a row whose node
-        sits at node_levels[u] draws its digit at digit_levels[i]: the digit
-        lies below the node and outside every window.  Built once per level."""
-        plan = self._digit_plans.get(level)
-        if plan is None:
-            node_levels = np.array([t for t, *_ in self._node_runs], dtype=np.int64)
-            forced = np.array([_forced(self.windows, u, level) for u in node_levels.tolist()], dtype=np.int64)
-            digit_levels = np.arange(int(node_levels.min(initial=level)) + 1, level + 1)
-            free = (node_levels[:, None] < digit_levels) & ((forced[:, None] >> (level - digit_levels) & 1) == 0)
-            plan = self._digit_plans[level] = node_levels, digit_levels, free
-        return plan
-
     def _support_cells(self, rng: np.random.Generator, count: int, level: int) -> np.ndarray:
         """Mass-weighted support cells at `level`, a (count, n) int64 array: one
-        pick of nodes, then the digits of the rows free at each level (zeros
+        pick of nodes (`_pick`, the indices and generator state of
+        ``rng.choice``), then the digits of the rows free at each level (zeros
         inside windows), level by level, then row by row.  Integer
         coordinates: a float round trip at deep levels can round a point
         across a cell boundary, off the support.
 
-        The pick (`_pick`) places one ``rng.random(count)`` draw in the
-        cached cumulative table ``_choice_table`` with
-        ``searchsorted(side="right")``.  ``rng.choice(N, size=count, p=p)``
-        with p = weights / weights.sum() builds that same table on every call
-        and then does exactly this, so the indices and the generator state
-        are those of ``rng.choice``, without its O(N) work per call.
-
         The digits take the random stream in the order of one
-        ``rng.integers(0, 2)`` call per level, the order a single-row draw
-        shares with a per-row descent, but come from one call per run of
-        levels whose drawing rows agree, cut into blocks of at most
-        ``DRAW_BLOCK`` digits; levels at which no picked row draws are
-        skipped, so a single row takes all its digits in one call.  Each
-        int64 digit of range 2 takes exactly one 32-bit output (Lemire's
-        method never rejects there) and the generator keeps its spare 32-bit
-        half between calls, so merging or cutting the calls leaves the stream
-        as it was.  Which digits are free comes from `_digit_plan`, so a draw
-        does no work that grows with the number of nodes."""
+        ``rng.integers(0, 2)`` call per level, but come from one call per run
+        of levels whose drawing rows agree, cut into calls of at most
+        max(``DRAW_BLOCK``, rows * n) digits; levels at which no picked row
+        draws are skipped.  Each int64 digit of range 2 takes exactly one
+        32-bit output (Lemire's method never rejects there) and the generator
+        keeps its spare 32-bit half between calls, so merging or cutting the
+        calls leaves the stream as it was."""
         picks = self._pick(rng, count)
         t, idx = self.levels[picks], self.rows[picks]
         cells = idx >> np.maximum(t - level, 0)[:, None] << np.maximum(level - t, 0)[:, None]
-        node_levels, digit_levels, free = self._digit_plan(level)
+        # free[u, i]: a row whose node sits at node_levels[u] draws its digit
+        # at digit_levels[i], below the node and outside every window
+        node_levels = np.array([u for u, *_ in self._node_runs], dtype=np.int64)
+        forced = np.array([_forced(self.windows, u, level) for u in node_levels.tolist()], dtype=np.int64)
+        digit_levels = np.arange(int(node_levels.min(initial=level)) + 1, level + 1)
+        free = (node_levels[:, None] < digit_levels) & ((forced[:, None] >> (level - digit_levels) & 1) == 0)
         which = node_levels.searchsorted(t)  # each pick's node level, as a row of `free`
         # the levels at which some picked row draws, in runs over which the
         # drawing rows stay the same
@@ -278,17 +256,14 @@ class SparseMeasure:
         cols = np.flatnonzero(drawn.any(axis=0))
         changes = np.flatnonzero((drawn[:, cols[1:]] != drawn[:, cols[:-1]]).any(axis=0)) + 1
         starts = [0, *changes.tolist()] if len(cols) else []
-        width = max(1, DRAW_BLOCK // self.n)  # rows per draw, at most
         for a, b in zip(starts, [*starts[1:], len(cols)]):
             rows = np.flatnonzero(free[which, cols[a]])
-            step = max(1, width // len(rows))  # levels per draw
+            step = max(1, DRAW_BLOCK // (len(rows) * self.n))  # levels per draw
             for l in range(a, b, step):
                 shifts = (level - digit_levels[cols[l : min(l + step, b)]])[:, None, None]
-                for r in range(0, len(rows), width):
-                    part = rows[r : r + width]
-                    bits = rng.integers(0, 2, size=(len(shifts), len(part), self.n))
-                    bits <<= shifts
-                    cells[part] |= bits.sum(axis=0)  # each level's digit sits on its own bit
+                bits = rng.integers(0, 2, size=(len(shifts), len(rows), self.n))
+                bits <<= shifts
+                cells[rows] |= bits.sum(axis=0)  # each level's digit sits on its own bit
         return cells
 
     @cached_property

@@ -354,13 +354,10 @@ class CellSet:
 
     def sample_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Uniform sample: a uniformly chosen cell, then a uniform point in it."""
-        return cell_points(self._sample_cells(rng, count), self.depth, rng.random((count, self.n)))
-
-    def _sample_cells(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """`count` uniformly chosen cells, as a (count, n) index array."""
         if not len(self):
             raise InvalidInputError("cannot sample from an empty cell set")
-        return self.rows[rng.integers(0, len(self), size=count)]
+        cells = self.rows[rng.integers(0, len(self), size=count)]
+        return cell_points(cells, self.depth, rng.random((count, self.n)))
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "depth": self.depth, "cells": self.rows}

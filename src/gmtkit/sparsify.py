@@ -25,7 +25,7 @@ an ordinary :class:`~gmtkit.frostman.CellMeasure`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product
 from math import sqrt
 
@@ -38,7 +38,6 @@ from gmtkit.lattice import (
     MAX_LEVEL,
     CellSet,
     box_distances,
-    cell_points,
     group_rows,
     index_rows,
     level_diameter,
@@ -827,31 +826,15 @@ class WitnessReport:
 
 def _witness_draws(target, k: int, samples: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Centres, (samples, n), and k-frames, (samples, k, n), of the witness
-    samples on `target`: a SparseConstruction, whose result's support points
-    are the centres, or a CellMeasure or CellSet, whose `sample_points` draw
-    them.
-
-    Each sample makes the generator calls of a one-point draw followed by
-    a Haar frame's, in that order: its support cell, the centre's offset
-    inside the cell, then the frame's (n, k) Gaussian matrix.  The loop
-    draws one cell, an offset and a Gaussian matrix per sample (a cell draw
-    reads the measure's cached tables); the centres (one `cell_points`) and
-    the frames (one `_orthonormal_frames`) follow in array passes."""
-    if isinstance(target, CellSet):
-        level, draw = target.depth, partial(target._sample_cells, count=1)
+    samples on `target`: every centre from one call of its sampler (the
+    support points of a SparseConstruction's result, or `sample_points` of a
+    CellMeasure or CellSet), then every frame from one (samples, n, k)
+    Gaussian draw through `_orthonormal_frames`."""
+    if isinstance(target, SparseConstruction):
+        centres = target.result.sample_support_points(rng, samples)
     else:
-        if isinstance(target, SparseConstruction):
-            target, level = target.result, target.result.depth
-        else:
-            level = target.cell_level
-        draw = partial(target._support_cells, count=1, level=level)
-    n = target.n
-    cells, units, gauss = np.empty((samples, n), dtype=np.int64), np.empty((samples, n)), np.empty((samples, n, k))
-    for i in range(samples):
-        cells[i] = draw(rng)[0]
-        units[i] = rng.random(n)
-        gauss[i] = rng.standard_normal((n, k))
-    return cell_points(cells, level, units), _orthonormal_frames(gauss)[0]
+        centres = target.sample_points(rng, samples)
+    return centres, _orthonormal_frames(rng.standard_normal((samples, centres.shape[1], k)))[0]
 
 
 def witness_unrectifiability(

@@ -287,33 +287,38 @@ def loop_content_beta(cells: CellSet, x, r: float, k: int, plane_grid: int = 48,
     return math.sqrt(max(best, 0.0))
 
 
-def brute_point_draw(draw):
-    """The per-draw oracle of a library one-point draw `draw(rng, 1)`, a bound
-    method: `brute_support_draw` for a measure's `sample_support_points`,
-    `brute_cell_draw` over the sorted cells for a CellMeasure's or CellSet's
-    `sample_points`."""
+def brute_points(draw, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The oracle of a library point sampler `draw(rng, count)`, a bound
+    method: every cell first, by `brute_support_cells` at the depth for a
+    measure's `sample_support_points`, or by one `rng.choice` with p =
+    masses / sum (a CellMeasure, at its cell level) or one `rng.integers` (a
+    CellSet) over the sorted cells for `sample_points`; then one
+    `_brute_cell_point` per cell, in draw order."""
     target = draw.__self__
     if draw.__name__ == "sample_support_points":
-        return lambda rng: brute_support_draw(target, rng)
-    if hasattr(target, "masses"):  # a CellMeasure, sampled at its cell level
-        keys = sorted(target.masses)
-        return lambda rng: brute_cell_draw(keys, [target.masses[c] for c in keys], target.cell_level, rng)
-    keys = sorted(target.cells)
-    return lambda rng: brute_cell_draw(keys, None, target.depth, rng)
+        level = target.depth
+        cells = brute_support_cells(target, rng, count, level).tolist()
+    elif hasattr(target, "masses"):  # a CellMeasure, sampled at its cell level
+        level, keys = target.cell_level, sorted(target.masses)
+        w = np.array([target.masses[c] for c in keys], dtype=float)
+        cells = [keys[i] for i in rng.choice(len(keys), size=count, p=w / w.sum())]
+    else:
+        level, keys = target.depth, sorted(target.cells)
+        cells = [keys[i] for i in rng.integers(0, len(keys), size=count)]
+    return np.array([_brute_cell_point(c, level, rng) for c in cells])
 
 
 def loop_witness(draw, n: int, k: int, scales, hole, samples: int, seed: int):
     """(failures, min clearance items) of a witness run by a per-sample loop:
-    for each sample a centre from the oracle of `draw` (`brute_point_draw`)
-    and a frame (`brute_frame`), then per scale `hole(scale index, x,
-    frame)`, a clearance or None; a scale level enters the min clearances
-    when its first witness passes."""
+    every centre from the oracle of `draw` (`brute_points`), then a frame per
+    sample (`brute_frame`), then for each sample and scale `hole(scale
+    index, x, frame)`, a clearance or None; a scale level enters the min
+    clearances when its first witness passes."""
     rng = np.random.default_rng(seed)
-    draw = brute_point_draw(draw)
+    centres = brute_points(draw, rng, samples)
+    frames = [brute_frame(rng, n, k) for _ in range(samples)]
     failures, min_clear = [], {}
-    for i in range(samples):
-        x = draw(rng)
-        frame = brute_frame(rng, n, k)
+    for i, (x, frame) in enumerate(zip(centres, frames)):
         for s, level in enumerate(scales):
             clearance = hole(s, x, frame)
             if clearance is None:
@@ -485,18 +490,6 @@ def brute_support_draw(sm, rng: np.random.Generator) -> np.ndarray:
         bits = [0] * sm.n if _in_window(sm.windows, t, level) else rng.integers(0, 2, size=sm.n).tolist()
         coords = [2 * c + b for c, b in zip(coords, bits)]
     return _brute_cell_point(coords, sm.depth, rng)
-
-
-def brute_cell_draw(cells, weights, level: int, rng: np.random.Generator) -> np.ndarray:
-    """One point of the level-`level` cells `cells`, a list of index tuples:
-    a cell picked by `rng.choice` with p = weights / sum (by `rng.integers`
-    when `weights` is None), then a uniform offset inside it."""
-    if weights is None:
-        i = rng.integers(0, len(cells), size=1)[0]
-    else:
-        w = np.array(weights, dtype=float)
-        i = rng.choice(len(cells), size=1, p=w / w.sum())[0]
-    return _brute_cell_point(cells[i], level, rng)
 
 
 def _brute_cell_point(coords, level: int, rng: np.random.Generator) -> np.ndarray:

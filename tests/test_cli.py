@@ -537,6 +537,22 @@ def test_exit_code_invalid_input(tmp_path, capsys):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["frostman", "--cells", "{broken}", "--out", "{out}/mu.json"], "broken.json is not valid JSON"),
+    (["beta", "--cells", "{cells}", "--k", "1", "--scales", "2-6", "--out", "{out}/beta.json"], "bad scale span '2-6'"),
+    (["extract-core", "--cells", "{empty}", "--outdir", "{out}"], "the input cell set is empty"),
+], ids=["not-json", "scale-span", "empty-cells"])
+def test_unusable_input_exits_3_and_writes_nothing(tmp_path, capsys, argv, message):
+    paths = {"out": tmp_path / "out", "cells": write_square(tmp_path),
+             "broken": tmp_path / "broken.json", "empty": tmp_path / "empty.json"}
+    paths["broken"].write_text('{"n": 2, "depth": 3, "cells": [[0,')
+    paths["empty"].write_text('{"n": 2, "depth": 3, "cells": []}')
+    assert run([a.format(**paths) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--kind", "four-corner-cantor", "--out", "{out}/cells.json"],
     ["frostman", "--cells", "{cells}", "--out", "{out}/mu.json"],
@@ -614,10 +630,10 @@ def test_failed_stages_name_what_failed(tmp_path, capsys, monkeypatch):
         "frostman: capped construction exceeds its gauge (ratio 1.5 at (level, index) (3, (2, 5)))")
     monkeypatch.setattr(gmtkit.cli, "verify_frostman", verify)
 
-    # r^31 underflows to 0.0 at level 36, where the working-depth measure still has mass
+    # r^31 is subnormal from level 34 and 0.0 from level 36: the gauge stage refuses it
     assert run(["extract-core", "--cells", str(cells_path), *EXTRACT_ARGS, "--gauge", "powerexp:1:30",
                 "--outdir", str(tmp_path / "g")]) == 2
-    assert capsys.readouterr().err.startswith("sparsify: gauge powerexp:1:30 vanishes at level")
+    assert capsys.readouterr().err.startswith("gauge: gauge powerexp:1:30 underflows at level 34, within depth")
     assert not (tmp_path / "g").exists()
 
     verify_sparse = gmtkit.cli.verify_sparse_construction

@@ -49,7 +49,7 @@ from helpers import (
     brute_holder,
     brute_mass_at,
     brute_hole,
-    brute_point_draw,
+    brute_points,
     brute_rollup,
     brute_sparse_caps,
     brute_support_cells,
@@ -678,23 +678,19 @@ def witness_targets(draw):
 
 @given(witness_targets(), st.integers(1, 300), st.integers(0, 2**16))
 def test_witness_draws_keep_the_stream(case, samples, seed):
-    # centres and frames drawn by the per-sample loop, finished as array passes,
-    # against one oracle draw and one QR per sample
+    # every centre, then every frame, against the point oracle and one QR per sample
     target, k = case
-    if isinstance(target, sparsify.SparseConstruction):
-        point = brute_point_draw(target.result.sample_support_points)
-    else:
-        point = brute_point_draw(target.sample_points)
+    draw = target.result.sample_support_points if isinstance(target, sparsify.SparseConstruction) else target.sample_points
     ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
     centres, frames = _witness_draws(target, k, samples, ours)
+    assert centres.tobytes() == brute_points(draw, oracle, samples).tobytes()
     for i in range(samples):
-        assert centres[i].tobytes() == point(oracle).tobytes()
         assert frames[i].tobytes() == np.ascontiguousarray(brute_frame(oracle, centres.shape[1], k)).tobytes()
     assert ours.bit_generator.state == oracle.bit_generator.state
 
 
 def test_single_support_draws_do_no_work_per_node():
-    # the choice table and the digit plan are built once, not on every draw
+    # the choice table is built once, not on every draw
     grid = np.indices((256, 256)).reshape(2, -1).T
     mu = CellMeasure(2, 8, (grid, np.random.default_rng(0).random(len(grid)) + 0.5)).with_depth(40)
     rng = np.random.default_rng(1)
@@ -800,6 +796,37 @@ def test_drift_check_catches_a_rescaled_node(explicit_construction):
 ], ids=["empty-cube", "window-digit"])
 def test_nesting_check_catches_a_node_outside_the_support(explicit_construction, j, add):
     assert _tampered(explicit_construction, j, (4, (0, 0)), add).support_nested is False
+
+
+@pytest.fixture(scope="module")
+def cantor6_construction():
+    """The four-corner Cantor set at depth 6, working depth 40: two pattern
+    families (scales 17 and 33) that list no pair."""
+    cells = generate(GeneratorSpec(kind="four-corner-cantor", n=2, depth=6))
+    h = parse_gauge("powerexp:1:0.5")
+    return build_sparse_construction(build_frostman(cells, h).with_depth(40), h, 1, min_sparsity_parameter(2, 1)), h
+
+
+def test_window_check_catches_a_window_above_the_active_scale(cantor6_construction):
+    cons, h = cantor6_construction
+    sm = cons.stages[1]
+    added = SparseMeasure(sm.n, sm.depth, (sm.levels, sm.rows, sm.weights), (*sm.windows, (2, 1)))
+    with pytest.raises(VerificationError, match="window appeared above the active scale") as err:
+        verify_sparse_construction(dataclasses.replace(cons, stages=(cons.stages[0], added, *cons.stages[2:])), h)
+    assert err.value.stage == "sparsify"
+
+
+def test_certificate_check_catches_dropped_pattern_flags(cantor6_construction):
+    # every node lies above scale 17, so `_follows` passes; the sampled support
+    # cells at level 33 + ell fail `check_sparse`, as no family selects a subcube
+    cons, h = cantor6_construction
+    cert = cons.certificate
+    assert all(f.pattern and not len(f.cubes) for f in cert.families)
+    plain = tuple(ScaleFamily(f.level, f.ell, (f.cubes, f.selections)) for f in cert.families)
+    rep = verify_sparse_construction(
+        dataclasses.replace(cons, certificate=SparsityCertificate(cert.n, cert.ell, cert.scales, plain)), h)
+    assert rep.certificate_ok is False and rep.passed is False
+    assert verify_sparse_construction(cons, h).passed
 
 
 def test_selection_ratios_beat_uniform(square_construction):
